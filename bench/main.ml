@@ -164,15 +164,13 @@ let run_benchmarks ?(quota = 1.5) ?(limit = 200) () =
     tests;
   List.rev !out
 
-(* --- emulator perf-trajectory benchmark (--json) -------------------------- *)
+(* --- emulator engine benchmark (--json) ---------------------------------- *)
 
-(* Measures the three generations of the execution engine on the Fig. 5
-   workloads: the seed per-instruction stepper as it existed before the
-   fast-engine work (reproduced bench-only in [Seed_ref]: polymorphic-hash
-   int64 Hashtbl pages, per-byte memory loops), the current in-tree
-   reference stepper, and the block-translating fast engine.  Engines are
-   interleaved round-robin in one process and the best round per engine is
-   reported, so machine noise cannot manufacture a speedup. *)
+(* Measures both execution engines on the Fig. 5 workloads: the reference
+   stepper ([Semantics.Make] over the CPU) and the block-translating fast
+   engine.  Engines are interleaved round-robin in one process and the best
+   round per engine is reported, so machine noise cannot manufacture a
+   speedup. *)
 
 type workload = {
   w_name : string;
@@ -226,27 +224,12 @@ let run_machine_engine eng w mem0 =
     o_steps = cpu.Machine.Cpu.steps;
     o_dt = dt }
 
-let run_seed_engine w mem0 =
-  let t = Seed_ref.setup w.w_img ~mem:mem0 ~func:w.w_func ~args:w.w_args in
-  let t0 = Unix.gettimeofday () in
-  let status = Seed_ref.run ~fuel:w.w_fuel t in
-  let dt = Unix.gettimeofday () -. t0 in
-  let c = t.Seed_ref.cpu in
-  { o_status =
-      (match status with
-       | Seed_ref.Halted -> "halted"
-       | Seed_ref.Fault _ -> "fault"
-       | Seed_ref.Out_of_fuel -> "out-of-fuel");
-    o_rax = Seed_ref.rget c X86.Isa.RAX;
-    o_steps = c.Seed_ref.steps;
-    o_dt = dt }
-
 type engine_result = { name : string; ns_per_step : float; steps : int }
 
 type workload_result = {
   wr_name : string;
   wr_steps : int;
-  wr_engines : engine_result list;   (* seed, ref, fast *)
+  wr_engines : engine_result list;   (* ref, fast *)
   wr_equal : (unit, string) result;  (* cross-engine observable equality *)
 }
 
@@ -255,13 +238,12 @@ let ns_per_step (o : obs) = o.o_dt /. float_of_int (max 1 o.o_steps) *. 1e9
 let bench_workload ~rounds w : workload_result =
   let mem0 = Image.load w.w_img in
   let engines =
-    [ ("seed", fun () -> run_seed_engine w mem0);
-      ("ref", fun () -> run_machine_engine Machine.Exec.Ref w mem0);
+    [ ("ref", fun () -> run_machine_engine Machine.Exec.Ref w mem0);
       ("fast", fun () -> run_machine_engine Machine.Exec.Fast w mem0) ]
   in
   (* warm-up + equality check in one pass *)
   let first = List.map (fun (n, f) -> (n, f ())) engines in
-  let _, fast0 = List.nth first 2 in
+  let fast0 = List.assoc "fast" first in
   let wr_equal =
     List.fold_left
       (fun acc (n, o) ->
@@ -337,7 +319,6 @@ let json_of_results ~quick (wrs : workload_result list)
               (if j = List.length wr.wr_engines - 1 then "" else ","))
          wr.wr_engines;
        pf "      },\n";
-       pf "      \"speedup_fast_vs_seed\": %.2f,\n" (speedup wr "seed" "fast");
        pf "      \"speedup_fast_vs_ref\": %.2f,\n" (speedup wr "ref" "fast");
        pf "      \"equality\": \"%s\"\n"
          (match wr.wr_equal with
@@ -347,12 +328,6 @@ let json_of_results ~quick (wrs : workload_result list)
     )
     wrs;
   pf "  ],\n";
-  let fk = List.find (fun wr -> wr.wr_name = "fannkuch_rop_0.05") wrs in
-  pf "  \"acceptance\": {\n";
-  pf "    \"criterion\": \"fast >= 3x steps/sec vs the seed stepper on fannkuch_rop_0.05\",\n";
-  pf "    \"speedup_fast_vs_seed\": %.2f,\n" (speedup fk "seed" "fast");
-  pf "    \"pass\": %b\n" (speedup fk "seed" "fast" >= 3.0);
-  pf "  },\n";
   pf "  \"microbench_ns_per_run\": [\n";
   List.iteri
     (fun i (n, est) ->
@@ -433,7 +408,7 @@ let run_json ~quick ~baseline ~path =
   let quota = if quick then 0.4 else 1.5 in
   let limit = if quick then 50 else 200 in
   let wrs = List.map (bench_workload ~rounds) (make_workloads ()) in
-  Printf.printf "== Emulator perf trajectory (best of %d rounds) ==\n" rounds;
+  Printf.printf "== Emulator engines (best of %d rounds) ==\n" rounds;
   List.iter
     (fun wr ->
        Printf.printf "%s (%d steps):\n" wr.wr_name wr.wr_steps;

@@ -49,10 +49,9 @@ let set_rip t v = Bytes.set_int64_le t.regs rip_off v
 let flags t : Semantics.flags =
   { cf = t.cf; zf = t.zf; sf = t.sf; o_f = t.o_f; pf = t.pf }
 
-(* Condition-code test against the live flag fields.  Same truth table as
-   [Semantics.cc_holds], but without materializing a flags record: the
-   execution engine evaluates a cc on every Jcc/Cmov/Setcc retired, which
-   makes the record allocation of [flags] measurable on chain-heavy runs. *)
+(* Condition-code test against the live flag fields, for the fast engine's
+   compiled Jcc/Cmov/Setcc.  Same truth table as the [cc] of
+   [Semantics.Make], without going through the functor's flag operations. *)
 let cc_holds t (cc : cc) =
   match cc with
   | O -> t.o_f | NO -> not t.o_f
@@ -63,9 +62,6 @@ let cc_holds t (cc : cc) =
   | P -> t.pf | NP -> not t.pf
   | L -> t.sf <> t.o_f | GE -> t.sf = t.o_f
   | LE -> t.zf || t.sf <> t.o_f | G -> not t.zf && t.sf = t.o_f
-
-let set_flags t (f : Semantics.flags) =
-  t.cf <- f.cf; t.zf <- f.zf; t.sf <- f.sf; t.o_f <- f.o_f; t.pf <- f.pf
 
 let pp fmt t =
   let r n = get t n in

@@ -1,10 +1,12 @@
-(* Concrete stepper for x64-lite.
+(* Concrete execution of x64-lite.
 
-   The only execution engine used by the obfuscated programs themselves; the
-   symbolic/concolic engines in lib/symex mirror these semantics over
-   expression values.  A decode cache keyed by absolute address makes repeated
-   chain execution cheap (we assume no self-modifying code, the same
-   limitation as the paper's rewriter, §IV-C). *)
+   The only execution engine used by the obfuscated programs themselves.
+   The reference stepper is [Semantics.Make] instantiated over the CPU; the
+   symbolic stepper in lib/symex is the same functor over expressions.  The
+   block-translating fast engine below is hand-specialized and
+   differentially tested against the reference.  Decode and block caches
+   keyed by absolute address make repeated chain execution cheap; stores
+   into decoded pages invalidate them. *)
 
 open X86.Isa
 module S = Semantics
@@ -20,40 +22,6 @@ let pp_exit fmt = function
   | Halted -> Format.pp_print_string fmt "halted"
   | Fault m -> Format.fprintf fmt "fault: %s" m
   | Out_of_fuel -> Format.pp_print_string fmt "out of fuel"
-
-(* --- operand access ------------------------------------------------- *)
-
-let ea cpu (m : mem) =
-  let b = match m.base with Some r -> Cpu.get cpu r | None -> 0L in
-  let i =
-    match m.index with
-    | Some (r, sc) -> Int64.mul (Cpu.get cpu r) (Int64.of_int sc)
-    | None -> 0L
-  in
-  Int64.add (Int64.add b i) m.disp
-
-let read_operand cpu w = function
-  | Reg r -> S.truncate w (Cpu.get cpu r)
-  | Imm v -> S.truncate w v
-  | Mem m -> Memory.read cpu.Cpu.mem (ea cpu m) (width_bytes w)
-
-(* Register writes follow x86: 32-bit writes zero-extend, 8/16-bit merge. *)
-let write_reg cpu w r v =
-  match w with
-  | W64 -> Cpu.set cpu r v
-  | W32 -> Cpu.set cpu r (Int64.logand v 0xFFFFFFFFL)
-  | W16 ->
-    let old = Cpu.get cpu r in
-    Cpu.set cpu r (Int64.logor (Int64.logand old (-65536L)) (Int64.logand v 0xFFFFL))
-  | W8 ->
-    let old = Cpu.get cpu r in
-    Cpu.set cpu r (Int64.logor (Int64.logand old (-256L)) (Int64.logand v 0xFFL))
-
-let write_operand cpu w op v =
-  match op with
-  | Reg r -> write_reg cpu w r v
-  | Mem m -> Memory.write cpu.Cpu.mem (ea cpu m) (width_bytes w) v
-  | Imm _ -> raise (Exec_fault "write to immediate")
 
 (* --- flag updates ---------------------------------------------------- *)
 
@@ -105,249 +73,81 @@ let flags_logic64 cpu r =
   cpu.Cpu.o_f <- false;
   set_zsp64 cpu r
 
-(* --- stack helpers ---------------------------------------------------- *)
+(* --- reference semantics ---------------------------------------------- *)
 
-let push64 cpu v =
-  let sp = Int64.sub (Cpu.get cpu RSP) 8L in
-  Cpu.set cpu RSP sp;
-  Memory.write_u64 cpu.Cpu.mem sp v
+(* [Semantics.Make] over the CPU: int64 values, bool flags.  [exec_instr]
+   is the reference stepper's whole instruction set and the fast
+   compiler's fallback for the instructions it does not specialize. *)
+module Concrete = struct
+  type t = Cpu.t
+  type v = int64
+  type f = bool
+  type outcome = unit
 
-let pop64 cpu =
-  let sp = Cpu.get cpu RSP in
-  let v = Memory.read_u64 cpu.Cpu.mem sp in
-  Cpu.set cpu RSP (Int64.add sp 8L);
-  v
+  let const v = v
+  let const_value v = Some v
+  let add = Int64.add
+  let sub = Int64.sub
+  let mul = Int64.mul
+  let mulhi_u = S.mulhi_u
+  let mulhi_s = S.mulhi_s
+  let logand = Int64.logand
+  let logor = Int64.logor
+  let logxor = Int64.logxor
+  let lognot = Int64.lognot
+  let neg = Int64.neg
+  let shl a n = Int64.shift_left a (Int64.to_int n land 63)
+  let shr a n = Int64.shift_right_logical a (Int64.to_int n land 63)
+  let sar a n = Int64.shift_right a (Int64.to_int n land 63)
+  let trunc = S.truncate
+  let sext = S.sign_extend
+  let select c a b = if c then a else b
 
-(* --- single instruction ----------------------------------------------- *)
+  let eq = Int64.equal
+  let bit0 v = Int64.logand v 1L = 1L
+  let parity = S.parity
+  let of_flag f = if f then 1L else 0L
+  let flag_const f = f
+  let fnot = not
+  let f_or a b = a || b
+  let f_xor a b = a <> b
+  let f_select c a b = if c then a else b
 
-let exec_alu cpu o w d s =
-  let a = read_operand cpu w d in
-  let b = read_operand cpu w s in
-  match o with
-  | Add ->
-    let r = S.truncate w (Int64.add a b) in
-    flags_add cpu w a b r;
-    write_operand cpu w d r
-  | Adc ->
-    let c = if cpu.Cpu.cf then 1L else 0L in
-    let r = S.truncate w (Int64.add (Int64.add a b) c) in
-    flags_add cpu w a b r;
-    write_operand cpu w d r
-  | Sub ->
-    let r = S.truncate w (Int64.sub a b) in
-    flags_sub cpu w a b r;
-    write_operand cpu w d r
-  | Sbb ->
-    let c = if cpu.Cpu.cf then 1L else 0L in
-    let r = S.truncate w (Int64.sub (Int64.sub a b) c) in
-    flags_sub cpu w a b r;
-    write_operand cpu w d r
-  | Cmp ->
-    let r = S.truncate w (Int64.sub a b) in
-    flags_sub cpu w a b r
-  | And ->
-    let r = Int64.logand a b in
-    flags_logic cpu w r;
-    write_operand cpu w d r
-  | Or ->
-    let r = Int64.logor a b in
-    flags_logic cpu w r;
-    write_operand cpu w d r
-  | Xor ->
-    let r = Int64.logxor a b in
-    flags_logic cpu w r;
-    write_operand cpu w d r
-  | Test ->
-    let r = Int64.logand a b in
-    flags_logic cpu w r
+  let get = Cpu.get
+  let set = Cpu.set
 
-let exec_unary cpu o w d =
-  let a = read_operand cpu w d in
-  match o with
-  | Neg ->
-    let r = S.truncate w (Int64.neg a) in
-    flags_sub cpu w 0L a r;
-    write_operand cpu w d r
-  | Not ->
-    (* no flag update, as on x86 *)
-    write_operand cpu w d (S.truncate w (Int64.lognot a))
-  | Inc ->
-    let r = S.truncate w (Int64.add a 1L) in
-    cpu.Cpu.o_f <- S.overflow_add w a 1L r;
-    set_zsp cpu w r;
-    write_operand cpu w d r
-  | Dec ->
-    let r = S.truncate w (Int64.sub a 1L) in
-    cpu.Cpu.o_f <- S.overflow_sub w a 1L r;
-    set_zsp cpu w r;
-    write_operand cpu w d r
+  let get_flag cpu = function
+    | S.CF -> cpu.Cpu.cf | S.ZF -> cpu.Cpu.zf | S.SF -> cpu.Cpu.sf
+    | S.OF -> cpu.Cpu.o_f | S.PF -> cpu.Cpu.pf
 
-let exec_shift cpu o w d count =
-  let a = read_operand cpu w d in
-  let n =
-    match count with
-    | S_imm n -> n
-    | S_cl -> Int64.to_int (Int64.logand (Cpu.get cpu RCX) 0xFFL)
-  in
-  let n = n land (if w = W64 then 63 else 31) in
-  if n = 0 then ()  (* count 0: no flags, no write needed *)
-  else begin
-    let bits = width_bits w in
-    match o with
-    | Shl ->
-      let r = S.truncate w (Int64.shift_left a n) in
-      cpu.Cpu.cf <-
-        (n <= bits && Int64.logand (Int64.shift_right_logical a (bits - n)) 1L = 1L);
-      cpu.Cpu.o_f <- S.sign_bit w r <> cpu.Cpu.cf;
-      set_zsp cpu w r;
-      write_operand cpu w d r
-    | Shr ->
-      let r = Int64.shift_right_logical a n in
-      cpu.Cpu.cf <- Int64.logand (Int64.shift_right_logical a (n - 1)) 1L = 1L;
-      cpu.Cpu.o_f <- S.sign_bit w a;
-      set_zsp cpu w r;
-      write_operand cpu w d r
-    | Sar ->
-      let r = S.truncate w (Int64.shift_right (S.sign_extend w a) n) in
-      cpu.Cpu.cf <-
-        Int64.logand (Int64.shift_right (S.sign_extend w a) (min 63 (n - 1))) 1L = 1L;
-      cpu.Cpu.o_f <- false;
-      set_zsp cpu w r;
-      write_operand cpu w d r
-    | Rol ->
-      let n = n mod bits in
-      let r =
-        if n = 0 then a
-        else
-          S.truncate w
-            (Int64.logor (Int64.shift_left a n)
-               (Int64.shift_right_logical (S.truncate w a) (bits - n)))
-      in
-      cpu.Cpu.cf <- Int64.logand r 1L = 1L;
-      write_operand cpu w d r
-    | Ror ->
-      let n = n mod bits in
-      let r =
-        if n = 0 then a
-        else
-          S.truncate w
-            (Int64.logor (Int64.shift_right_logical (S.truncate w a) n)
-               (Int64.shift_left a (bits - n)))
-      in
-      cpu.Cpu.cf <- S.sign_bit w r;
-      write_operand cpu w d r
-  end
+  let set_flag cpu fl v =
+    match fl with
+    | S.CF -> cpu.Cpu.cf <- v | S.ZF -> cpu.Cpu.zf <- v
+    | S.SF -> cpu.Cpu.sf <- v | S.OF -> cpu.Cpu.o_f <- v
+    | S.PF -> cpu.Cpu.pf <- v
 
-let exec_muldiv cpu o src =
-  let v = read_operand cpu W64 src in
-  let rax = Cpu.get cpu RAX in
-  let rdx = Cpu.get cpu RDX in
-  match o with
-  | Mul ->
-    let lo = Int64.mul rax v in
-    let hi = S.mulhi_u rax v in
-    Cpu.set cpu RAX lo;
-    Cpu.set cpu RDX hi;
-    let c = hi <> 0L in
-    cpu.Cpu.cf <- c; cpu.Cpu.o_f <- c
-  | Imul1 ->
-    let lo = Int64.mul rax v in
-    let hi = S.mulhi_s rax v in
-    Cpu.set cpu RAX lo;
-    Cpu.set cpu RDX hi;
-    let c = hi <> Int64.shift_right lo 63 in
-    cpu.Cpu.cf <- c; cpu.Cpu.o_f <- c
-  | Div ->
-    (match S.divmod_u128 rdx rax v with
-     | q, r -> Cpu.set cpu RAX q; Cpu.set cpu RDX r
-     | exception Division_by_zero -> raise (Exec_fault "divide by zero")
-     | exception S.Div_overflow -> raise (Exec_fault "divide overflow"))
-  | Idiv ->
-    (match S.divmod_s128 rdx rax v with
-     | q, r -> Cpu.set cpu RAX q; Cpu.set cpu RDX r
-     | exception Division_by_zero -> raise (Exec_fault "divide by zero")
-     | exception S.Div_overflow -> raise (Exec_fault "divide overflow"))
+  let load cpu a n = Memory.read cpu.Cpu.mem a n
+  let store cpu a n v = Memory.write cpu.Cpu.mem a n v
+
+  let divide _ ~signed ~hi ~lo d =
+    match (if signed then S.divmod_s128 else S.divmod_u128) hi lo d with
+    | qr -> qr
+    | exception Division_by_zero -> raise (Exec_fault "divide by zero")
+    | exception S.Div_overflow -> raise (Exec_fault "divide overflow")
+
+  let fault m = raise (Exec_fault m)
+
+  let rip = Cpu.rip
+  let ok = ()
+  let halt cpu = cpu.Cpu.halted <- true
+  let jump = Cpu.set_rip
+  let branch cpu c target = if c then Cpu.set_rip cpu target
+end
+
+module Ref_semantics = Semantics.Make (Concrete)
 
 (* Execute [i]; [cpu.rip] has already been advanced past the instruction. *)
-let exec_instr cpu i =
-  match i with
-  | Nop -> ()
-  | Hlt -> cpu.Cpu.halted <- true
-  | Lahf ->
-    let b =
-      (if cpu.Cpu.sf then 0x80 else 0)
-      lor (if cpu.Cpu.zf then 0x40 else 0)
-      lor (if cpu.Cpu.pf then 0x04 else 0)
-      lor 0x02
-      lor (if cpu.Cpu.cf then 0x01 else 0)
-    in
-    let old = Cpu.get cpu RAX in
-    Cpu.set cpu RAX
-      (Int64.logor
-         (Int64.logand old (Int64.lognot 0xFF00L))
-         (Int64.of_int (b lsl 8)))
-  | Sahf ->
-    let b = Int64.to_int (Int64.shift_right_logical (Cpu.get cpu RAX) 8) land 0xFF in
-    cpu.Cpu.sf <- b land 0x80 <> 0;
-    cpu.Cpu.zf <- b land 0x40 <> 0;
-    cpu.Cpu.pf <- b land 0x04 <> 0;
-    cpu.Cpu.cf <- b land 0x01 <> 0
-  | Mov (w, d, s) ->
-    let v = read_operand cpu w s in
-    write_operand cpu w d v
-  | Movzx (dw, sw, r, s) ->
-    let v = read_operand cpu sw s in
-    write_reg cpu dw r v
-  | Movsx (dw, sw, r, s) ->
-    let v = S.sign_extend sw (read_operand cpu sw s) in
-    write_reg cpu dw r (S.truncate dw v)
-  | Lea (r, m) -> Cpu.set cpu r (ea cpu m)
-  | Push a ->
-    let v = read_operand cpu W64 a in
-    push64 cpu v
-  | Pop d ->
-    let v = pop64 cpu in
-    write_operand cpu W64 d v
-  | Alu (o, w, d, s) -> exec_alu cpu o w d s
-  | Unary (o, w, d) -> exec_unary cpu o w d
-  | Imul2 (w, r, s) ->
-    let a = S.truncate w (Cpu.get cpu r) in
-    let b = read_operand cpu w s in
-    let full = Int64.mul (S.sign_extend w a) (S.sign_extend w b) in
-    let r64 = S.truncate w full in
-    let c = S.sign_extend w r64 <> full in
-    cpu.Cpu.cf <- c; cpu.Cpu.o_f <- c;
-    set_zsp cpu w r64;
-    write_reg cpu w r r64
-  | MulDiv (o, s) -> exec_muldiv cpu o s
-  | Shift (o, w, d, c) -> exec_shift cpu o w d c
-  | Cmov (cc, r, s) ->
-    let v = read_operand cpu W64 s in
-    if Cpu.cc_holds cpu cc then Cpu.set cpu r v
-  | Setcc (cc, d) ->
-    let v = if Cpu.cc_holds cpu cc then 1L else 0L in
-    write_operand cpu W8 d v
-  | Jmp (J_rel d) -> Cpu.set_rip cpu (Int64.add (Cpu.rip cpu) (Int64.of_int d))
-  | Jmp (J_op a) -> Cpu.set_rip cpu (read_operand cpu W64 a)
-  | Jcc (cc, d) ->
-    if Cpu.cc_holds cpu cc then
-      Cpu.set_rip cpu (Int64.add (Cpu.rip cpu) (Int64.of_int d))
-  | Call (J_rel d) ->
-    push64 cpu (Cpu.rip cpu);
-    Cpu.set_rip cpu (Int64.add (Cpu.rip cpu) (Int64.of_int d))
-  | Call (J_op a) ->
-    let target = read_operand cpu W64 a in
-    push64 cpu (Cpu.rip cpu);
-    Cpu.set_rip cpu (target)
-  | Ret -> Cpu.set_rip cpu (pop64 cpu)
-  | Leave ->
-    Cpu.set cpu RSP (Cpu.get cpu RBP);
-    Cpu.set cpu RBP (pop64 cpu)
-  | Xchg (w, a, b) ->
-    let va = read_operand cpu w a in
-    let vb = read_operand cpu w b in
-    write_operand cpu w a vb;
-    write_operand cpu w b va
+let exec_instr = Ref_semantics.exec
 
 (* --- fetch/decode with cache ------------------------------------------ *)
 
@@ -662,7 +462,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
        the page-local memory fast path: with the address and value flowing
        unboxed from the register bytes into the page bytes, the hot branch
        performs no calls and no allocation.  Writes cannot fault (pages map
-       lazily), and the RSP update precedes the store as in [push64]. *)
+       lazily), and the RSP update precedes the store as in the reference. *)
     let sof = reg_off r in
     fun cpu ->
       Cpu.set_rip cpu (next);
@@ -1237,9 +1037,36 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
       Cpu.set_rip cpu (next);
       cpu.Cpu.halted <- true
   | Nop -> fun cpu -> Cpu.set_rip cpu (next)
-  | Movzx _ | Movsx _ | Imul2 _ | MulDiv _ | Shift _ | Leave | Xchg _
-  | Lahf | Sahf ->
-    (* cold on every workload we run; the win is skipping fetch/decode *)
+  | Imul2 (W64, r, s) ->
+    (* The product is taken mod 2^64 before the overflow test, so at full
+       width CF = OF = 0 (see [Semantics.Make]). *)
+    let rof = reg_off r and rb = read_fn W64 s in
+    fun cpu ->
+      Cpu.set_rip cpu next;
+      let b = rb cpu in
+      let regs = cpu.Cpu.regs in
+      let r = Int64.mul (Bytes.get_int64_le regs rof) b in
+      cpu.Cpu.cf <- false;
+      cpu.Cpu.o_f <- false;
+      set_zsp64 cpu r;
+      Bytes.set_int64_le regs rof r
+  | Imul2 (w, r, s) ->
+    let ra = read_fn w (Reg r) and rb = read_fn w s in
+    let wr = write_fn w (Reg r) in
+    fun cpu ->
+      Cpu.set_rip cpu next;
+      let a = ra cpu in
+      let full = Int64.mul (S.sign_extend w a) (S.sign_extend w (rb cpu)) in
+      let r = S.truncate w full in
+      let c = S.sign_extend w r <> full in
+      cpu.Cpu.cf <- c;
+      cpu.Cpu.o_f <- c;
+      set_zsp cpu w r;
+      wr cpu r
+  | Movzx _ | Movsx _ | MulDiv _ | Shift _ | Leave | Xchg _ | Lahf | Sahf ->
+    (* Left to the reference semantics: on the Fig. 5 images these retire
+       about 1% of instructions (shifts up to 1.0%, lahf and sahf 0.1%
+       each, movzx at most 0.1%).  The win is skipping fetch/decode. *)
     fun cpu ->
       Cpu.set_rip cpu (next);
       exec_instr cpu i

@@ -1,5 +1,5 @@
 (* Symbolic machine state and single-step transfer function: the x64-lite
-   semantics of Machine.Exec mirrored over Expr values.
+   semantics of [Machine.Semantics.Make], instantiated over Expr values.
 
    Control flow stays concrete in RIP; branch and indirect-target decisions
    are surfaced as outcomes for the driving engine (SE forks, DSE follows the
@@ -10,6 +10,7 @@
 
 open X86.Isa
 module E = Expr
+module Sem = Machine.Semantics
 
 module I64Map = Map.Make (Int64)
 
@@ -77,67 +78,6 @@ let get t r = t.regs.(reg_index r)
 let set t r v = t.regs.(reg_index r) <- v
 
 let constrain t cond want = t.constraints <- { Solver.cond; want } :: t.constraints
-
-(* --- expression helpers ----------------------------------------------------- *)
-
-let cbits w = Int64.of_int (width_bits w - 1)
-
-let trunc w e = if w = W64 then e else E.un (E.Low (w, false)) e
-let sext w e = if w = W64 then e else E.un (E.Low (w, true)) e
-
-let sign_bit w e =
-  E.bin E.And (E.bin E.Shr e (E.Const (cbits w))) E.one
-
-let bnot01 e = E.bin E.Xor e E.one          (* negate a 0/1 expression *)
-let bor01 a b = E.bin E.Or a b
-let band01 a b = E.bin E.And a b
-let bxor01 a b = E.bin E.Xor a b
-
-let is_zero w e = E.bin E.Eq (trunc w e) E.zero
-
-let parity_expr e =
-  (* even parity of the low byte, producing 0/1 *)
-  let b = E.bin E.And e (E.Const 0xFFL) in
-  let p = E.bin E.Xor b (E.bin E.Shr b (E.Const 4L)) in
-  let p = E.bin E.Xor p (E.bin E.Shr p (E.Const 2L)) in
-  let p = E.bin E.Xor p (E.bin E.Shr p (E.Const 1L)) in
-  bnot01 (E.bin E.And p E.one)
-
-let carry_out_e w a b r =
-  let open E in
-  let m =
-    bin Or (bin And a b) (bin And (bin Or a b) (un Not r))
-  in
-  sign_bit w m
-
-let borrow_out_e w a b r =
-  let open E in
-  let m =
-    bin Or (bin And (un Not a) b) (bin And (bin Or (un Not a) b) r)
-  in
-  sign_bit w m
-
-let overflow_add_e w a b r =
-  sign_bit w (E.bin E.And (E.bin E.Xor a r) (E.bin E.Xor b r))
-
-let overflow_sub_e w a b r =
-  sign_bit w (E.bin E.And (E.bin E.Xor a b) (E.bin E.Xor a r))
-
-let set_zsp t w r =
-  t.f_zf <- is_zero w r;
-  t.f_sf <- sign_bit w r;
-  t.f_pf <- parity_expr r
-
-let cc_expr t = function
-  | O -> t.f_of | NO -> bnot01 t.f_of
-  | B -> t.f_cf | AE -> bnot01 t.f_cf
-  | E -> t.f_zf | NE -> bnot01 t.f_zf
-  | BE -> bor01 t.f_cf t.f_zf | A -> bnot01 (bor01 t.f_cf t.f_zf)
-  | S -> t.f_sf | NS -> bnot01 t.f_sf
-  | P -> t.f_pf | NP -> bnot01 t.f_pf
-  | L -> bxor01 t.f_sf t.f_of | GE -> bnot01 (bxor01 t.f_sf t.f_of)
-  | LE -> bor01 t.f_zf (bxor01 t.f_sf t.f_of)
-  | G -> bnot01 (bor01 t.f_zf (bxor01 t.f_sf t.f_of))
 
 (* --- memory ------------------------------------------------------------------ *)
 
@@ -248,154 +188,11 @@ let mwrite ~model t addr_e n v =
              seq = m.seq + 1 }
        | None -> raise (Sym_fault "unresolvable symbolic address"))
 
-(* --- operands ----------------------------------------------------------------- *)
-
-let ea t (m : mem) =
-  let b = match m.base with Some r -> get t r | None -> E.Const 0L in
-  let i =
-    match m.index with
-    | Some (r, sc) -> E.bin E.Mul (get t r) (E.Const (Int64.of_int sc))
-    | None -> E.Const 0L
-  in
-  E.bin E.Add (E.bin E.Add b i) (E.Const m.disp)
-
-let read_operand ~model t w = function
-  | Reg r -> trunc w (get t r)
-  | Imm v -> E.Const (Machine.Semantics.truncate w v)
-  | Mem m -> mread ~model t (ea t m) (width_bytes w)
-
-let write_reg t w r v =
-  match w with
-  | W64 -> set t r v
-  | W32 -> set t r (E.bin E.And v (E.Const 0xFFFFFFFFL))
-  | W16 ->
-    set t r
-      (E.bin E.Or
-         (E.bin E.And (get t r) (E.Const (-65536L)))
-         (E.bin E.And v (E.Const 0xFFFFL)))
-  | W8 ->
-    set t r
-      (E.bin E.Or
-         (E.bin E.And (get t r) (E.Const (-256L)))
-         (E.bin E.And v (E.Const 0xFFL)))
-
-let write_operand ~model t w op v =
-  match op with
-  | Reg r -> write_reg t w r v
-  | Mem m -> mwrite ~model t (ea t m) (width_bytes w) v
-  | Imm _ -> raise (Sym_fault "write to immediate")
-
-(* --- instruction transfer ------------------------------------------------------ *)
-
-let flags_add t w a b r =
-  t.f_cf <- carry_out_e w a b r;
-  t.f_of <- overflow_add_e w a b r;
-  set_zsp t w r
-
-let flags_sub t w a b r =
-  t.f_cf <- borrow_out_e w a b r;
-  t.f_of <- overflow_sub_e w a b r;
-  set_zsp t w r
-
-let flags_logic t w r =
-  t.f_cf <- E.zero;
-  t.f_of <- E.zero;
-  set_zsp t w r
-
-let push64 ~model t v =
-  let sp = E.bin E.Sub (get t RSP) (E.Const 8L) in
-  set t RSP sp;
-  mwrite ~model t sp 8 v
-
-let pop64 ~model t =
-  let sp = get t RSP in
-  let v = mread ~model t sp 8 in
-  (* re-read RSP: concretization may have pinned it (store_back) *)
-  set t RSP (E.bin E.Add (get t RSP) (E.Const 8L));
-  v
-
-let exec_alu ~model t o w d s =
-  let a = read_operand ~model t w d in
-  let b = read_operand ~model t w s in
-  let wr r = write_operand ~model t w d r in
-  match o with
-  | Add ->
-    let r = trunc w (E.bin E.Add a b) in
-    flags_add t w a b r; wr r
-  | Adc ->
-    let r = trunc w (E.bin E.Add (E.bin E.Add a b) t.f_cf) in
-    flags_add t w a b r; wr r
-  | Sub ->
-    let r = trunc w (E.bin E.Sub a b) in
-    flags_sub t w a b r; wr r
-  | Sbb ->
-    let r = trunc w (E.bin E.Sub (E.bin E.Sub a b) t.f_cf) in
-    flags_sub t w a b r; wr r
-  | Cmp ->
-    let r = trunc w (E.bin E.Sub a b) in
-    flags_sub t w a b r
-  | And -> let r = E.bin E.And a b in flags_logic t w r; wr r
-  | Or -> let r = E.bin E.Or a b in flags_logic t w r; wr r
-  | Xor -> let r = E.bin E.Xor a b in flags_logic t w r; wr r
-  | Test -> let r = E.bin E.And a b in flags_logic t w r
-
-let exec_shift ~model t o w d count =
-  let a = read_operand ~model t w d in
-  let n_e =
-    match count with
-    | S_imm n ->
-      E.Const (Int64.of_int (n land (if w = W64 then 63 else 31)))
-    | S_cl ->
-      E.bin E.And (get t RCX)
-        (E.Const (Int64.of_int (if w = W64 then 63 else 31)))
-  in
-  let bits = Int64.of_int (width_bits w) in
-  (* flag semantics approximated for symbolic counts: computed as if the
-     masked count were non-zero (matches the concrete machine whenever the
-     count is non-zero, which the generated code guarantees) *)
-  let r =
-    match o with
-    | Shl -> trunc w (E.bin E.Shl a n_e)
-    | Shr -> E.bin E.Shr (trunc w a) n_e
-    | Sar -> trunc w (E.bin E.Sar (sext w a) n_e)
-    | Rol ->
-      trunc w
-        (E.bin E.Or (E.bin E.Shl a n_e)
-           (E.bin E.Shr (trunc w a) (E.bin E.Sub (E.Const bits) n_e)))
-    | Ror ->
-      trunc w
-        (E.bin E.Or (E.bin E.Shr (trunc w a) n_e)
-           (E.bin E.Shl a (E.bin E.Sub (E.Const bits) n_e)))
-  in
-  (match o with
-   | Shl ->
-     t.f_cf <-
-       E.bin E.And
-         (E.bin E.Shr a (E.bin E.Sub (E.Const bits) n_e)) E.one;
-     t.f_of <- bxor01 (sign_bit w r) t.f_cf;
-     set_zsp t w r
-   | Shr ->
-     t.f_cf <-
-       E.bin E.And (E.bin E.Shr (trunc w a) (E.bin E.Sub n_e E.one)) E.one;
-     t.f_of <- sign_bit w a;
-     set_zsp t w r
-   | Sar ->
-     t.f_cf <-
-       E.bin E.And (E.bin E.Sar (sext w a) (E.bin E.Sub n_e E.one)) E.one;
-     t.f_of <- E.zero;
-     set_zsp t w r
-   | Rol -> t.f_cf <- E.bin E.And r E.one
-   | Ror -> t.f_cf <- sign_bit w r);
-  (* a zero count must leave the destination and flags untouched; handled
-     here only for the destination via ite *)
-  let r = E.ite (E.bin E.Eq n_e E.zero) (trunc w a) r in
-  write_operand ~model t w d r
-
 (* The Sdiv/Udiv expression algebra models the faulting cases away (zero
    divisor -> quotient 0, overflowing idiv -> 0), but the concrete machine
    raises #DE there.  Before committing the symbolic quotient, replay the
    division under the path's witness (the same evaluator the memory model
-   concretizes addresses with) and fault exactly where Machine.Semantics
+   concretizes addresses with) and fault exactly where the concrete machine
    would, so concolic fault paths match concrete execution. *)
 let check_div_fault ~model t ~signed ~rdx ~rax ~v =
   match
@@ -403,163 +200,117 @@ let check_div_fault ~model t ~signed ~rdx ~rax ~v =
   with
   | Some hi, Some lo, Some d ->
     (match
-       if signed then Machine.Semantics.divmod_s128 hi lo d
-       else Machine.Semantics.divmod_u128 hi lo d
+       if signed then Sem.divmod_s128 hi lo d
+       else Sem.divmod_u128 hi lo d
      with
      | (_ : int64 * int64) -> ()
      | exception Division_by_zero -> raise (Sym_fault "divide by zero")
-     | exception Machine.Semantics.Div_overflow ->
+     | exception Sem.Div_overflow ->
        raise (Sym_fault "divide overflow"))
   | _ -> ()   (* unresolvable under this model: keep the total algebra *)
 
-let exec_muldiv ~model t o src =
-  let v = read_operand ~model t W64 src in
-  let rax = get t RAX in
-  match o with
-  | Mul ->
-    let hi = E.bin E.Mulhi_u rax v in
-    set t RAX (E.bin E.Mul rax v);
-    set t RDX hi;
-    let c = bnot01 (E.bin E.Eq hi E.zero) in
-    t.f_cf <- c; t.f_of <- c
-  | Imul1 ->
-    let lo = E.bin E.Mul rax v in
-    let hi = E.bin E.Mulhi_s rax v in
-    set t RAX lo;
-    set t RDX hi;
-    let c = bnot01 (E.bin E.Eq hi (E.bin E.Sar lo (E.Const 63L))) in
-    t.f_cf <- c; t.f_of <- c
-  | Div ->
-    check_div_fault ~model t ~signed:false ~rdx:(get t RDX) ~rax ~v;
-    (* assumes the rdx=0 idiom (see DESIGN.md); a symbolic zero divisor
-       evaluates to quotient 0 rather than faulting *)
-    set t RDX (E.bin E.Urem rax v);
-    set t RAX (E.bin E.Udiv rax v)
-  | Idiv ->
-    check_div_fault ~model t ~signed:true ~rdx:(get t RDX) ~rax ~v;
-    set t RDX (E.bin E.Srem rax v);
-    set t RAX (E.bin E.Sdiv rax v)
+(* --- instruction transfer ------------------------------------------------------ *)
 
-let lahf_expr t =
-  let open E in
-  let b =
-    bin Or (bin Shl t.f_sf (Const 7L))
-      (bin Or (bin Shl t.f_zf (Const 6L))
-         (bin Or (bin Shl t.f_pf (Const 2L))
-            (bin Or (Const 2L) t.f_cf)))
-  in
-  b
+(* The functor's machine: the symbolic state paired with the engine's
+   memory model.  Flags are 0/1 expressions. *)
+module Symbolic = struct
+  type nonrec t = { model : mem_model; st : t }
+  type v = E.t
+  type f = E.t
+  type nonrec outcome = outcome
+
+  let const c = E.Const c
+
+  let const_value = function
+    | E.Const c -> Some c
+    | E.Input _ | E.Bin _ | E.Un _ | E.Ite _ | E.Load _ -> None
+
+  (* eta-expanded: a partial application would add a second indirect call
+     to every operation the functor makes *)
+  let add a b = E.bin E.Add a b
+  let sub a b = E.bin E.Sub a b
+  let mul a b = E.bin E.Mul a b
+  let mulhi_u a b = E.bin E.Mulhi_u a b
+  let mulhi_s a b = E.bin E.Mulhi_s a b
+  let logand a b = E.bin E.And a b
+  let logor a b = E.bin E.Or a b
+  let logxor a b = E.bin E.Xor a b
+  let lognot a = E.un E.Not a
+  let neg a = E.un E.Neg a
+  let shl a n = E.bin E.Shl a n
+  let shr a n = E.bin E.Shr a n
+  let sar a n = E.bin E.Sar a n
+  let trunc w e = if w = W64 then e else E.un (E.Low (w, false)) e
+  let sext w e = if w = W64 then e else E.un (E.Low (w, true)) e
+  let select c a b = E.ite c a b
+
+  let eq a b = E.bin E.Eq a b
+  let bit0 e = E.bin E.And e E.one
+  let fnot e = E.bin E.Xor e E.one
+
+  let parity e =
+    let b = E.bin E.And e (E.Const 0xFFL) in
+    let p = E.bin E.Xor b (E.bin E.Shr b (E.Const 4L)) in
+    let p = E.bin E.Xor p (E.bin E.Shr p (E.Const 2L)) in
+    let p = E.bin E.Xor p (E.bin E.Shr p (E.Const 1L)) in
+    fnot (E.bin E.And p E.one)
+
+  let of_flag f = f
+  let flag_const b = if b then E.one else E.zero
+  let f_or a b = E.bin E.Or a b
+  let f_xor a b = E.bin E.Xor a b
+  let f_select c a b = E.ite c a b
+
+  let get s r = get s.st r
+  let set s r v = set s.st r v
+
+  let get_flag s = function
+    | Sem.CF -> s.st.f_cf | Sem.ZF -> s.st.f_zf | Sem.SF -> s.st.f_sf
+    | Sem.OF -> s.st.f_of | Sem.PF -> s.st.f_pf
+
+  let set_flag s fl v =
+    match fl with
+    | Sem.CF -> s.st.f_cf <- v | Sem.ZF -> s.st.f_zf <- v
+    | Sem.SF -> s.st.f_sf <- v | Sem.OF -> s.st.f_of <- v
+    | Sem.PF -> s.st.f_pf <- v
+
+  let load s a n = mread ~model:s.model s.st a n
+  let store s a n v = mwrite ~model:s.model s.st a n v
+
+  (* The quotient ignores rdx: compiled code sign- or zero-extends rax
+     into rdx before dividing (Minic.Codegen), and then the 64-bit
+     Sdiv/Udiv agrees with the 128-bit division.  A symbolic zero divisor
+     evaluates to quotient 0 rather than faulting. *)
+  let divide s ~signed ~hi ~lo d =
+    check_div_fault ~model:s.model s.st ~signed ~rdx:hi ~rax:lo ~v:d;
+    if signed then (E.bin E.Sdiv lo d, E.bin E.Srem lo d)
+    else (E.bin E.Udiv lo d, E.bin E.Urem lo d)
+
+  let fault m = raise (Sym_fault m)
+
+  let rip s = s.st.rip
+  let ok = O_ok
+  let halt _ = O_halt
+
+  let jump s = function
+    | E.Const a -> s.st.rip <- a; O_ok
+    | e -> O_indirect e
+
+  let branch s c taken =
+    match c with
+    | E.Const 0L -> O_ok
+    | E.Const _ -> s.st.rip <- taken; O_ok
+    | cond -> O_branch (cond, taken, s.st.rip)
+end
+
+module Step = Sem.Make (Symbolic)
 
 (* Execute the instruction at t.rip (already fetched as [i] with length
    [len]); returns the control-flow outcome. *)
 let exec_instr ~model t i len =
-  let next = Int64.add t.rip (Int64.of_int len) in
-  t.rip <- next;
+  t.rip <- Int64.add t.rip (Int64.of_int len);
   t.steps <- t.steps + 1;
-  match i with
-  | Nop -> O_ok
-  | Hlt -> O_halt
-  | Lahf ->
-    set t RAX
-      (E.bin E.Or
-         (E.bin E.And (get t RAX) (E.Const (Int64.lognot 0xFF00L)))
-         (E.bin E.Shl (lahf_expr t) (E.Const 8L)));
-    O_ok
-  | Sahf ->
-    let b = E.bin E.Shr (get t RAX) (E.Const 8L) in
-    t.f_sf <- E.bin E.And (E.bin E.Shr b (E.Const 7L)) E.one;
-    t.f_zf <- E.bin E.And (E.bin E.Shr b (E.Const 6L)) E.one;
-    t.f_pf <- E.bin E.And (E.bin E.Shr b (E.Const 2L)) E.one;
-    t.f_cf <- E.bin E.And b E.one;
-    O_ok
-  | Mov (w, d, s) ->
-    write_operand ~model t w d (read_operand ~model t w s);
-    O_ok
-  | Movzx (dw, sw, r, s) ->
-    write_reg t dw r (read_operand ~model t sw s);
-    O_ok
-  | Movsx (dw, sw, r, s) ->
-    write_reg t dw r (trunc dw (sext sw (read_operand ~model t sw s)));
-    O_ok
-  | Lea (r, m) -> set t r (ea t m); O_ok
-  | Push a -> push64 ~model t (read_operand ~model t W64 a); O_ok
-  | Pop d ->
-    let v = pop64 ~model t in
-    write_operand ~model t W64 d v;
-    O_ok
-  | Alu (o, w, d, s) -> exec_alu ~model t o w d s; O_ok
-  | Unary (o, w, d) ->
-    let a = read_operand ~model t w d in
-    (match o with
-     | Neg ->
-       let r = trunc w (E.un E.Neg a) in
-       flags_sub t w E.zero a r;
-       write_operand ~model t w d r
-     | Not -> write_operand ~model t w d (trunc w (E.un E.Not a))
-     | Inc ->
-       let r = trunc w (E.bin E.Add a E.one) in
-       t.f_of <- overflow_add_e w a E.one r;
-       set_zsp t w r;
-       write_operand ~model t w d r
-     | Dec ->
-       let r = trunc w (E.bin E.Sub a E.one) in
-       t.f_of <- overflow_sub_e w a E.one r;
-       set_zsp t w r;
-       write_operand ~model t w d r);
-    O_ok
-  | Imul2 (w, r, s) ->
-    let a = trunc w (get t r) in
-    let b = read_operand ~model t w s in
-    let full = E.bin E.Mul (sext w a) (sext w b) in
-    let r64 = trunc w full in
-    let c = bnot01 (E.bin E.Eq (sext w r64) full) in
-    t.f_cf <- c; t.f_of <- c;
-    set_zsp t w r64;
-    write_reg t w r r64;
-    O_ok
-  | MulDiv (o, s) -> exec_muldiv ~model t o s; O_ok
-  | Shift (o, w, d, c) -> exec_shift ~model t o w d c; O_ok
-  | Cmov (cc, r, s) ->
-    let v = read_operand ~model t W64 s in
-    set t r (E.ite (cc_expr t cc) v (get t r));
-    O_ok
-  | Setcc (cc, d) -> write_operand ~model t W8 d (cc_expr t cc); O_ok
-  | Jmp (J_rel d) -> t.rip <- Int64.add next (Int64.of_int d); O_ok
-  | Jmp (J_op a) ->
-    (match read_operand ~model t W64 a with
-     | E.Const v -> t.rip <- v; O_ok
-     | e -> O_indirect e)
-  | Jcc (cc, d) ->
-    let taken = Int64.add next (Int64.of_int d) in
-    (match cc_expr t cc with
-     | E.Const 0L -> O_ok
-     | E.Const _ -> t.rip <- taken; O_ok
-     | cond -> O_branch (cond, taken, next))
-  | Call (J_rel d) ->
-    push64 ~model t (E.Const next);
-    t.rip <- Int64.add next (Int64.of_int d);
-    O_ok
-  | Call (J_op a) ->
-    let target = read_operand ~model t W64 a in
-    push64 ~model t (E.Const next);
-    (match target with
-     | E.Const v -> t.rip <- v; O_ok
-     | e -> O_indirect e)
-  | Ret ->
-    (match pop64 ~model t with
-     | E.Const v -> t.rip <- v; O_ok
-     | e -> O_indirect e)
-  | Leave ->
-    set t RSP (get t RBP);
-    let v = pop64 ~model t in
-    set t RBP v;
-    O_ok
-  | Xchg (w, a, b) ->
-    let va = read_operand ~model t w a in
-    let vb = read_operand ~model t w b in
-    write_operand ~model t w a vb;
-    write_operand ~model t w b va;
-    O_ok
+  Step.exec { Symbolic.model; st = t } i
 
 (* Fetch + decode at t.rip from the base image, with a shared cache. *)
 let step ~model ~decode_cache t =

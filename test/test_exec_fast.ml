@@ -263,7 +263,7 @@ let gen_mem rng =
     disp = Int64.of_int (R.range rng (-16) 16) }
 
 let gen_instr rng =
-  match R.int rng 12 with
+  match R.int rng 14 with
   | 0 -> Mov (gen_width rng, Reg (gen_reg rng), Imm (R.next64 rng))
   | 1 -> Mov (gen_width rng, Reg (gen_reg rng), Mem (gen_mem rng))
   | 2 -> Mov (gen_width rng, Mem (gen_mem rng), Reg (gen_reg rng))
@@ -281,6 +281,8 @@ let gen_instr rng =
   | 10 -> Cmov (cc_of_index (R.int rng 16), gen_reg rng, Reg (gen_reg rng))
   | 11 -> Shift (R.choose rng [ Shl; Shr; Sar ], gen_width rng,
                  Reg (gen_reg rng), S_imm (R.int rng 64))
+  | 12 -> Imul2 (gen_width rng, gen_reg rng, Reg (gen_reg rng))
+  | 13 -> Imul2 (gen_width rng, gen_reg rng, Mem (gen_mem rng))
   | _ -> Nop
 
 let data_base = 0x500000L

@@ -250,12 +250,12 @@ let prop_sub_flags =
        in
        ignore (Machine.Exec.run ~fuel:10 t);
        let cpu = t.Machine.Exec.cpu in
-       let f = Machine.Cpu.flags cpu in
-       S.cc_holds f B = (Int64.unsigned_compare a b < 0)
-       && S.cc_holds f L = (Int64.compare a b < 0)
-       && S.cc_holds f E = (a = b)
-       && S.cc_holds f A = (Int64.unsigned_compare a b > 0)
-       && S.cc_holds f G = (Int64.compare a b > 0))
+       let holds = Machine.Cpu.cc_holds cpu in
+       holds B = (Int64.unsigned_compare a b < 0)
+       && holds L = (Int64.compare a b < 0)
+       && holds E = (a = b)
+       && holds A = (Int64.unsigned_compare a b > 0)
+       && holds G = (Int64.compare a b > 0))
 
 let prop_mulhi =
   QCheck.Test.make ~name:"mulhi_u/s consistency" ~count:1000 gen_pair64

@@ -182,6 +182,165 @@ let test_dse_slowed_by_rop () =
     (r_rop.Symex.Engine.secret_input = None
      || r_rop.Symex.Engine.time > 5.0 *. r_native.Symex.Engine.time)
 
+(* --- one instruction: concrete machine vs symbolic stepper ------------------ *)
+
+(* Both steppers are instances of Machine.Semantics.Make; from the same
+   concrete registers and flags, one instruction must leave both in the same
+   state.  Shifts cover every op, width and immediate count (a masked count
+   of 0 must leave flags and destination alone; narrow rotates take the
+   count mod the width).  A count in cl is also run with a symbolic cl, so
+   the stepper's unknown-count path is checked against the machine too. *)
+
+type one_case = {
+  oc_instr : X86.Isa.instr;
+  oc_regs : int64 array;                 (* by Isa.reg_index *)
+  oc_flags : bool array;                 (* cf zf sf of pf *)
+}
+
+let gen_one_case =
+  let open QCheck.Gen in
+  let open X86.Isa in
+  let reg = map reg_of_index (int_bound 15) in
+  let width = oneofl [ W8; W16; W32; W64 ] in
+  let cc = map cc_of_index (int_bound 15) in
+  let shift =
+    let* o = oneofl [ Shl; Shr; Sar; Rol; Ror ] in
+    let* w = width in
+    let* r = reg in
+    let* c =
+      frequency [ (4, map (fun n -> S_imm n) (int_bound 63)); (1, return S_cl) ]
+    in
+    return (Shift (o, w, Reg r, c))
+  in
+  let other =
+    oneof
+      [ (let* o = oneofl [ Add; Adc; Sub; Sbb; Cmp; And; Or; Xor; Test ] in
+         let* w = width in
+         let* d = reg in
+         let* s = reg in
+         return (Alu (o, w, Reg d, Reg s)));
+        (let* o = oneofl [ Neg; Not; Inc; Dec ] in
+         let* w = width in
+         let* d = reg in
+         return (Unary (o, w, Reg d)));
+        (let* w = width in
+         let* d = reg in
+         let* s = reg in
+         return (Imul2 (w, d, Reg s)));
+        (let* dw, sw = oneofl ext_combos in
+         let* d = reg in
+         let* s = reg in
+         let* zx = bool in
+         return
+           (if zx then Movzx (dw, sw, d, Reg s) else Movsx (dw, sw, d, Reg s)));
+        oneofl [ Lahf; Sahf ];
+        (let* c = cc in
+         let* d = reg in
+         let* s = reg in
+         return (Cmov (c, d, Reg s)));
+        (let* c = cc in
+         let* d = reg in
+         return (Setcc (c, Reg d)));
+        (let* w = width in
+         let* a = reg in
+         let* b = reg in
+         return (Xchg (w, Reg a, Reg b)));
+        (let* o = oneofl [ Mul; Imul1 ] in
+         let* s = reg in
+         return (MulDiv (o, Reg s))) ]
+  in
+  let* oc_instr = frequency [ (1, shift); (1, other) ] in
+  let* regs = array_repeat 16 (map Int64.of_int int) in
+  (* small values too, so shifted-out bits and zero results are common *)
+  let* small = array_repeat 16 (int_bound 300) in
+  let* use_small = array_repeat 16 bool in
+  let oc_regs =
+    Array.init 16 (fun i ->
+        if use_small.(i) then Int64.of_int small.(i) else regs.(i))
+  in
+  let* oc_flags = array_repeat 5 bool in
+  return { oc_instr; oc_regs; oc_flags }
+
+let print_one_case c =
+  let open X86.Isa in
+  let width =
+    match c.oc_instr with
+    | Shift (_, w, _, _) | Alu (_, w, _, _) | Unary (_, w, _) | Imul2 (w, _, _)
+    | Xchg (w, _, _) | Movzx (w, _, _, _) | Movsx (w, _, _, _) ->
+      X86.Pp.width_name w ^ " "
+    | _ -> ""
+  in
+  Printf.sprintf "%s%s regs=[%s] flags(cf zf sf of pf)=[%s]" width
+    (X86.Pp.instr_str c.oc_instr)
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%Lx") c.oc_regs)))
+    (String.concat " " (Array.to_list (Array.map string_of_bool c.oc_flags)))
+
+let one_case_code = 0x400000L
+
+let one_case_memory c =
+  let mem = Machine.Memory.create () in
+  Machine.Memory.store_bytes mem one_case_code
+    (X86.Encode.encode_list [ c.oc_instr ]);
+  mem
+
+(* Registers and flags after one Ref-engine step. *)
+let one_concrete c =
+  let cpu = Machine.Cpu.create (one_case_memory c) in
+  Machine.Cpu.set_rip cpu one_case_code;
+  Array.iteri (fun i v -> Machine.Cpu.set cpu (X86.Isa.reg_of_index i) v) c.oc_regs;
+  (match c.oc_flags with
+   | [| cf; zf; sf; o_f; pf |] ->
+     cpu.Machine.Cpu.cf <- cf; cpu.Machine.Cpu.zf <- zf;
+     cpu.Machine.Cpu.sf <- sf; cpu.Machine.Cpu.o_f <- o_f;
+     cpu.Machine.Cpu.pf <- pf
+   | _ -> assert false);
+  let t = Machine.Exec.make ~engine:Machine.Exec.Ref cpu in
+  ignore (Machine.Exec.run ~fuel:1 t);
+  let f = Machine.Cpu.flags cpu in
+  ( Array.init 16 (fun i -> Machine.Cpu.get cpu (X86.Isa.reg_of_index i)),
+    [| f.cf; f.zf; f.sf; f.o_f; f.pf |] )
+
+(* The same step on the symbolic stepper.  With [sym_cl], cl is the input
+   byte (holding the concrete cl) instead of a constant, and every result
+   is evaluated under that input. *)
+let one_symbolic ~sym_cl c =
+  let module S = Symex.Sym_state in
+  let st = S.create (one_case_memory c) one_case_code in
+  Array.iteri (fun i v -> S.set st (X86.Isa.reg_of_index i) (E.Const v)) c.oc_regs;
+  let b v = if v then E.one else E.zero in
+  (match c.oc_flags with
+   | [| cf; zf; sf; o_f; pf |] ->
+     st.S.f_cf <- b cf; st.S.f_zf <- b zf; st.S.f_sf <- b sf;
+     st.S.f_of <- b o_f; st.S.f_pf <- b pf
+   | _ -> assert false);
+  let rcx = c.oc_regs.(X86.Isa.reg_index X86.Isa.RCX) in
+  if sym_cl then
+    S.set st X86.Isa.RCX
+      (E.bin E.Or (E.Const (Int64.logand rcx (-256L))) (E.Input 0));
+  let model =
+    { S.toa = false; concretize = (fun _ _ -> None); on_write = (fun _ _ -> ()) }
+  in
+  let outcome = S.step ~model ~decode_cache:(Hashtbl.create 1) st in
+  let ev = E.eval ~input:(fun _ -> Int64.to_int (Int64.logand rcx 0xFFL)) in
+  ( outcome = S.O_ok,
+    Array.init 16 (fun i -> ev (S.get st (X86.Isa.reg_of_index i))),
+    Array.map (fun e -> ev e = 1L)
+      [| st.S.f_cf; st.S.f_zf; st.S.f_sf; st.S.f_of; st.S.f_pf |] )
+
+let prop_one_instruction =
+  QCheck.Test.make ~name:"concrete = symbolic, one instruction" ~count:4000
+    (QCheck.make ~print:print_one_case gen_one_case)
+    (fun c ->
+       let regs, flags = one_concrete c in
+       let agrees sym_cl =
+         let ok, sregs, sflags = one_symbolic ~sym_cl c in
+         ok && sregs = regs && sflags = flags
+       in
+       agrees false
+       && (match c.oc_instr with
+           | X86.Isa.Shift (_, _, _, X86.Isa.S_cl) -> agrees true
+           | _ -> true))
+
 (* --- adversarial inputs: contradictions, faults, budget exhaustion ----------- *)
 
 let test_contradictory_constraints () =
@@ -304,7 +463,8 @@ let () =
          Alcotest.test_case "unsat" `Quick test_solver_unsat ]);
       ("stepper",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_sym_concrete_native; prop_sym_concrete_rop ]);
+         [ prop_sym_concrete_native; prop_sym_concrete_rop;
+           prop_one_instruction ]);
       ("adversarial",
        [ Alcotest.test_case "contradictory constraints" `Quick
            test_contradictory_constraints;

@@ -104,12 +104,12 @@ let rec syn_eq a b =
   || match a, b with
   | E.Const x, E.Const y -> x = y
   | E.Input x, E.Input y -> x = y
-  | E.Bin (o1, a1, b1), E.Bin (o2, a2, b2) ->
+  | E.Bin (o1, a1, b1, _), E.Bin (o2, a2, b2, _) ->
     o1 = o2 && syn_eq a1 a2 && syn_eq b1 b2
-  | E.Un (o1, a1), E.Un (o2, a2) -> o1 = o2 && syn_eq a1 a2
-  | E.Ite (c1, t1, e1), E.Ite (c2, t2, e2) ->
+  | E.Un (o1, a1, _), E.Un (o2, a2, _) -> o1 = o2 && syn_eq a1 a2
+  | E.Ite (c1, t1, e1, _), E.Ite (c2, t2, e2, _) ->
     syn_eq c1 c2 && syn_eq t1 t2 && syn_eq e1 e2
-  | E.Load (m1, a1, n1), E.Load (m2, a2, n2) ->
+  | E.Load (m1, a1, n1, _), E.Load (m2, a2, n2, _) ->
     n1 = n2 && syn_eq a1 a2
     && List.length m1.E.writes = List.length m2.E.writes
     && List.for_all2
@@ -307,7 +307,7 @@ let max_chain_steps = 4096
    bytes. *)
 let resolve_ctrl (f : A.func) e =
   match e with
-  | E.Load (m, E.Const a, 8)
+  | E.Load (m, E.Const a, 8, _)
     when Int64.compare f.A.f_chain_base a <= 0
          && Int64.compare a
               (Int64.add f.A.f_chain_base (Int64.of_int f.A.f_chain_len))

@@ -22,13 +22,20 @@ type unop =
   | Low of width * bool      (* truncate to width then zero/sign extend *)
   | Bool_not                 (* logical: 0 -> 1, nonzero -> 0 *)
 
+(* Every interior node carries a [stamp]: an identity drawn from a counter
+   when the node is allocated, used only as its hash in physical-identity
+   tables ([Phys]).  Stamps never decide equality (that stays [==]) or a
+   fold, so nothing observable depends on them; see DESIGN.md, "Expr node
+   identity". *)
+type stamp = int
+
 type t =
   | Const of int64
   | Input of int                    (* i-th input byte, 0..255 *)
-  | Bin of binop * t * t
-  | Un of unop * t
-  | Ite of t * t * t                (* cond<>0 ? then : else *)
-  | Load of mem * t * int           (* snapshot, address, size in bytes *)
+  | Bin of binop * t * t * stamp
+  | Un of unop * t * stamp
+  | Ite of t * t * t * stamp        (* cond<>0 ? then : else *)
+  | Load of mem * t * int * stamp   (* snapshot, address, size in bytes *)
 
 (* Functional memory snapshot: a write log over a concrete base.  Kept
    abstract enough for evaluation; writes store (address, value, size). *)
@@ -40,9 +47,31 @@ and mem = {
 let zero = Const 0L
 let one = Const 1L
 
-(* --- constructors with local constant folding ----------------------------- *)
+(* --- constructors --------------------------------------------------------- *)
 
 module S = Machine.Semantics
+
+(* Stamps are unique within one process's allocations, but nothing relies
+   on it: a forked or unmarshalled copy of a node shares its stamp with the
+   original, which only makes two keys share a hash bucket. *)
+let last_stamp = ref 0
+
+let fresh () =
+  incr last_stamp;
+  !last_stamp
+
+(* Non-folding constructors: a fresh node exactly as spelled.  Tests use
+   them to build raw, unfolded expressions; the engine goes through the
+   folding constructors below. *)
+module Raw = struct
+  let bin op a b = Bin (op, a, b, fresh ())
+  let un op a = Un (op, a, fresh ())
+  let ite c t e = Ite (c, t, e, fresh ())
+end
+
+let load m addr size = Load (m, addr, size, fresh ())
+
+(* --- local constant folding ------------------------------------------------- *)
 
 let is_const = function Const _ -> true | Input _ | Bin _ | Un _ | Ite _ | Load _ -> false
 
@@ -88,39 +117,39 @@ let rec bin op a b =
   | Const 0L, _, (Mul | And) -> Const 0L
   | e, Const 1L, Mul -> e
   | Const 1L, e, Mul -> e
-  | Bin (Add, x, Const c1), Const c2, Add ->
+  | Bin (Add, x, Const c1, _), Const c2, Add ->
     bin Add x (Const (Int64.add c1 c2))
-  | Bin (And, x, Const c1), Const c2, And ->
+  | Bin (And, x, Const c1, _), Const c2, And ->
     bin And x (Const (Int64.logand c1 c2))
-  | _, _, _ -> Bin (op, a, b)
+  | _, _, _ -> Raw.bin op a b
 
 (* comparison results are 0/1: narrowing is the identity on them *)
 let rec is_bool = function
-  | Bin ((Eq | Ult | Slt | Ule | Sle), _, _) | Un (Bool_not, _) -> true
+  | Bin ((Eq | Ult | Slt | Ule | Sle), _, _, _) | Un (Bool_not, _, _) -> true
   | Const (0L | 1L) -> true
-  | Bin ((And | Or | Xor), a, b) -> is_bool a && is_bool b
-  | Ite (_, a, b) -> is_bool a && is_bool b
+  | Bin ((And | Or | Xor), a, b, _) -> is_bool a && is_bool b
+  | Ite (_, a, b, _) -> is_bool a && is_bool b
   | Const _ | Input _ | Bin _ | Un _ | Load _ -> false
 
 let rec un op a =
   match a, op with
   | Const x, _ -> Const (eval_un op x)
-  | Un (Low (w1, false), _), Low (w2, false)
+  | Un (Low (w1, false), _, _), Low (w2, false)
     when width_bytes w1 <= width_bytes w2 -> a
   (* byte-merge writes followed by a byte read: the old high bits vanish *)
-  | Bin (Or, Bin (And, _, Const m), e), Low (W8, false)
+  | Bin (Or, Bin (And, _, Const m, _), e, _), Low (W8, false)
     when Int64.logand m 0xFFL = 0L -> un (Low (W8, false)) e
-  | Bin (Or, e, Bin (And, _, Const m)), Low (W8, false)
+  | Bin (Or, e, Bin (And, _, Const m, _), _), Low (W8, false)
     when Int64.logand m 0xFFL = 0L -> un (Low (W8, false)) e
-  | Bin (And, e, Const 0xFFL), Low (W8, false) -> un (Low (W8, false)) e
+  | Bin (And, e, Const 0xFFL, _), Low (W8, false) -> un (Low (W8, false)) e
   | e, Low (_, false) when is_bool e -> e
-  | _, _ -> Un (op, a)
+  | _, _ -> Raw.un op a
 
 let ite c t e =
   match c with
   | Const 0L -> e
   | Const _ -> t
-  | Input _ | Bin _ | Un _ | Ite _ | Load _ -> if t == e then t else Ite (c, t, e)
+  | Input _ | Bin _ | Un _ | Ite _ | Load _ -> if t == e then t else Raw.ite c t e
 
 (* --- evaluation ------------------------------------------------------------ *)
 
@@ -129,10 +158,10 @@ let rec eval ~input e =
   match e with
   | Const v -> v
   | Input i -> Int64.of_int (input i land 0xff)
-  | Bin (op, a, b) -> eval_bin op (eval ~input a) (eval ~input b)
-  | Un (op, a) -> eval_un op (eval ~input a)
-  | Ite (c, t, f) -> if eval ~input c <> 0L then eval ~input t else eval ~input f
-  | Load (m, addr, size) ->
+  | Bin (op, a, b, _) -> eval_bin op (eval ~input a) (eval ~input b)
+  | Un (op, a, _) -> eval_un op (eval ~input a)
+  | Ite (c, t, f, _) -> if eval ~input c <> 0L then eval ~input t else eval ~input f
+  | Load (m, addr, size, _) ->
     let a = eval ~input addr in
     load_mem ~input m a size
 
@@ -164,17 +193,23 @@ and load_mem ~input m addr size =
   done;
   !r
 
-(* Memoized evaluator: expression graphs built by loops share subterms
-   heavily (DAGs); evaluation without memoization is exponential.  The cache
-   is keyed on physical identity and valid for one input model. *)
+(* Physical-identity keys.  An interior node hashes to its stamp; leaves
+   hash their payload.  Structural [Hashtbl.hash] looks at a bounded prefix
+   of the tree, and the long chains DSE builds differ only deep down, so it
+   put most of a query's nodes in a few buckets. *)
 module Phys = struct
   type nonrec t = t
   let equal = ( == )
-  let hash = Hashtbl.hash
+  let hash = function
+    | Bin (_, _, _, s) | Un (_, _, s) | Ite (_, _, _, s) | Load (_, _, _, s) -> s
+    | (Const _ | Input _) as e -> Hashtbl.hash e
 end
 
 module Phys_tbl = Hashtbl.Make (Phys)
 
+(* Memoized evaluator: expression graphs built by loops share subterms
+   heavily (DAGs); evaluation without memoization is exponential.  The cache
+   is keyed on physical identity and valid for one input model. *)
 let evaluator ~input =
   let cache = Phys_tbl.create 256 in
   let rec ev e =
@@ -188,10 +223,10 @@ let evaluator ~input =
          let v =
            match e with
            | Const _ | Input _ -> assert false
-           | Bin (op, a, b) -> eval_bin op (ev a) (ev b)
-           | Un (op, a) -> eval_un op (ev a)
-           | Ite (c, t, f) -> if ev c <> 0L then ev t else ev f
-           | Load (m, addr, size) -> load_cached ev m (ev addr) size
+           | Bin (op, a, b, _) -> eval_bin op (ev a) (ev b)
+           | Un (op, a, _) -> eval_un op (ev a)
+           | Ite (c, t, f, _) -> if ev c <> 0L then ev t else ev f
+           | Load (m, addr, size, _) -> load_cached ev m (ev addr) size
          in
          Phys_tbl.replace cache e v;
          v)
@@ -264,19 +299,19 @@ let compile (exprs : t list) : compiled =
         match e with
         | Const v -> add (C_const v)
         | Input i -> add (C_input i)
-        | Bin (op, a, b) ->
+        | Bin (op, a, b, _) ->
           let ia = go a in
           let ib = go b in
           add (C_bin (op, ia, ib))
-        | Un (op, a) ->
+        | Un (op, a, _) ->
           let ia = go a in
           add (C_un (op, ia))
-        | Ite (c, t, f) ->
+        | Ite (c, t, f, _) ->
           let ic = go c in
           let it = go t in
           let if_ = go f in
           add (C_ite (ic, it, if_))
-        | Load (m, addr, size) ->
+        | Load (m, addr, size, _) ->
           let ia = go addr in
           let log =
             List.map
@@ -339,27 +374,62 @@ let run (c : compiled) ~input =
 (* --- inspection ------------------------------------------------------------ *)
 
 (* DAG-aware: visited set on physical identity, or traversal is
-   exponential. *)
-let input_bytes acc e =
+   exponential.  The set is shared by all of [es], so a path's constraints,
+   which share its prefix, are walked once between them.  Sorted. *)
+let input_bytes es =
   let visited = Phys_tbl.create 64 in
-  let bytes = Hashtbl.create 8 in
-  List.iter (fun b -> Hashtbl.replace bytes b ()) acc;
+  let bytes = ref [] in
   let rec go e =
     if not (Phys_tbl.mem visited e) then begin
       Phys_tbl.replace visited e ();
       match e with
       | Const _ -> ()
-      | Input i -> Hashtbl.replace bytes i ()
-      | Bin (_, a, b) -> go a; go b
-      | Un (_, a) -> go a
-      | Ite (c, t, f) -> go c; go t; go f
-      | Load (m, a, _) ->
+      | Input i -> bytes := i :: !bytes
+      | Bin (_, a, b, _) -> go a; go b
+      | Un (_, a, _) -> go a
+      | Ite (c, t, f, _) -> go c; go t; go f
+      | Load (m, a, _, _) ->
         go a;
         List.iter (fun (wa, wv, _) -> go wa; go wv) m.writes
     end
   in
-  go e;
-  Hashtbl.fold (fun b () acc -> b :: acc) bytes []
+  List.iter go es;
+  List.sort_uniq compare !bytes
+
+type inputs = No_input | Sole of int | Several
+
+(* [sole_input ()] classifies expressions by the input bytes they mention:
+   [Sole b] when [b] is the only one.  Memoized on physical identity across
+   all calls of one classifier, so classifying every constraint of a query
+   is one walk of their shared DAG. *)
+let sole_input () =
+  let memo = Phys_tbl.create 64 in
+  let join a b =
+    match a, b with
+    | No_input, x | x, No_input -> x
+    | Sole i, Sole j when i = j -> a
+    | (Sole _ | Several), (Sole _ | Several) -> Several
+  in
+  let rec go e =
+    match Phys_tbl.find_opt memo e with
+    | Some r -> r
+    | None ->
+      let r =
+        match e with
+        | Const _ -> No_input
+        | Input i -> Sole i
+        | Bin (_, a, b, _) -> join (go a) (go b)
+        | Un (_, a, _) -> go a
+        | Ite (c, t, f, _) -> join (go c) (join (go t) (go f))
+        | Load (m, a, _, _) ->
+          List.fold_left
+            (fun acc (wa, wv, _) -> join acc (join (go wa) (go wv)))
+            (go a) m.writes
+      in
+      Phys_tbl.replace memo e r;
+      r
+  in
+  go
 
 exception Found_input
 
@@ -371,10 +441,10 @@ let depends_on_input e =
       match e with
       | Const _ -> ()
       | Input _ -> raise Found_input
-      | Bin (_, a, b) -> go a; go b
-      | Un (_, a) -> go a
-      | Ite (c, t, f) -> go c; go t; go f
-      | Load (m, a, _) ->
+      | Bin (_, a, b, _) -> go a; go b
+      | Un (_, a, _) -> go a
+      | Ite (c, t, f, _) -> go c; go t; go f
+      | Load (m, a, _, _) ->
         go a;
         List.iter (fun (wa, wv, _) -> go wa; go wv) m.writes
     end
@@ -384,16 +454,16 @@ let depends_on_input e =
 let rec size e =
   match e with
   | Const _ | Input _ -> 1
-  | Bin (_, a, b) -> 1 + size a + size b
-  | Un (_, a) -> 1 + size a
-  | Ite (c, t, f) -> 1 + size c + size t + size f
-  | Load (_, a, _) -> 1 + size a
+  | Bin (_, a, b, _) -> 1 + size a + size b
+  | Un (_, a, _) -> 1 + size a
+  | Ite (c, t, f, _) -> 1 + size c + size t + size f
+  | Load (_, a, _, _) -> 1 + size a
 
 let rec pp fmt e =
   match e with
   | Const v -> Format.fprintf fmt "0x%Lx" v
   | Input i -> Format.fprintf fmt "in[%d]" i
-  | Bin (op, a, b) ->
+  | Bin (op, a, b, _) ->
     let s = match op with
       | Add -> "+" | Sub -> "-" | Mul -> "*" | Udiv -> "/u" | Urem -> "%u"
       | Sdiv -> "/s" | Srem -> "%s" | And -> "&" | Or -> "|" | Xor -> "^"
@@ -402,10 +472,10 @@ let rec pp fmt e =
       | Mulhi_u -> "*hu" | Mulhi_s -> "*hs"
     in
     Format.fprintf fmt "(%a %s %a)" pp a s pp b
-  | Un (Not, a) -> Format.fprintf fmt "~%a" pp a
-  | Un (Neg, a) -> Format.fprintf fmt "-%a" pp a
-  | Un (Low (w, s), a) ->
+  | Un (Not, a, _) -> Format.fprintf fmt "~%a" pp a
+  | Un (Neg, a, _) -> Format.fprintf fmt "-%a" pp a
+  | Un (Low (w, s), a, _) ->
     Format.fprintf fmt "%s%d(%a)" (if s then "sext" else "zext") (width_bits w) pp a
-  | Un (Bool_not, a) -> Format.fprintf fmt "!%a" pp a
-  | Ite (c, t, f) -> Format.fprintf fmt "(%a ? %a : %a)" pp c pp t pp f
-  | Load (_, a, n) -> Format.fprintf fmt "mem%d[%a]" n pp a
+  | Un (Bool_not, a, _) -> Format.fprintf fmt "!%a" pp a
+  | Ite (c, t, f, _) -> Format.fprintf fmt "(%a ? %a : %a)" pp c pp t pp f
+  | Load (_, a, n, _) -> Format.fprintf fmt "mem%d[%a]" n pp a

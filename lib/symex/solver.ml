@@ -91,11 +91,11 @@ type query = {
    "not" over 0/1 values as xor 1. *)
 let rec normalize cond want =
   match cond with
-  | Expr.Un (Expr.Bool_not, e) -> normalize e (not want)
-  | Expr.Bin (Expr.Xor, e, Expr.Const 1L) -> normalize e (not want)
-  | Expr.Bin (Expr.Xor, Expr.Const 1L, e) -> normalize e (not want)
-  | Expr.Bin (Expr.Eq, e, Expr.Const 0L) -> normalize e (not want)
-  | Expr.Bin (Expr.Eq, Expr.Const 0L, e) -> normalize e (not want)
+  | Expr.Un (Expr.Bool_not, e, _) -> normalize e (not want)
+  | Expr.Bin (Expr.Xor, e, Expr.Const 1L, _) -> normalize e (not want)
+  | Expr.Bin (Expr.Xor, Expr.Const 1L, e, _) -> normalize e (not want)
+  | Expr.Bin (Expr.Eq, e, Expr.Const 0L, _) -> normalize e (not want)
+  | Expr.Bin (Expr.Eq, Expr.Const 0L, e, _) -> normalize e (not want)
   | _ -> (cond, want)
 
 let compile_query cs =
@@ -111,7 +111,7 @@ let compile_query cs =
     List.concat_map
       (fun c ->
          match c.cond with
-         | Expr.Bin ((Expr.Eq | Expr.Ult | Expr.Ule | Expr.Slt | Expr.Sle), a, b) ->
+         | Expr.Bin ((Expr.Eq | Expr.Ult | Expr.Ule | Expr.Slt | Expr.Sle), a, b, _) ->
            [ a; b ]
          | _ -> [])
       cs
@@ -125,17 +125,17 @@ let compile_query cs =
          (fun i c ->
             let kind =
               match c.cond, c.want with
-              | Expr.Bin (Expr.Eq, _, _), true ->
+              | Expr.Bin (Expr.Eq, _, _, _), true ->
                 let ia = comp.Expr.roots.(!extra_pos) in
                 let ib = comp.Expr.roots.(!extra_pos + 1) in
                 extra_pos := !extra_pos + 2;
                 K_eq (ia, ib)
-              | Expr.Bin ((Expr.Ult | Expr.Ule | Expr.Slt | Expr.Sle), _, _), _ ->
+              | Expr.Bin ((Expr.Ult | Expr.Ule | Expr.Slt | Expr.Sle), _, _, _), _ ->
                 let ia = comp.Expr.roots.(!extra_pos) in
                 let ib = comp.Expr.roots.(!extra_pos + 1) in
                 extra_pos := !extra_pos + 2;
                 K_cmp (ia, ib)
-              | Expr.Bin (Expr.Eq, _, _), false ->
+              | Expr.Bin (Expr.Eq, _, _, _), false ->
                 extra_pos := !extra_pos + 2;
                 K_flat
               | _ -> K_flat
@@ -242,9 +242,9 @@ let canonicalize ~n_inputs cs =
           match e with
           | Expr.Const _ -> e
           | Expr.Input i -> if i >= n_inputs then Expr.Const 0L else e
-          | Expr.Bin (op, a, b) -> Expr.bin op (rebuild a) (rebuild b)
-          | Expr.Un (op, a) -> Expr.un op (rebuild a)
-          | Expr.Ite (c, t, f) -> Expr.ite (rebuild c) (rebuild t) (rebuild f)
+          | Expr.Bin (op, a, b, _) -> Expr.bin op (rebuild a) (rebuild b)
+          | Expr.Un (op, a, _) -> Expr.un op (rebuild a)
+          | Expr.Ite (c, t, f, _) -> Expr.ite (rebuild c) (rebuild t) (rebuild f)
           | Expr.Load _ -> raise Uncacheable
         in
         Expr.Phys_tbl.replace rebuild_tbl e r;
@@ -270,15 +270,15 @@ let canonicalize ~n_inputs cs =
           match e with
           | Expr.Const v -> Digest.string ("C" ^ Int64.to_string v)
           | Expr.Input _ -> Digest.string "I"
-          | Expr.Bin (op, a, b) ->
+          | Expr.Bin (op, a, b, _) ->
             let sa = shape a and sb = shape b in
             let sa, sb =
               if commutative op && String.compare sb sa < 0 then (sb, sa)
               else (sa, sb)
             in
             Digest.string ("B" ^ bin_tag op ^ sa ^ sb)
-          | Expr.Un (op, a) -> Digest.string ("U" ^ un_tag op ^ shape a)
-          | Expr.Ite (c, t, f) ->
+          | Expr.Un (op, a, _) -> Digest.string ("U" ^ un_tag op ^ shape a)
+          | Expr.Ite (c, t, f, _) ->
             Digest.string ("T" ^ shape c ^ shape t ^ shape f)
           | Expr.Load _ -> raise Uncacheable
         in
@@ -306,12 +306,12 @@ let canonicalize ~n_inputs cs =
         | Expr.Input i ->
           if not (Hashtbl.mem ren i) then
             Hashtbl.replace ren i (Hashtbl.length ren)
-        | Expr.Bin (op, a, b) ->
+        | Expr.Bin (op, a, b, _) ->
           if commutative op && String.compare (shape b) (shape a) < 0
           then (visit b; visit a)
           else (visit a; visit b)
-        | Expr.Un (_, a) -> visit a
-        | Expr.Ite (c, t, f) -> visit c; visit t; visit f
+        | Expr.Un (_, a, _) -> visit a
+        | Expr.Ite (c, t, f, _) -> visit c; visit t; visit f
         | Expr.Load _ -> raise Uncacheable
       end
     in
@@ -327,15 +327,15 @@ let canonicalize ~n_inputs cs =
           | Expr.Const v -> Digest.string ("c" ^ Int64.to_string v)
           | Expr.Input i ->
             Digest.string ("i" ^ string_of_int (Hashtbl.find ren i))
-          | Expr.Bin (op, a, b) ->
+          | Expr.Bin (op, a, b, _) ->
             let a, b =
               if commutative op && String.compare (shape b) (shape a) < 0
               then (b, a)
               else (a, b)
             in
             Digest.string ("b" ^ bin_tag op ^ ser a ^ ser b)
-          | Expr.Un (op, a) -> Digest.string ("u" ^ un_tag op ^ ser a)
-          | Expr.Ite (c, t, f) -> Digest.string ("t" ^ ser c ^ ser t ^ ser f)
+          | Expr.Un (op, a, _) -> Digest.string ("u" ^ un_tag op ^ ser a)
+          | Expr.Ite (c, t, f, _) -> Digest.string ("t" ^ ser c ^ ser t ^ ser f)
           | Expr.Load _ -> raise Uncacheable
         in
         Expr.Phys_tbl.replace ser_tbl e s;
@@ -358,43 +358,42 @@ let canonicalize ~n_inputs cs =
 (* Concrete (unrenamed, unsorted-set) digest of one constraint: the element
    key for unsat-core subset matching.  Structural, so it matches across
    paths even when the DSE engine rebuilds physically distinct but equal
-   expressions. *)
-let constraint_digest c =
-  match
-    let tbl = Expr.Phys_tbl.create 64 in
-    let rec ser e =
-      match Expr.Phys_tbl.find_opt tbl e with
-      | Some s -> s
-      | None ->
-        let s =
-          match e with
-          | Expr.Const v -> Digest.string ("c" ^ Int64.to_string v)
-          | Expr.Input i -> Digest.string ("x" ^ string_of_int i)
-          | Expr.Bin (op, a, b) -> Digest.string ("b" ^ bin_tag op ^ ser a ^ ser b)
-          | Expr.Un (op, a) -> Digest.string ("u" ^ un_tag op ^ ser a)
-          | Expr.Ite (c, t, f) -> Digest.string ("t" ^ ser c ^ ser t ^ ser f)
-          | Expr.Load _ -> raise Uncacheable
-        in
-        Expr.Phys_tbl.replace tbl e s;
-        s
-    in
+   expressions.  [concrete_ser ()] memoizes per-node digests on physical
+   identity; one serializer serves a whole query, whose constraints share
+   the path prefix. *)
+let concrete_ser () =
+  let tbl = Expr.Phys_tbl.create 64 in
+  let rec ser e =
+    match Expr.Phys_tbl.find_opt tbl e with
+    | Some s -> s
+    | None ->
+      let s =
+        match e with
+        | Expr.Const v -> Digest.string ("c" ^ Int64.to_string v)
+        | Expr.Input i -> Digest.string ("x" ^ string_of_int i)
+        | Expr.Bin (op, a, b, _) -> Digest.string ("b" ^ bin_tag op ^ ser a ^ ser b)
+        | Expr.Un (op, a, _) -> Digest.string ("u" ^ un_tag op ^ ser a)
+        | Expr.Ite (c, t, f, _) -> Digest.string ("t" ^ ser c ^ ser t ^ ser f)
+        | Expr.Load _ -> raise Uncacheable
+      in
+      Expr.Phys_tbl.replace tbl e s;
+      s
+  in
+  fun c ->
     let cond, want = normalize c.cond c.want in
     ser cond ^ (if want then "T" else "F")
-  with
+
+let constraint_digest c =
+  match concrete_ser () c with
   | s -> Some s
   | exception Uncacheable -> None
 
 (* Sorted concrete digests of a whole query, or None if any constraint is
    uncacheable. *)
 let concrete_digests cs =
-  let rec go acc = function
-    | [] -> Some (List.sort String.compare acc)
-    | c :: rest ->
-      (match constraint_digest c with
-       | Some d -> go (d :: acc) rest
-       | None -> None)
-  in
-  go [] cs
+  match List.map (concrete_ser ()) cs with
+  | ds -> Some (List.sort String.compare ds)
+  | exception Uncacheable -> None
 
 (* sorted-list subset test: is [a] contained in [b]? *)
 let rec subset a b =
@@ -491,8 +490,7 @@ let set_memo m = global_memo := m
    input window; out-of-range bytes are identically 0). *)
 let relevant_bytes ~n_inputs cs =
   List.filter (fun b -> b < max n_inputs 1)
-    (List.sort_uniq compare
-       (List.concat_map (fun c -> Expr.input_bytes [] c.cond) cs))
+    (Expr.input_bytes (List.map (fun c -> c.cond) cs))
 
 (* Exhaustive sweep of the full [n_inputs] byte space (seed pipeline).
    Returns a model, or the completeness of the failed sweep. *)
@@ -619,12 +617,14 @@ let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
   let bytes = Array.of_list bytes in
   let nb = Array.length bytes in
   (* per-byte singleton constraint programs, compiled once *)
+  let sole = Expr.sole_input () in
+  let cs = List.map (fun c -> (sole c.cond, c)) cs in
   let single =
     Array.map
       (fun b ->
          let cs' =
-           List.filter
-             (fun c -> Expr.input_bytes [] c.cond = [ b ])
+           List.filter_map
+             (fun (s, c) -> if s = Expr.Sole b then Some c else None)
              cs
          in
          match cs' with [] -> None | cs' -> Some (compile_query cs'))

@@ -124,7 +124,7 @@ let read_concrete t a n =
   let m = t.mem in
   if sym_write_may_cover m then
     (* sound fallback: keep the read symbolic over the full log *)
-    E.Load (to_expr_mem m, E.Const a, n)
+    E.load (to_expr_mem m) (E.Const a) n
   else begin
     (* exact-match fast path *)
     match I64Map.find_opt a m.cmap with
@@ -153,7 +153,7 @@ let mread ~model t addr_e n =
   match addr_e with
   | E.Const a -> read_concrete t a n
   | _ ->
-    if model.toa then E.Load (to_expr_mem t.mem, addr_e, n)
+    if model.toa then E.load (to_expr_mem t.mem) addr_e n
     else
       (match model.concretize t addr_e with
        | Some a ->

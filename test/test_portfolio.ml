@@ -22,10 +22,10 @@ let rec gen_expr r k depth =
         Util.Rng.choose r
           [ E.Add; E.Sub; E.Mul; E.And; E.Or; E.Xor; E.Eq; E.Ult; E.Slt ]
       in
-      E.Bin (op, gen_expr r k (depth - 1), gen_expr r k (depth - 1))
+      E.Raw.bin op (gen_expr r k (depth - 1)) (gen_expr r k (depth - 1))
     | 3 ->
-      E.Un (Util.Rng.choose r [ E.Not; E.Neg; E.Bool_not ],
-            gen_expr r k (depth - 1))
+      E.Raw.un (Util.Rng.choose r [ E.Not; E.Neg; E.Bool_not ])
+        (gen_expr r k (depth - 1))
     | _ -> gen_expr r k (depth - 1)
 
 let gen_query r k =

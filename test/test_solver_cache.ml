@@ -28,13 +28,13 @@ let rec gen_expr r k depth =
         Util.Rng.choose r
           [ E.Add; E.Mul; E.And; E.Or; E.Xor; E.Eq ]   (* commutative *)
       in
-      E.Bin (op, gen_expr r k (depth - 1), gen_expr r k (depth - 1))
+      E.Raw.bin op (gen_expr r k (depth - 1)) (gen_expr r k (depth - 1))
     | 3 | 4 ->
       let op = Util.Rng.choose r [ E.Sub; E.Shl; E.Ult; E.Slt ] in
-      E.Bin (op, gen_expr r k (depth - 1), gen_expr r k (depth - 1))
+      E.Raw.bin op (gen_expr r k (depth - 1)) (gen_expr r k (depth - 1))
     | 5 ->
-      E.Un (Util.Rng.choose r [ E.Not; E.Neg; E.Bool_not ],
-            gen_expr r k (depth - 1))
+      E.Raw.un (Util.Rng.choose r [ E.Not; E.Neg; E.Bool_not ])
+        (gen_expr r k (depth - 1))
     | _ -> gen_expr r k (depth - 1)
 
 let gen_query r k =
@@ -51,15 +51,15 @@ let rec shape e =
   match e with
   | E.Const v -> "C" ^ Int64.to_string v
   | E.Input _ -> "I"
-  | E.Bin (op, a, b) ->
+  | E.Bin (op, a, b, _) ->
     let sa = shape a and sb = shape b in
     let sa, sb =
       if S.commutative op && String.compare sb sa < 0 then (sb, sa)
       else (sa, sb)
     in
     "(" ^ S.bin_tag op ^ sa ^ sb ^ ")"
-  | E.Un (op, a) -> "(" ^ S.un_tag op ^ shape a ^ ")"
-  | E.Ite (c, t, f) -> "(?" ^ shape c ^ shape t ^ shape f ^ ")"
+  | E.Un (op, a, _) -> "(" ^ S.un_tag op ^ shape a ^ ")"
+  | E.Ite (c, t, f, _) -> "(?" ^ shape c ^ shape t ^ shape f ^ ")"
   | E.Load _ -> "L"
 
 (* rewrite: rename inputs through [perm] and randomly swap the operands of
@@ -70,13 +70,13 @@ let rec permute_swap r perm e =
   match e with
   | E.Const _ -> e
   | E.Input i -> E.Input perm.(i)
-  | E.Bin (op, a, b) ->
+  | E.Bin (op, a, b, _) ->
     let a = permute_swap r perm a and b = permute_swap r perm b in
     if S.commutative op && shape a <> shape b && Util.Rng.bool r then
       E.bin op b a
     else E.bin op a b
-  | E.Un (op, a) -> E.un op (permute_swap r perm a)
-  | E.Ite (c, t, f) ->
+  | E.Un (op, a, _) -> E.un op (permute_swap r perm a)
+  | E.Ite (c, t, f, _) ->
     E.ite (permute_swap r perm c) (permute_swap r perm t)
       (permute_swap r perm f)
   | E.Load _ -> e
@@ -105,11 +105,11 @@ let test_digest_folds_constants () =
       match e with
       | E.Const v ->
         let a = Int64.of_int (Util.Rng.int rng 1000) in
-        E.Bin (E.Add, E.Const a, E.Const (Int64.sub v a))
+        E.Raw.bin E.Add (E.Const a) (E.Const (Int64.sub v a))
       | E.Input _ -> e
-      | E.Bin (op, x, y) -> E.Bin (op, unfold x, unfold y)
-      | E.Un (op, x) -> E.Un (op, unfold x)
-      | E.Ite (c, t, f) -> E.Ite (unfold c, unfold t, unfold f)
+      | E.Bin (op, x, y, _) -> E.Raw.bin op (unfold x) (unfold y)
+      | E.Un (op, x, _) -> E.Raw.un op (unfold x)
+      | E.Ite (c, t, f, _) -> E.Raw.ite (unfold c) (unfold t) (unfold f)
       | E.Load _ -> e
     in
     let cs' = List.map (fun c -> { c with S.cond = unfold c.S.cond }) cs in
@@ -121,7 +121,7 @@ let test_digest_want_normalization () =
   (* Eq(e, 0) wanted true is the same query as e wanted false *)
   let e = E.bin E.Add (E.Input 0) (E.Const 3L) in
   Alcotest.(check string) "polarity-normalized forms share a digest"
-    (digest_of ~n_inputs:1 [ { S.cond = E.Bin (E.Eq, e, E.Const 0L); want = true } ])
+    (digest_of ~n_inputs:1 [ { S.cond = E.Raw.bin E.Eq e (E.Const 0L); want = true } ])
     (digest_of ~n_inputs:1 [ { S.cond = e; want = false } ])
 
 (* truth vector of a 1-input query: the query's semantics, exactly *)
@@ -150,9 +150,76 @@ let test_distinct_semantics_distinct_digests () =
 
 let test_load_uncacheable () =
   let mem = { E.base = Machine.Memory.create (); writes = [] } in
-  let e = E.Load (mem, E.Input 0, 1) in
+  let e = E.load mem (E.Input 0) 1 in
   Alcotest.(check bool) "memory-dependent query has no content address" true
     (S.canonicalize ~n_inputs:1 [ { S.cond = e; want = true } ] = None)
+
+(* Content addresses are pinned: the on-disk memo ([Memo.solver_version])
+   stays valid only while canonicalize and constraint_digest map a query to
+   the same bytes.  Node stamps, allocation order and hash-table layout must
+   never reach them.  The hex literals were recorded before node stamps
+   existed. *)
+
+(* inputs 3 and 1 of 4: canonical names come from first occurrence *)
+let golden_alpha =
+  [ { S.cond =
+        E.bin E.Eq
+          (E.bin E.Add (E.Input 3) (E.bin E.Mul (E.Input 1) (E.Const 7L)))
+          (E.Const 0x1234L);
+      want = true };
+    { S.cond = E.bin E.Ult (E.Input 1) (E.Const 200L); want = false } ]
+
+(* spelled with unfolded constant subterms; canonicalize folds them *)
+let golden_unfolded =
+  [ { S.cond =
+        E.Raw.bin E.Eq
+          (E.Raw.bin E.Xor (E.Input 0)
+             (E.Raw.bin E.Add (E.Const 40L) (E.Const 2L)))
+          (E.Raw.bin E.Sub (E.Const 100L) (E.Const 1L));
+      want = true };
+    { S.cond =
+        E.Raw.un E.Bool_not
+          (E.Raw.bin E.Ult (E.Input 1)
+             (E.Raw.bin E.Mul (E.Const 3L) (E.Const 5L)));
+      want = true } ]
+
+(* DSE-shaped: a loop-carried 1-byte state, branch conditions on a shared
+   and growing prefix *)
+let golden_dse =
+  let x = ref (E.un (E.Low (X86.Isa.W8, false)) (E.Input 0)) in
+  let cs = ref [] in
+  for k = 1 to 40 do
+    let v = !x in
+    let stepped =
+      E.bin E.Xor
+        (E.bin E.Add (E.bin E.Mul v (E.Const 3L)) (E.Const (Int64.of_int k)))
+        (E.bin E.Shr v (E.Const 2L))
+    in
+    x :=
+      E.bin E.And
+        (E.ite (E.bin E.Ult v (E.Const 100L)) stepped (E.bin E.Sub stepped v))
+        (E.Const 0xFFL);
+    if k mod 8 = 0 then
+      cs := { S.cond = E.bin E.Ult !x (E.Const 128L); want = k mod 16 = 0 } :: !cs
+  done;
+  List.rev ({ S.cond = E.bin E.Eq !x (E.Const 0x5AL); want = true } :: !cs)
+
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let test_golden_digests () =
+  List.iter
+    (fun (name, n_inputs, cs, want) ->
+       Alcotest.(check string) name want (digest_of ~n_inputs cs))
+    [ ("alpha-renamed", 4, golden_alpha, "ec0fd1622b86dfd2ca711ae081710eac");
+      ("raw unfolded constants", 2, golden_unfolded,
+       "6fe62168e15d6229da5592f1acf4fd2d");
+      ("DSE-shaped 1-byte", 1, golden_dse, "55e3141b6122a777b1af06d0df41b72e") ];
+  Alcotest.(check (option string)) "constraint_digest"
+    (Some "aae89380e10ab9e15207adf3665c2a4746")
+    (Option.map hex (S.constraint_digest (List.nth golden_dse 2)))
 
 (* --- memo behavior ----------------------------------------------------------- *)
 
@@ -321,7 +388,8 @@ let () =
          Alcotest.test_case "distinct semantics, distinct digests" `Quick
            test_distinct_semantics_distinct_digests;
          Alcotest.test_case "Load is uncacheable" `Quick
-           test_load_uncacheable ]);
+           test_load_uncacheable;
+         Alcotest.test_case "golden digests" `Quick test_golden_digests ]);
       ("memo",
        [ Alcotest.test_case "hit + alpha model transfer" `Quick
            test_memo_hit_and_model_transfer;

@@ -25,9 +25,9 @@ let gen_expr_conc =
                [ E.Add; E.Sub; E.Mul; E.And; E.Or; E.Xor; E.Shl; E.Shr;
                  E.Eq; E.Ult; E.Slt ]
            in
-           return (E.Bin (op, a, b)));
+           return (E.Raw.bin op a b));
           (let* a = sub in
-           oneofl [ E.Un (E.Not, a); E.Un (E.Neg, a) ]) ]
+           oneofl [ E.Raw.un E.Not a; E.Raw.un E.Neg a ]) ]
   in
   go 4
 
@@ -68,6 +68,97 @@ let test_solver_unsat () =
     (Symex.Solver.solve ~n_inputs:1 ~max_evals:1000
        [ { Symex.Solver.cond = e; want = true } ]
      = None)
+
+(* --- node identity ----------------------------------------------------------- *)
+
+(* Physically distinct nodes reachable from [roots], each once. *)
+let distinct_nodes roots =
+  let seen = E.Phys_tbl.create 1024 in
+  let acc = ref [] in
+  let rec go e =
+    if not (E.Phys_tbl.mem seen e) then begin
+      E.Phys_tbl.replace seen e ();
+      acc := e :: !acc;
+      match e with
+      | E.Const _ | E.Input _ -> ()
+      | E.Bin (_, a, b, _) -> go a; go b
+      | E.Un (_, a, _) -> go a
+      | E.Ite (c, t, f, _) -> go c; go t; go f
+      | E.Load (m, a, _, _) ->
+        go a;
+        List.iter (fun (wa, wv, _) -> go wa; go wv) m.E.writes
+    end
+  in
+  List.iter go roots;
+  !acc
+
+(* a 20k-deep chain whose nodes differ only at the bottom *)
+let deep_chain () =
+  let x = ref (E.Input 0) in
+  for _ = 1 to 20_000 do
+    x := E.bin E.Add !x (E.Input 1)
+  done;
+  [ !x ]
+
+(* the shape DSE builds: a loop-carried byte state, and one branch
+   condition per iteration over the shared, growing prefix *)
+let dse_dag () =
+  let x = ref (E.un (E.Low (X86.Isa.W8, false)) (E.Input 0)) in
+  let conds = ref [] in
+  for k = 1 to 2_000 do
+    let v = !x in
+    let stepped =
+      E.bin E.Xor
+        (E.bin E.Add (E.bin E.Mul v (E.Const 3L)) (E.Const (Int64.of_int k)))
+        (E.bin E.Shr v (E.Const 2L))
+    in
+    let c = E.bin E.Ult v (E.Const 100L) in
+    x := E.bin E.And (E.ite c stepped (E.bin E.Sub stepped v)) (E.Const 0xFFL);
+    conds := c :: !conds
+  done;
+  !x :: !conds
+
+let test_phys_hash_quality () =
+  List.iter
+    (fun (name, roots) ->
+       let nodes = distinct_nodes roots in
+       let hashes = Hashtbl.create 1024 in
+       List.iter (fun e -> Hashtbl.replace hashes (E.Phys.hash e) ()) nodes;
+       let n = List.length nodes and h = Hashtbl.length hashes in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %d distinct hashes over %d nodes" name h n)
+         true (100 * h >= 99 * n))
+    [ ("20k-deep Add chain", deep_chain ()); ("DSE-shaped DAG", dse_dag ()) ]
+
+let test_phys_tbl_is_physical () =
+  let in0 = E.Input 0 in
+  let c = E.Const (Sys.opaque_identity 7L) in
+  let a = E.Raw.bin E.Add in0 c in
+  let b = E.Raw.bin E.Add in0 c in
+  (* a copy keeps the stamp: same hash, still a different key *)
+  let a' : E.t = Marshal.from_string (Marshal.to_string a []) 0 in
+  let show = Format.asprintf "%a" E.pp in
+  Alcotest.(check bool) "one expression, three nodes" true
+    (show a = show b && a = a' && a != b && a != a');
+  Alcotest.(check int) "a copy shares its stamp" (E.Phys.hash a) (E.Phys.hash a');
+  let tbl = E.Phys_tbl.create 8 in
+  List.iteri (fun i e -> E.Phys_tbl.replace tbl e i) [ a; b; a' ];
+  Alcotest.(check int) "three keys" 3 (E.Phys_tbl.length tbl);
+  Alcotest.(check (list (option int))) "each key finds its own binding"
+    [ Some 0; Some 1; Some 2 ]
+    (List.map (E.Phys_tbl.find_opt tbl) [ a; b; a' ]);
+  let comp = E.compile [ a; b; a' ] in
+  (* in0 and c twice: a' brought its own copies of the leaves *)
+  Alcotest.(check int) "one slot per physical node" 7
+    (Array.length comp.E.nodes)
+
+let test_compile_one_slot_per_node () =
+  List.iter
+    (fun (name, roots) ->
+       Alcotest.(check int) name
+         (List.length (distinct_nodes roots))
+         (Array.length (E.compile roots).E.nodes))
+    [ ("20k-deep Add chain", deep_chain ()); ("DSE-shaped DAG", dse_dag ()) ]
 
 (* --- symbolic stepper vs concrete machine ---------------------------------- *)
 
@@ -181,6 +272,64 @@ let test_dse_slowed_by_rop () =
   Alcotest.(check bool) "rop resists or is much slower" true
     (r_rop.Symex.Engine.secret_input = None
      || r_rop.Symex.Engine.time > 5.0 *. r_native.Symex.Engine.time)
+
+(* The benchmark's attack-dse cell set (perfbench/attack.ml), run once:
+   DSE G_secret on 6 RandomFuns targets x native/rop0.25/rop0.5+oc under
+   count budgets, a fresh solver memo per cell.  Its totals are
+   deterministic, so they are gated exactly: any change to the engine, the
+   solver or the expression layer that moves them changes what the attacker
+   does, not just how fast. *)
+let test_attack_dse_exact_counts () =
+  let module E = Symex.Engine in
+  let module Sv = Symex.Solver in
+  let budget =
+    { E.default_budget with
+      E.wall_seconds = 600.0;
+      max_states = 8;
+      total_solver_evals = 2_000 }
+  in
+  let states = ref 0 and instrs = ref 0 and secrets = ref 0 in
+  let evals = ref 0 and hits = ref 0 in
+  List.iter
+    (fun (ctrl, tseed) ->
+       let t =
+         Minic.Randomfuns.generate
+           (Minic.Randomfuns.default_params ~seed:tseed ~input_size:1
+              ~loop_size:3 ~control_index:ctrl ())
+       in
+       let img = Minic.Codegen.compile t.Minic.Randomfuns.prog in
+       let ctx = Ropc.Rewriter.prepare img ~functions:[ "target" ] in
+       List.iter
+         (fun cfg ->
+            let img =
+              if cfg = "native" then img
+              else
+                let config =
+                  Result.get_ok (Serve.Oneshot.config_of_name ~seed:1 cfg)
+                in
+                (Ropc.Rewriter.rewrite_with ctx ~config).Ropc.Rewriter.image
+            in
+            let memo = Sv.Memo.create () in
+            Sv.set_memo (Some memo);
+            let r =
+              Fun.protect ~finally:(fun () -> Sv.set_memo None) (fun () ->
+                  E.dse ~goal:E.G_secret ~budget
+                    { E.img; func = "target"; n_inputs = 1 })
+            in
+            states := !states + r.E.stats.E.states;
+            instrs := !instrs + r.E.stats.E.instrs;
+            if r.E.secret_input <> None then incr secrets;
+            evals := !evals + r.E.stats.E.solver.Sv.evals;
+            hits := !hits + memo.Sv.Memo.hits)
+         [ "native"; "rop0.25"; "rop0.5+oc" ])
+    [ (0, 1); (0, 2); (0, 3); (1, 1); (1, 2); (1, 3) ];
+  Alcotest.(check (list (pair string int))) "attack-dse counts"
+    [ ("symex.states", 41); ("symex.instrs", 510636);
+      ("symex.secrets_found", 4); ("solver.evals", 33503);
+      ("solver.memo_hits", 4) ]
+    [ ("symex.states", !states); ("symex.instrs", !instrs);
+      ("symex.secrets_found", !secrets); ("solver.evals", !evals);
+      ("solver.memo_hits", !hits) ]
 
 (* --- one instruction: concrete machine vs symbolic stepper ------------------ *)
 
@@ -458,6 +607,13 @@ let () =
     [ ("expr",
        List.map QCheck_alcotest.to_alcotest
          [ prop_eval_matches_compiled; prop_solver_sound ]);
+      ("node identity",
+       [ Alcotest.test_case "Phys.hash distinct on a DSE DAG" `Quick
+           test_phys_hash_quality;
+         Alcotest.test_case "Phys_tbl keys are physical" `Quick
+           test_phys_tbl_is_physical;
+         Alcotest.test_case "compile: one slot per node" `Quick
+           test_compile_one_slot_per_node ]);
       ("solver",
        [ Alcotest.test_case "eq inversion" `Quick test_solver_finds_eq;
          Alcotest.test_case "unsat" `Quick test_solver_unsat ]);
@@ -478,4 +634,6 @@ let () =
        [ Alcotest.test_case "dse cracks native" `Slow test_dse_cracks_native;
          Alcotest.test_case "se cracks native" `Slow test_se_cracks_native;
          Alcotest.test_case "dse coverage native" `Slow test_dse_coverage_native;
-         Alcotest.test_case "rop slows dse" `Slow test_dse_slowed_by_rop ]) ]
+         Alcotest.test_case "rop slows dse" `Slow test_dse_slowed_by_rop;
+         Alcotest.test_case "attack-dse exact counts" `Slow
+           test_attack_dse_exact_counts ]) ]

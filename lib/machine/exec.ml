@@ -49,6 +49,17 @@ let flags_logic cpu w r =
    at full width [S.truncate] is the identity and [S.sign_bit] is a sign
    compare, so each formula collapses to straight-line int64 arithmetic. *)
 
+(* Signed overflow of [r = a * b] mod 2^64.  Operands within 32 signed bits
+   cannot overflow; otherwise a non-zero [a] divides the wrapped product
+   back to [b] exactly when it did not wrap, except min_int = -1 * min_int.
+   Unlike [S.mulhi_s], it neither calls out nor allocates. *)
+let[@inline] fits_s32 v = Int64.shift_right v 31 = Int64.shift_right v 63
+
+let[@inline] imul_overflows64 a b r =
+  not (fits_s32 a && fits_s32 b)
+  && a <> 0L
+  && (Int64.div r a <> b || (a = -1L && b = Int64.min_int))
+
 let set_zsp64 cpu r =
   cpu.Cpu.zf <- r = 0L;
   cpu.Cpu.sf <- r < 0L;
@@ -1038,16 +1049,16 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
       cpu.Cpu.halted <- true
   | Nop -> fun cpu -> Cpu.set_rip cpu (next)
   | Imul2 (W64, r, s) ->
-    (* The product is taken mod 2^64 before the overflow test, so at full
-       width CF = OF = 0 (see [Semantics.Make]). *)
     let rof = reg_off r and rb = read_fn W64 s in
     fun cpu ->
       Cpu.set_rip cpu next;
       let b = rb cpu in
       let regs = cpu.Cpu.regs in
-      let r = Int64.mul (Bytes.get_int64_le regs rof) b in
-      cpu.Cpu.cf <- false;
-      cpu.Cpu.o_f <- false;
+      let a = Bytes.get_int64_le regs rof in
+      let r = Int64.mul a b in
+      let c = imul_overflows64 a b r in
+      cpu.Cpu.cf <- c;
+      cpu.Cpu.o_f <- c;
       set_zsp64 cpu r;
       Bytes.set_int64_le regs rof r
   | Imul2 (w, r, s) ->

@@ -476,7 +476,12 @@ module Make (M : MACHINE) = struct
       let b = read st w s in
       let full = M.mul (M.sext w a) (M.sext w b) in
       let r64 = M.trunc w full in
-      let c = M.fnot (M.eq (M.sext w r64) full) in
+      (* below 64 bits [full] is the exact product; at 64 it is the product
+         mod 2^64, and the high half decides overflow as for Imul1 *)
+      let c =
+        if w = W64 then M.fnot (M.eq (M.mulhi_s a b) (M.sar full (M.const 63L)))
+        else M.fnot (M.eq (M.sext w r64) full)
+      in
       M.set_flag st CF c; M.set_flag st OF c;
       set_zsp st w r64;
       write_reg st w r r64;

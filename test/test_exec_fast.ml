@@ -262,9 +262,18 @@ let gen_mem rng =
   { base = Some (gen_reg rng); index = None;
     disp = Int64.of_int (R.range rng (-16) 16) }
 
+(* Operands at the edges of each width's signed range, and the square-root
+   boundaries where a product starts to overflow it. *)
+let edge_values =
+  [ 0L; 1L; -1L; 11L; 12L; 0x7FL; -0x80L; 0xB5L; 0xB6L; 0x7FFFL; -0x8000L;
+    0xB504L; 0xB505L; 0x7FFFFFFFL; -0x80000000L; 0xB504F333L; 0xB504F334L;
+    Int64.max_int; Int64.min_int ]
+
 let gen_instr rng =
   match R.int rng 14 with
-  | 0 -> Mov (gen_width rng, Reg (gen_reg rng), Imm (R.next64 rng))
+  | 0 ->
+    let v = if R.bool rng then R.choose rng edge_values else R.next64 rng in
+    Mov (gen_width rng, Reg (gen_reg rng), Imm v)
   | 1 -> Mov (gen_width rng, Reg (gen_reg rng), Mem (gen_mem rng))
   | 2 -> Mov (gen_width rng, Mem (gen_mem rng), Reg (gen_reg rng))
   | 3 ->
@@ -315,6 +324,42 @@ let test_random_programs () =
          (fun () -> Machine.Cpu.copy cpu0))
   done
 
+(* imul r, r/m sets CF = OF exactly when the signed product does not fit
+   the operand width.  The oracle is independent of Semantics: exact
+   products below 64 bits, and a division check at 64. *)
+let test_imul2_overflow_flags () =
+  let overflows w a b =
+    match w with
+    | W64 ->
+      let p = Int64.mul a b in
+      a <> 0L && (Int64.div p a <> b || (a = -1L && b = Int64.min_int))
+    | W8 | W16 | W32 ->
+      let bits = X86.Isa.width_bits w in
+      let sext v = Int64.shift_right (Int64.shift_left v (64 - bits)) (64 - bits) in
+      let p = Int64.mul (sext a) (sext b) in
+      p <> sext p
+  in
+  List.iter
+    (fun w ->
+       List.iter
+         (fun a ->
+            List.iter
+              (fun b ->
+                 let name =
+                   Printf.sprintf "imul%d 0x%Lx * 0x%Lx" (X86.Isa.width_bits w) a b
+                 in
+                 let cf, _ =
+                   compare_engines name
+                     (machine_of ~regs:[ (RAX, a); (RBX, b) ]
+                        [ Imul2 (w, RAX, Reg RBX); Hlt ])
+                 in
+                 let want = overflows w a b in
+                 Alcotest.(check bool) (name ^ ": CF") want cf.Machine.Cpu.cf;
+                 Alcotest.(check bool) (name ^ ": OF") want cf.Machine.Cpu.o_f)
+              edge_values)
+         edge_values)
+    [ W8; W16; W32; W64 ]
+
 (* Raw byte soup spanning a page boundary: decode behavior, invalid
    instructions and faults must classify identically. *)
 let test_random_bytes () =
@@ -346,7 +391,9 @@ let () =
          Alcotest.test_case "rop 1.0" `Slow test_corpus_rop;
          Alcotest.test_case "base64 rop" `Quick test_base64_rop ]);
       ("memory",
-       [ Alcotest.test_case "page straddles" `Quick test_page_straddle ]);
+       [ Alcotest.test_case "page straddles" `Quick test_page_straddle;
+         Alcotest.test_case "imul2 overflow flags" `Quick
+           test_imul2_overflow_flags ]);
       ("selfmod",
        [ Alcotest.test_case "in-block patch" `Quick test_selfmod_in_block;
          Alcotest.test_case "patch between runs" `Quick test_patch_between_runs ]);

@@ -399,14 +399,19 @@ let gen_one_case =
          return (MulDiv (o, Reg s))) ]
   in
   let* oc_instr = frequency [ (1, shift); (1, other) ] in
-  let* regs = array_repeat 16 (map Int64.of_int int) in
-  (* small values too, so shifted-out bits and zero results are common *)
-  let* small = array_repeat 16 (int_bound 300) in
-  let* use_small = array_repeat 16 bool in
-  let oc_regs =
-    Array.init 16 (fun i ->
-        if use_small.(i) then Int64.of_int small.(i) else regs.(i))
+  (* small values too, so shifted-out bits and zero results are common, and
+     operands at the signed-range and overflow edges of each width, so
+     products land on both sides of overflowing *)
+  let value =
+    frequency
+      [ (2, map Int64.of_int int);
+        (2, map Int64.of_int (int_bound 300));
+        (1, oneofl
+              [ 0L; 1L; -1L; 11L; 12L; 0x7FL; -0x80L; 0xB5L; 0xB6L; 0x7FFFL;
+                -0x8000L; 0xB504L; 0xB505L; 0x7FFFFFFFL; -0x80000000L;
+                0xB504F333L; 0xB504F334L; Int64.max_int; Int64.min_int ]) ]
   in
+  let* oc_regs = array_repeat 16 value in
   let* oc_flags = array_repeat 5 bool in
   return { oc_instr; oc_regs; oc_flags }
 

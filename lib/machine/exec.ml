@@ -49,12 +49,12 @@ let flags_logic cpu w r =
    at full width [S.truncate] is the identity and [S.sign_bit] is a sign
    compare, so each formula collapses to straight-line int64 arithmetic. *)
 
+let[@inline] fits_s32 v = Int64.shift_right v 31 = Int64.shift_right v 63
+
 (* Signed overflow of [r = a * b] mod 2^64.  Operands within 32 signed bits
    cannot overflow; otherwise a non-zero [a] divides the wrapped product
    back to [b] exactly when it did not wrap, except min_int = -1 * min_int.
    Unlike [S.mulhi_s], it neither calls out nor allocates. *)
-let[@inline] fits_s32 v = Int64.shift_right v 31 = Int64.shift_right v 63
-
 let[@inline] imul_overflows64 a b r =
   not (fits_s32 a && fits_s32 b)
   && a <> 0L

@@ -35,7 +35,7 @@ type result = {
 type cstate = {
   l_fd : Unix.file_descr;
   l_defr : Protocol.deframer;
-  mutable l_out : string;
+  l_out : Protocol.outbox;
   mutable l_inflight : (int, float) Hashtbl.t;   (* id -> send time *)
   mutable l_eof : bool;
 }
@@ -57,7 +57,7 @@ let run ~socket ~conns ?(want_image = false) ?(mode = Closed)
       match Unix.connect fd (Unix.ADDR_UNIX socket) with
       | () ->
         Unix.set_nonblock fd;
-        Ok { l_fd = fd; l_defr = Protocol.deframer (); l_out = "";
+        Ok { l_fd = fd; l_defr = Protocol.deframer (); l_out = Protocol.outbox ();
              l_inflight = Hashtbl.create 8; l_eof = false }
       | exception Unix.Unix_error (e, _, _) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -108,7 +108,7 @@ let run ~socket ~conns ?(want_image = false) ?(mode = Closed)
                   q_config = s.g_config; q_seed = s.g_seed;
                   q_want_image = want_image } }
         in
-        c.l_out <- c.l_out ^ Protocol.frame (Protocol.encode_request req);
+        Protocol.enqueue c.l_out (Protocol.frame (Protocol.encode_request req));
         Hashtbl.replace c.l_inflight id (Unix.gettimeofday ());
         incr sent
       in
@@ -142,31 +142,13 @@ let run ~socket ~conns ?(want_image = false) ?(mode = Closed)
            | _ -> ())
       in
       let flush c =
-        if c.l_out <> "" && not c.l_eof then
-          match
-            Unix.write_substring c.l_fd c.l_out 0 (String.length c.l_out)
-          with
-          | n -> c.l_out <- String.sub c.l_out n (String.length c.l_out - n)
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (_, _, _) -> c.l_eof <- true
+        if (not c.l_eof) && not (Protocol.flush_outbox c.l_out c.l_fd) then
+          c.l_eof <- true
       in
       let read c =
-        let buf = Bytes.create 65536 in
-        let rec go () =
-          if c.l_eof then ()
-          else
-            match Unix.read c.l_fd buf 0 (Bytes.length buf) with
-            | 0 -> c.l_eof <- true
-            | n ->
-              (match Protocol.feed c.l_defr (Bytes.sub_string buf 0 n) with
-               | Error _ -> c.l_eof <- true
-               | Ok frames -> List.iter (on_response c) frames; go ())
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-            | exception Unix.Unix_error (_, _, _) -> c.l_eof <- true
-        in
-        go ()
+        if (not c.l_eof)
+        && Protocol.read_ready c.l_defr c.l_fd ~on_frame:(on_response c) <> Ok ()
+        then c.l_eof <- true
       in
       let inflight_total () =
         Array.fold_left (fun acc c -> acc + Hashtbl.length c.l_inflight) 0 cs
@@ -211,7 +193,8 @@ let run ~socket ~conns ?(want_image = false) ?(mode = Closed)
           let wfds =
             Array.to_list cs
             |> List.filter_map (fun c ->
-                if c.l_out <> "" && not c.l_eof then Some c.l_fd else None)
+                if Protocol.has_output c.l_out && not c.l_eof then Some c.l_fd
+                else None)
           in
           let timeout =
             match mode with

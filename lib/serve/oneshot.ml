@@ -180,11 +180,6 @@ type spec = {
   sp_seed : int;
 }
 
-let spec_key w (s : spec) : (string * string, string) result =
-  Result.map
-    (fun digest -> (digest, key ~digest ~config:s.sp_config ~seed:s.sp_seed))
-    (digest_of w s.sp_prog)
-
 (* Marshal-plain product of one rewrite: what travels over the worker pipe,
    sits in the shard cache, and backs a protocol reply.  Deliberately free
    of timings — identical inputs must produce identical artifacts. *)

@@ -3,20 +3,24 @@
    Frames are a 4-byte big-endian payload length followed by a JSON
    document, over a Unix-domain socket or a pipe pair.  JSON keeps the
    protocol inspectable (`socat - UNIX:sock | xxd`) and reuses the repo's
-   existing reader (Obs.Json) on the decode side; the image artifact — the
-   only binary payload — travels hex-encoded inside it.  Every request
+   existing reader (Obs.Json) on the decode side.  The image artifact, the
+   only binary payload, follows the document raw: a rewrite reply that
+   carries one is `JSON header with "image_bytes":n, 0x00, n image bytes`.
+   JSON text never holds a raw 0x00, so the first one splits header from
+   attachment and every other message is plain JSON.  Every request
    carries a client-assigned [id] echoed in its response, so clients may
    pipeline requests on one connection and correlate out-of-order
    completions.
 
    Two I/O styles are provided: blocking [read_frame]/[write_frame] for
-   clients and tests, and an incremental [deframer] for the server's
-   non-blocking event loop (feed whatever [read] returned, get back the
-   complete frames it contained). *)
+   clients and tests, and for non-blocking event loops a [deframer] (feed
+   whatever [read] returned, get back the complete frames it contained)
+   and an [outbox] of frames to write. *)
 
 (* Upper bound on a frame: past this the peer is broken or hostile and the
-   connection is cut rather than buffered without bound.  8 MiB comfortably
-   holds the largest corpus image hex-encoded. *)
+   connection is cut rather than buffered without bound.  Raw transport
+   fits an image twice the size hex-encoding did; the server answers a
+   longer reply with an error instead. *)
 let max_frame = 8 * 1024 * 1024
 
 (* --- framing ---------------------------------------------------------------- *)
@@ -31,24 +35,20 @@ let frame payload =
   let n = String.length payload in
   if n > max_frame then
     invalid_arg (Printf.sprintf "Serve.Protocol.frame: %d bytes > max_frame" n);
-  let b = Bytes.create (4 + n) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.blit_string payload 0 b 4 n;
-  Bytes.to_string b
+  let b = Buffer.create (4 + n) in
+  Buffer.add_int32_be b (Int32.of_int n);
+  Buffer.add_string b payload;
+  Buffer.contents b
 
 let rec retry_read fd b off len =
   try Unix.read fd b off len
   with Unix.Unix_error (Unix.EINTR, _, _) -> retry_read fd b off len
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let off = ref 0 in
   while !off < n do
-    match Unix.write fd b !off (n - !off) with
+    match Unix.write_substring fd s !off (n - !off) with
     | w -> off := !off + w
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
@@ -85,55 +85,79 @@ let read_frame fd : (string, [ `Eof | `Truncated | `Oversized of int ]) result =
 
 (* Incremental deframer for non-blocking reads.  [feed] returns every frame
    completed by the new chunk, in arrival order; an oversized length field
-   is an unrecoverable protocol error (the stream can no longer be framed). *)
-type deframer = { mutable d_pending : string }
+   is an unrecoverable protocol error (the stream can no longer be framed).
+   Only complete frames are sliced out of the pending buffer, so a frame
+   that arrives in k chunks costs O(size) copying, not O(k * size). *)
+type deframer = { d_buf : Buffer.t }
 
-let deframer () = { d_pending = "" }
+let deframer () = { d_buf = Buffer.create 4096 }
 
 let feed (d : deframer) (chunk : string) : (string list, string) result =
-  d.d_pending <- d.d_pending ^ chunk;
-  let rec go acc =
-    let s = d.d_pending in
-    let n = String.length s in
-    if n < 4 then Ok (List.rev acc)
-    else
-      let len = be32 s 0 in
-      if len > max_frame then
-        Error (Printf.sprintf "oversized frame: %d bytes (max %d)" len max_frame)
-      else if n < 4 + len then Ok (List.rev acc)
-      else begin
-        d.d_pending <- String.sub s (4 + len) (n - 4 - len);
-        go (String.sub s 4 len :: acc)
-      end
+  let b = d.d_buf in
+  Buffer.add_string b chunk;
+  let n = Buffer.length b in
+  let rec go acc off =
+    let len = if n - off < 4 then -1 else be32 (Buffer.sub b off 4) 0 in
+    if len > max_frame then
+      Error (Printf.sprintf "oversized frame: %d bytes (max %d)" len max_frame)
+    else if len >= 0 && n - off - 4 >= len then
+      go (Buffer.sub b (off + 4) len :: acc) (off + 4 + len)
+    else begin
+      if off > 0 then begin                (* drop the consumed prefix *)
+        let rest = Buffer.sub b off (n - off) in
+        Buffer.clear b;
+        Buffer.add_string b rest
+      end;
+      Ok (List.rev acc)
+    end
   in
-  go []
+  go [] 0
 
-(* --- hex (binary image payloads inside JSON) -------------------------------- *)
+(* Read a non-blocking fd until it would block, handing each completed frame
+   to [on_frame].  [`Eof] is a closed or failed fd, [`Bad] an unframeable
+   stream. *)
+let read_ready (d : deframer) fd ~on_frame :
+  (unit, [ `Eof | `Bad of string ]) result =
+  let buf = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> Error `Eof
+    | n ->
+      (match feed d (Bytes.sub_string buf 0 n) with
+       | Error m -> Error (`Bad m)
+       | Ok frames -> List.iter on_frame frames; go ())
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Ok ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error _ -> Error `Eof
+  in
+  go ()
 
-let hex_encode s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun ch -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code ch))) s;
-  Buffer.contents b
+(* Frames awaiting a writable non-blocking fd, written from an offset into
+   the head frame: partial writes never copy what is left. *)
+type outbox = { o_frames : string Queue.t; mutable o_off : int }
 
-let hex_decode s : (string, string) result =
-  let n = String.length s in
-  if n mod 2 <> 0 then Error "odd-length hex string"
-  else
-    let nib c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-      | _ -> -1
-    in
-    let b = Bytes.create (n / 2) in
-    let ok = ref true in
-    for i = 0 to (n / 2) - 1 do
-      let hi = nib s.[2 * i] and lo = nib s.[(2 * i) + 1] in
-      if hi < 0 || lo < 0 then ok := false
-      else Bytes.set b i (Char.chr ((hi lsl 4) lor lo))
-    done;
-    if !ok then Ok (Bytes.to_string b) else Error "bad hex digit"
+let outbox () = { o_frames = Queue.create (); o_off = 0 }
+
+let enqueue (o : outbox) (fr : string) = Queue.push fr o.o_frames
+
+let has_output (o : outbox) = not (Queue.is_empty o.o_frames)
+
+(* Write until the queue empties or the fd would block; [false] means the
+   peer is gone and the queued frames are dropped. *)
+let flush_outbox (o : outbox) fd : bool =
+  let rec go () =
+    match Queue.peek_opt o.o_frames with
+    | None -> true
+    | Some fr ->
+      (match Unix.write_substring fd fr o.o_off (String.length fr - o.o_off) with
+       | w when o.o_off + w = String.length fr ->
+         ignore (Queue.pop o.o_frames); o.o_off <- 0; go ()
+       | w -> o.o_off <- o.o_off + w; go ()
+       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
+       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+       | exception Unix.Unix_error _ -> Queue.clear o.o_frames; o.o_off <- 0; false)
+  in
+  go ()
 
 (* --- message types ---------------------------------------------------------- *)
 
@@ -171,8 +195,9 @@ type rewrite_reply = {
   rr_digest : string;          (* digest of the *input* image *)
   rr_key : string;             (* full cache key (digest x config x seed) *)
   rr_cache : cache_status;
-  rr_image : string option;    (* canonical serialization (raw bytes here;
-                                  hex on the wire); None unless requested *)
+  rr_image : string option;    (* canonical serialization, raw bytes here
+                                  and on the wire (the frame's attachment);
+                                  None unless requested *)
   rr_image_digest : string;
   rr_funcs : (string * string) list;  (* per-function audit line *)
   rr_gadget_uses : int;
@@ -258,7 +283,10 @@ let encode_request (r : request) : string =
   Buffer.contents b
 
 let encode_response (r : response) : string =
-  let b = Buffer.create 256 in
+  let attachment =
+    match r.rs_body with R_rewrite rr -> rr.rr_image | _ -> None
+  in
+  let b = Buffer.create (256 + Option.fold ~none:0 ~some:String.length attachment) in
   (match r.rs_body with
    | R_rewrite rr ->
      Printf.bprintf b
@@ -266,9 +294,9 @@ let encode_response (r : response) : string =
         \"key\":%s,\"cache\":%s"
        r.rs_id (jstr rr.rr_prog) (jstr rr.rr_digest) (jstr rr.rr_key)
        (jstr (cache_status_to_string rr.rr_cache));
-     (match rr.rr_image with
-      | Some img -> Printf.bprintf b ",\"image\":%s" (jstr (hex_encode img))
-      | None -> ());
+     Option.iter
+       (fun img -> Printf.bprintf b ",\"image_bytes\":%d" (String.length img))
+       attachment;
      Printf.bprintf b ",\"image_digest\":%s,\"funcs\":[" (jstr rr.rr_image_digest);
      List.iteri
        (fun i (f, st) ->
@@ -298,6 +326,9 @@ let encode_response (r : response) : string =
    | R_error e ->
      Printf.bprintf b "{\"op\":\"error\",\"ok\":false,\"id\":%d,\"code\":%d,\"error\":%s}"
        r.rs_id e.code (jstr e.msg));
+  Option.iter
+    (fun img -> Buffer.add_char b '\000'; Buffer.add_string b img)
+    attachment;
   Buffer.contents b
 
 (* --- decoding (Obs.Json) ---------------------------------------------------- *)
@@ -364,10 +395,26 @@ let decode_funcs j =
     in
     go [] items
 
+(* The header is everything before the first 0x00; the attachment, if any,
+   everything after it, and it must be exactly [image_bytes] long. *)
 let decode_response (payload : string) : (response, string) result =
-  let* j = Obs.Json.parse payload in
+  let header, attachment =
+    match String.index_opt payload '\000' with
+    | None -> (payload, None)
+    | Some i ->
+      ( String.sub payload 0 i,
+        Some (String.sub payload (i + 1) (String.length payload - i - 1)) )
+  in
+  let* j = Obs.Json.parse header in
   let* op = jget_str "op" j in
   let id = Option.value ~default:0 (jget_int_opt "id" j) in
+  let* image =
+    match jmem "image_bytes" j, attachment with
+    | None, None -> Ok None
+    | Some (Obs.Json.Num n), Some a
+      when op = "rewrite" && n = float_of_int (String.length a) -> Ok (Some a)
+    | _ -> Error "image_bytes does not match the attached bytes"
+  in
   match op with
   | "rewrite" ->
     let* prog = jget_str "prog" j in
@@ -378,14 +425,6 @@ let decode_response (payload : string) : (response, string) result =
       match cache_status_of_string cache_s with
       | Some c -> Ok c
       | None -> Error (Printf.sprintf "bad cache status %S" cache_s)
-    in
-    let* image =
-      match Option.bind (jmem "image" j) Obs.Json.to_string with
-      | None -> Ok None
-      | Some hex ->
-        (match hex_decode hex with
-         | Ok raw -> Ok (Some raw)
-         | Error m -> Error ("bad image payload: " ^ m))
     in
     let* image_digest = jget_str "image_digest" j in
     let* funcs = decode_funcs j in

@@ -59,7 +59,7 @@ type conn = {
   c_rfd : Unix.file_descr;
   c_wfd : Unix.file_descr;
   c_defr : Protocol.deframer;
-  mutable c_out : string;       (* bytes awaiting a writable fd *)
+  c_out : Protocol.outbox;      (* replies awaiting a writable fd *)
   mutable c_eof : bool;         (* peer closed / protocol violation *)
   mutable c_dead : bool;        (* fds closed, drop from the list *)
 }
@@ -68,7 +68,7 @@ let mk_conn rfd wfd =
   Unix.set_nonblock rfd;
   if wfd <> rfd then Unix.set_nonblock wfd;
   { c_rfd = rfd; c_wfd = wfd; c_defr = Protocol.deframer ();
-    c_out = ""; c_eof = false; c_dead = false }
+    c_out = Protocol.outbox (); c_eof = false; c_dead = false }
 
 (* --- pending work ----------------------------------------------------------- *)
 
@@ -152,12 +152,6 @@ let logf st fmt =
 
 (* --- replies ---------------------------------------------------------------- *)
 
-(* Replies to a connection whose peer already vanished are dropped; the
-   rewrite still happened and was cached, which is what matters. *)
-let respond _st (c : conn) (rs : Protocol.response) =
-  if not c.c_dead then
-    c.c_out <- c.c_out ^ Protocol.frame (Protocol.encode_response rs)
-
 let reply_of (a : Oneshot.artifact) ~cache ~want ~queue_ms ~rewrite_ms :
   Protocol.rewrite_reply =
   { Protocol.rr_prog = a.Oneshot.a_prog;
@@ -177,7 +171,20 @@ let observe_latency st enq now =
   ring_add st.st_lat ms;
   Obs.Metrics.observe m_lat (int_of_float (ms *. 1000.0))
 
-let reply_error st c id code msg =
+(* Replies to a connection whose peer already vanished are dropped; the
+   rewrite still happened and was cached, which is what matters.  A reply
+   too long for one frame (an image past [Protocol.max_frame]) becomes a
+   500 to that waiter; the daemon keeps serving. *)
+let rec respond st (c : conn) (rs : Protocol.response) =
+  if not c.c_dead then begin
+    let payload = Protocol.encode_response rs in
+    if String.length payload > Protocol.max_frame then
+      reply_error st c rs.Protocol.rs_id 500
+        "image too large for one frame; request without image"
+    else Protocol.enqueue c.c_out (Protocol.frame payload)
+  end
+
+and reply_error st c id code msg =
   (match code with
    | 429 -> st.st_shed <- st.st_shed + 1; Obs.Metrics.incr m_shed
    | 504 -> st.st_expired <- st.st_expired + 1; Obs.Metrics.incr m_expired
@@ -378,39 +385,18 @@ let handle_frame st (c : conn) payload =
      | Protocol.Rewrite q -> admit st c rq.Protocol.rq_id q)
 
 let read_conn st (c : conn) =
-  let buf = Bytes.create 65536 in
-  let rec go () =
-    if c.c_eof || c.c_dead then ()
-    else
-      match Unix.read c.c_rfd buf 0 (Bytes.length buf) with
-      | 0 -> c.c_eof <- true
-      | n ->
-        (match Protocol.feed c.c_defr (Bytes.sub_string buf 0 n) with
-         | Error m ->
-           (* Unframeable stream: answer once, then cut the connection. *)
-           reply_error st c 0 400 m;
-           c.c_eof <- true
-         | Ok frames ->
-           List.iter (handle_frame st c) frames;
-           go ())
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error (_, _, _) -> c.c_eof <- true
-  in
-  go ()
+  if not (c.c_eof || c.c_dead) then
+    match Protocol.read_ready c.c_defr c.c_rfd ~on_frame:(handle_frame st c) with
+    | Ok () -> ()
+    | Error `Eof -> c.c_eof <- true
+    | Error (`Bad m) ->
+      (* Unframeable stream: answer once, then cut the connection. *)
+      reply_error st c 0 400 m;
+      c.c_eof <- true
 
 let flush_conn (c : conn) =
-  if c.c_out <> "" && not c.c_dead then
-    match
-      Unix.write_substring c.c_wfd c.c_out 0 (String.length c.c_out)
-    with
-    | n -> c.c_out <- String.sub c.c_out n (String.length c.c_out - n)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) ->
-      (* Peer gone: its replies are undeliverable. *)
-      c.c_out <- "";
-      c.c_eof <- true
+  if (not c.c_dead) && not (Protocol.flush_outbox c.c_out c.c_wfd) then
+    c.c_eof <- true                       (* peer gone *)
 
 (* --- dispatch --------------------------------------------------------------- *)
 
@@ -526,7 +512,7 @@ let run ?(opts = default_opts) (listen : listen) : int =
   let gc_conns () =
     List.iter
       (fun c ->
-         if (not c.c_dead) && c.c_eof && c.c_out = "" then begin
+         if (not c.c_dead) && c.c_eof && not (Protocol.has_output c.c_out) then begin
            c.c_dead <- true;
            (try Unix.close c.c_rfd with Unix.Unix_error _ -> ());
            if c.c_wfd <> c.c_rfd then
@@ -547,7 +533,7 @@ let run ?(opts = default_opts) (listen : listen) : int =
     let work_left =
       st.st_queue <> [] || Hashtbl.length st.st_inflight > 0
     in
-    let out_left = List.exists (fun c -> c.c_out <> "") st.st_conns in
+    let out_left = List.exists (fun c -> Protocol.has_output c.c_out) st.st_conns in
     let stdio_done =
       lfd = None && st.st_conns = [] && not work_left
     in
@@ -565,7 +551,7 @@ let run ?(opts = default_opts) (listen : listen) : int =
       in
       let wfds =
         List.filter_map
-          (fun c -> if c.c_out <> "" then Some c.c_wfd else None)
+          (fun c -> if Protocol.has_output c.c_out then Some c.c_wfd else None)
           st.st_conns
       in
       let timeout =

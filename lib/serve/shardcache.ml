@@ -25,8 +25,6 @@ let create ?salt ?(shards = 4) ~dir () =
       Array.init n (fun i ->
           Jobs.Cache.create ?salt ~dir:(Filename.concat dir (shard_name i)) ()) }
 
-let nshards t = Array.length t.sc_shards
-
 (* Route on the first two digest bytes: uniform for MD5, and independent of
    the per-shard content address (which re-digests with the salt). *)
 let shard_of t k =
@@ -38,9 +36,6 @@ let store t k v = Jobs.Cache.store t.sc_shards.(shard_of t k) k v
 
 let sum f t = Array.fold_left (fun acc c -> acc + f c) 0 t.sc_shards
 
-let hits t = sum (fun c -> c.Jobs.Cache.hits) t
-let misses t = sum (fun c -> c.Jobs.Cache.misses) t
-let corrupt t = sum (fun c -> c.Jobs.Cache.corrupt) t
 let size_bytes t = sum Jobs.Cache.size_bytes t
 
 let entries t =

@@ -75,7 +75,7 @@ let test_request_roundtrip () =
     reqs
 
 let test_response_roundtrip () =
-  (* the image payload covers every byte value: hex transport must be 8-bit
+  (* the image payload covers every byte value: the attachment must be 8-bit
      clean, and jfloat must round-trip the timing floats losslessly *)
   let all_bytes = String.init 256 Char.chr in
   let resps =
@@ -105,16 +105,53 @@ let test_response_roundtrip () =
        | Error m -> Alcotest.failf "decode failed: %s" m)
     resps
 
-let test_hex () =
-  let all = String.init 256 Char.chr in
-  Alcotest.(check string) "hex round-trips every byte" all
-    (ok (P.hex_decode (P.hex_encode all)));
-  (match P.hex_decode "abc" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "odd-length hex accepted");
-  match P.hex_decode "zz" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad hex digit accepted"
+(* An image-carrying rewrite reply is its JSON header, one 0x00, then the raw
+   image; [image_bytes] in the header must equal the attachment's length. *)
+let test_attachment () =
+  let reply image = { P.rs_id = 7; rs_body = P.R_rewrite (sample_reply ~image) } in
+  let roundtrips what r =
+    Alcotest.(check bool) what true (P.decode_response (P.encode_response r) = Ok r)
+  in
+  let rejects what payload =
+    match P.decode_response payload with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  let bare = P.encode_response (reply None) in
+  Alcotest.(check bool) "header-only reply has no attachment" false
+    (String.contains bare '\000');
+  roundtrips "header-only reply round-trips" (reply None);
+  roundtrips "every byte value round-trips"
+    (reply (Some (String.init 256 Char.chr ^ "\n\x00")));
+  let full = P.encode_response (reply (Some "ab\x00\ncd")) in
+  let header = String.sub full 0 (String.index full '\000') in
+  rejects "attachment longer than image_bytes" (full ^ "x");
+  rejects "attachment shorter than image_bytes"
+    (String.sub full 0 (String.length full - 1));
+  rejects "image_bytes without an attachment" header;
+  rejects "attachment without image_bytes" (bare ^ "\000ab\x00\ncd");
+  rejects "attachment on a pong"
+    (P.encode_response { P.rs_id = 1; rs_body = P.R_pong } ^ "\000x");
+  rejects "image_bytes on a pong"
+    "{\"op\":\"pong\",\"ok\":true,\"id\":1,\"image_bytes\":1}\000x";
+  (* golden: pins the frame layout byte for byte *)
+  let golden =
+    { P.rs_id = 9;
+      rs_body =
+        P.R_rewrite
+          { P.rr_prog = "fact"; rr_digest = "d"; rr_key = "k"; rr_cache = P.Hit;
+            rr_image = Some "\x00\n\xff"; rr_image_digest = "i";
+            rr_funcs = [ ("main", "ok") ]; rr_gadget_uses = 2;
+            rr_unique_gadgets = 1; rr_queue_ms = 0.0; rr_rewrite_ms = 0.5 } }
+  in
+  Alcotest.(check string) "golden image reply frame"
+    "\x00\x00\x00\xd4\
+     {\"op\":\"rewrite\",\"ok\":true,\"id\":9,\"prog\":\"fact\",\"digest\":\"d\",\
+     \"key\":\"k\",\"cache\":\"hit\",\"image_bytes\":3,\"image_digest\":\"i\",\
+     \"funcs\":[[\"main\",\"ok\"]],\"gadget_uses\":2,\"unique_gadgets\":1,\
+     \"queue_ms\":0,\"rewrite_ms\":0.5}\
+     \x00\x00\n\xff"
+    (P.frame (P.encode_response golden))
 
 (* --- protocol: framing ------------------------------------------------------- *)
 
@@ -613,13 +650,45 @@ let test_server_protocol_errors () =
   expect_eof fd;
   expect_exit0 pid
 
+(* A reply past [max_frame] cannot be framed: its waiter gets a 500, and the
+   daemon keeps serving.  The cache is seeded with an artifact whose image
+   alone fills a frame, then probed by digest. *)
+let test_server_oversized_reply () =
+  let opts = test_opts () in
+  let digest = String.make 32 'e' in
+  let key = O.key ~digest ~config:"rop0.25" ~seed:1 in
+  Serve.Shardcache.store
+    (Serve.Shardcache.create ~shards:opts.Serve.Server.shards
+       ~dir:opts.Serve.Server.cache_dir ())
+    key
+    { O.a_prog = "huge"; a_digest = digest; a_key = key;
+      a_image = String.make P.max_frame 'x';
+      a_image_digest = String.make 32 'f'; a_funcs = []; a_uses = 0;
+      a_uniq = 0 };
+  with_pair_server opts @@ fun fd pid ->
+  send_batch fd
+    [ rw ~id:1 ~digest ~want:true "rop0.25";
+      rw ~id:2 ~digest "rop0.25";
+      { P.rq_id = 3; rq_body = P.Ping } ];
+  let rs = recv_n fd 3 in
+  Alcotest.(check int) "oversized reply is a 500" 500 (err_code (body_of 1 rs));
+  Alcotest.(check bool) "image-less reply still served" true
+    (cache_of (body_of 2 rs) = P.Hit);
+  (match body_of 3 rs with
+   | P.R_pong -> ()
+   | _ -> Alcotest.fail "daemon must keep serving after an oversized reply");
+  send_batch fd [ { P.rq_id = 4; rq_body = P.Shutdown } ];
+  ignore (recv_n fd 1);
+  expect_eof fd;
+  expect_exit0 pid
+
 let () =
   Alcotest.run "serve"
     [ ("protocol",
        [ Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
          Alcotest.test_case "response round-trip" `Quick
            test_response_roundtrip;
-         Alcotest.test_case "hex transport" `Quick test_hex;
+         Alcotest.test_case "image attachment" `Quick test_attachment;
          Alcotest.test_case "blocking frames" `Quick test_frame_blocking;
          Alcotest.test_case "truncated frames" `Quick test_frame_truncated;
          Alcotest.test_case "oversized frames" `Quick test_frame_oversized;
@@ -643,4 +712,6 @@ let () =
          Alcotest.test_case "drain on SIGTERM" `Quick
            test_server_sigterm_drain;
          Alcotest.test_case "protocol errors" `Quick
-           test_server_protocol_errors ]) ]
+           test_server_protocol_errors;
+         Alcotest.test_case "oversized reply refused" `Quick
+           test_server_oversized_reply ]) ]

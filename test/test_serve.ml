@@ -320,6 +320,42 @@ let test_oneshot_deterministic () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown program must be an error"
 
+(* Golden byte identity of the whole served key space: every registry
+   program under every matrix config at seed 1, cold.  The constants were
+   recorded once and are never regenerated to make a change pass: a rewriter
+   refactor that claims to keep the transformation's output must keep these
+   exactly (Table III's A and B, the chain bytes, and every image byte). *)
+let golden_uses = 669351
+let golden_uniq = 141744
+let golden_chain_bytes = 6161279
+let golden_digest = "d261ded3e0af4cbcf09f390c2d9c3955"
+
+let test_oneshot_golden () =
+  let uses = ref 0 and uniq = ref 0 and chain_bytes = ref 0 in
+  let digests = Buffer.create 8192 in
+  List.iter
+    (fun prog ->
+       List.iter
+         (fun cfg ->
+            let a = ok (O.one_shot (spec prog cfg 1)) in
+            uses := !uses + a.O.a_uses;
+            uniq := !uniq + a.O.a_uniq;
+            (* fs_chain_bytes, as [O.func_status] prints it *)
+            List.iter
+              (fun (_, st) ->
+                 if String.length st > 3 && String.sub st 0 3 = "ok " then
+                   Scanf.sscanf st "ok chain=0x%_Lx bytes=%d" (fun n ->
+                       chain_bytes := !chain_bytes + n))
+              a.O.a_funcs;
+            Buffer.add_string digests a.O.a_image_digest)
+         (O.matrix_names ()))
+    (O.names ());
+  let digest = Digest.to_hex (Digest.string (Buffer.contents digests)) in
+  Alcotest.(check int) "sum of a_uses" golden_uses !uses;
+  Alcotest.(check int) "sum of a_uniq" golden_uniq !uniq;
+  Alcotest.(check int) "sum of fs_chain_bytes" golden_chain_bytes !chain_bytes;
+  Alcotest.(check string) "md5 of the image digests" golden_digest digest
+
 let test_image_roundtrip () =
   let e = Option.get (O.find "base64") in
   let img = e.O.e_build () in
@@ -699,7 +735,8 @@ let () =
        [ Alcotest.test_case "config naming" `Quick test_config_names;
          Alcotest.test_case "deterministic rewrites" `Quick
            test_oneshot_deterministic;
-         Alcotest.test_case "image round-trip" `Quick test_image_roundtrip ]);
+         Alcotest.test_case "image round-trip" `Quick test_image_roundtrip;
+         Alcotest.test_case "golden byte identity" `Quick test_oneshot_golden ]);
       ("server",
        [ Alcotest.test_case "miss, hit, byte identity" `Quick
            test_server_miss_hit_identity;

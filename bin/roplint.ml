@@ -123,7 +123,7 @@ let json_of_report ~tname ~cfg_name (r : SA.Driver.report)
 let lint_one ~verbose ~transval ~ropaware tname cfg_name config build fns =
   let orig = build () in
   let r = Ropc.Rewriter.rewrite orig ~functions:fns ~config in
-  let audit = r.Ropc.Rewriter.audit in
+  let audit = Lazy.force r.Ropc.Rewriter.audit in
   let rewritten = r.Ropc.Rewriter.image in
   let report = SA.Driver.lint ~transval ~orig ~rewritten audit in
   let attackers =

@@ -1,6 +1,6 @@
 (* Chain representation and materialization (§IV-B3).
 
-   During crafting a chain is a list of symbolic 8-byte slots (gadget
+   During crafting a chain is a sequence of symbolic 8-byte slots (gadget
    addresses, immediate operands, RSP displacements towards labelled blocks)
    interleaved with zero-width label/anchor markers and, under gadget
    confusion, skew directives that shift subsequent slots by a non-multiple
@@ -36,121 +36,192 @@ type slot =
 let opaque_stored ~value ~residue ~mult =
   Int64.sub value (Int64.mul mult (Int64.add residue 1L))
 
+(* The store is append-only and compact: a slot whose 8 bytes are known
+   when it is pushed (gadget, immediate, opaque constant, the jop word of an
+   opaque dispatch) is written straight into [buf] at its final offset, and
+   every slot costs one tag byte.  Only the slots that need more than their
+   bytes -- displacements (resolved at materialization), skews (junk drawn
+   at materialization), labels/anchors, and the opaque slots the audit must
+   see whole -- are kept as values, with their byte offsets.  Labels and
+   anchors enter the offset table as they are pushed.  Crafting a chain
+   thus allocates no per-slot heap object for the common slots. *)
 type t = {
-  mutable slots : slot list;   (* reversed during construction *)
-  mutable n : int;             (* length of [slots] *)
+  mutable buf : bytes;         (* chain bytes; disp and skew slots are holes *)
+  mutable off : int;           (* bytes laid out so far *)
+  mutable tags : bytes;        (* one tag per slot, in push order *)
+  mutable n : int;             (* slots pushed *)
+  mutable side : slot array;   (* the value-kept slots, in push order *)
+  mutable side_off : int array;   (* their byte offsets *)
+  mutable nside : int;
+  labels : (string, int) Hashtbl.t;   (* label/anchor -> byte offset *)
+  mutable dup : string option; (* first label pushed twice *)
 }
 
-let create () = { slots = []; n = 0 }
+let tag_gadget = 'g'
+let tag_imm = 'i'
+let tag_side = 's'
 
-let push t s =
-  t.slots <- s :: t.slots;
+(* Array fillers: static constants, so creating a large slot array never
+   makes [caml_make_vect] force a minor collection (it does for an array
+   too large for the minor heap whose initial value is young). *)
+let filler = S_skew 0
+let layout_filler = (0, S_skew 0)
+
+let create () =
+  { buf = Bytes.create 512; off = 0; tags = Bytes.create 64; n = 0;
+    side = Array.make 16 filler; side_off = Array.make 16 0; nside = 0;
+    labels = Hashtbl.create 32; dup = None }
+
+let reserve t size =
+  let len = Bytes.length t.buf in
+  if t.off + size > len then begin
+    let nb = Bytes.create (max (2 * len) (t.off + size)) in
+    Bytes.blit t.buf 0 nb 0 t.off;
+    t.buf <- nb
+  end
+
+let push_tag t tag =
+  if t.n = Bytes.length t.tags then begin
+    let nt = Bytes.create (2 * t.n) in
+    Bytes.blit t.tags 0 nt 0 t.n;
+    t.tags <- nt
+  end;
+  Bytes.unsafe_set t.tags t.n tag;
   t.n <- t.n + 1
 
-(* Number of slots pushed so far; the builder brackets each roplet by the
-   [length] at its start and end so the verifier can attribute slots to
-   program points without re-walking the list. *)
-let length t = t.n
-
-let gadget t addr = push t (S_gadget addr)
-let imm t v = push t (S_imm v)
-let disp t ~target ~anchor ~bias = push t (S_disp { target; anchor; bias })
-let opaque t ~value ~cls ~residue ~mult =
-  push t (S_opaque { oq_value = value; oq_cls = cls; oq_residue = residue;
-                     oq_mult = mult })
-let opaque_dispatch t ~jop ~target =
-  push t (S_opaque_dispatch { od_jop = jop; od_target = target })
-let label t name = push t (S_label name)
-let anchor t name = push t (S_anchor name)
-let skew t eta = push t (S_skew eta)
-
-let slots t = List.rev t.slots
-
-type materialized = {
-  bytes : bytes;
-  (* offset of each label/anchor within the chain *)
-  offsets : (string, int) Hashtbl.t;
-  base : int64;                (* absolute address the chain is placed at *)
-  layout : (int * slot) array;
-  (* byte offset of every slot in push order, including the zero-width
-     label/anchor markers; the static verifier replays the chain from this *)
-}
-
-exception Materialize_error of string
+let push_word t tag v =
+  reserve t 8;
+  Bytes.set_int64_le t.buf t.off v;
+  t.off <- t.off + 8;
+  push_tag t tag
 
 let slot_size = function
   | S_gadget _ | S_imm _ | S_disp _ | S_opaque _ | S_opaque_dispatch _ -> 8
   | S_label _ | S_anchor _ -> 0
   | S_skew eta -> eta
 
+(* Keep [s] as a value at the current offset; [word], when given, is its
+   8 bytes if they are already known. *)
+let push_side ?word t s =
+  if t.nside = Array.length t.side then begin
+    let cap = 2 * t.nside in
+    let ns = Array.make cap filler and no = Array.make cap 0 in
+    Array.blit t.side 0 ns 0 t.nside;
+    Array.blit t.side_off 0 no 0 t.nside;
+    t.side <- ns;
+    t.side_off <- no
+  end;
+  t.side.(t.nside) <- s;
+  t.side_off.(t.nside) <- t.off;
+  t.nside <- t.nside + 1;
+  let size = slot_size s in
+  reserve t size;
+  (match word with Some v -> Bytes.set_int64_le t.buf t.off v | None -> ());
+  t.off <- t.off + size;
+  push_tag t tag_side
+
+(* Number of slots pushed so far; the builder brackets each roplet by the
+   [length] at its start and end so the verifier can attribute slots to
+   program points without re-walking the chain. *)
+let length t = t.n
+
+let gadget t addr = push_word t tag_gadget addr
+let imm t v = push_word t tag_imm v
+let disp t ~target ~anchor ~bias = push_side t (S_disp { target; anchor; bias })
+let opaque t ~value ~cls ~residue ~mult =
+  push_side t
+    ~word:(opaque_stored ~value ~residue ~mult)
+    (S_opaque { oq_value = value; oq_cls = cls; oq_residue = residue;
+                oq_mult = mult })
+let opaque_dispatch t ~jop ~target =
+  push_side t ~word:jop (S_opaque_dispatch { od_jop = jop; od_target = target })
+
+let mark t name s =
+  if Hashtbl.mem t.labels name then begin
+    if t.dup = None then t.dup <- Some name
+  end
+  else Hashtbl.add t.labels name t.off;
+  push_side t s
+
+let label t name = mark t name (S_label name)
+let anchor t name = mark t name (S_anchor name)
+let skew t eta = push_side t (S_skew eta)
+
+type materialized = {
+  bytes : bytes;
+  (* offset of each label/anchor within the chain; shared with the store,
+     so nothing may be pushed onto a chain once it is materialized *)
+  offsets : (string, int) Hashtbl.t;
+  base : int64;                (* absolute address the chain is placed at *)
+  layout : (int * slot) array Lazy.t;
+  (* byte offset of every slot in push order, including the zero-width
+     label/anchor markers; the static verifier replays the chain from this.
+     Rebuilt from the store only when forced: the rewrite itself never
+     needs it. *)
+}
+
+exception Materialize_error of string
+
+(* Rebuild the per-slot layout.  The array is created with the static
+   [layout_filler] pair and then written, never built by [Array.of_list] or
+   [Array.init] over young values (see [filler]). *)
+let layout_of ~tags ~n ~side ~side_off bytes =
+  let a = Array.make n layout_filler in
+  let off = ref 0 and k = ref 0 in
+  for i = 0 to n - 1 do
+    let tag = Bytes.unsafe_get tags i in
+    if tag = tag_side then begin
+      let s = side.(!k) and o = side_off.(!k) in
+      a.(i) <- (o, s);
+      off := o + slot_size s;
+      incr k
+    end
+    else begin
+      let v = Bytes.get_int64_le bytes !off in
+      a.(i) <- (!off, if tag = tag_gadget then S_gadget v else S_imm v);
+      off := !off + 8
+    end
+  done;
+  a
+
 (* Lay out and emit the chain for placement at absolute address [base].
    [junk] supplies filler bytes for skew gaps (deceptive: they should look
    like gadget addresses).  The default filler is a fixed-seed Util.Rng
    stream rather than the ambient [Random] state: every materialization must
    be replayable from explicit seeds alone (the rewriter always passes its
-   own seeded stream; the default only serves direct callers in tests). *)
+   own seeded stream; the default only serves direct callers in tests).
+   Junk is drawn skew by skew in push order. *)
 let default_junk () =
   let rng = Util.Rng.create 0x6a756e6b (* "junk" *) in
   fun _ -> Util.Rng.int rng 256
 
 let materialize ?junk ~base t =
+  (match t.dup with
+   | Some name -> raise (Materialize_error ("duplicate label " ^ name))
+   | None -> ());
   let junk = match junk with Some j -> j | None -> default_junk () in
-  ignore junk;
-  let items = slots t in
-  let offsets = Hashtbl.create 32 in
-  let layout_rev = ref [] in
-  let total =
-    List.fold_left
-      (fun off s ->
-         (match s with
-          | S_label name | S_anchor name ->
-            if Hashtbl.mem offsets name then
-              raise (Materialize_error ("duplicate label " ^ name));
-            Hashtbl.replace offsets name off
-          | S_gadget _ | S_imm _ | S_disp _ | S_opaque _
-          | S_opaque_dispatch _ | S_skew _ -> ());
-         layout_rev := (off, s) :: !layout_rev;
-         off + slot_size s)
-      0 items
-  in
-  let layout = Array.of_list (List.rev !layout_rev) in
-  let buf = Bytes.create total in
-  let write64 off v =
-    for i = 0 to 7 do
-      Bytes.set buf (off + i)
-        (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-    done
-  in
+  let buf = Bytes.sub t.buf 0 t.off in
   let lookup name =
-    match Hashtbl.find_opt offsets name with
+    match Hashtbl.find_opt t.labels name with
     | Some o -> o
     | None -> raise (Materialize_error ("undefined chain label " ^ name))
   in
-  let _ =
-    List.fold_left
-      (fun off s ->
-         (match s with
-          | S_gadget a | S_imm a -> write64 off a
-          | S_opaque { oq_value; oq_residue; oq_mult; _ } ->
-            write64 off
-              (opaque_stored ~value:oq_value ~residue:oq_residue ~mult:oq_mult)
-          | S_opaque_dispatch { od_jop; _ } -> write64 off od_jop
-          | S_disp { target; anchor; bias } ->
-            let v =
-              Int64.sub
-                (Int64.of_int (lookup target - lookup anchor))
-                bias
-            in
-            write64 off v
-          | S_skew eta ->
-            for i = 0 to eta - 1 do
-              Bytes.set buf (off + i) (Char.chr (junk i))
-            done
-          | S_label _ | S_anchor _ -> ());
-         off + slot_size s)
-      0 items
-  in
-  { bytes = buf; offsets; base; layout }
+  for k = 0 to t.nside - 1 do
+    let off = t.side_off.(k) in
+    match t.side.(k) with
+    | S_disp { target; anchor; bias } ->
+      Bytes.set_int64_le buf off
+        (Int64.sub (Int64.of_int (lookup target - lookup anchor)) bias)
+    | S_skew eta ->
+      for i = 0 to eta - 1 do
+        Bytes.set buf (off + i) (Char.chr (junk i))
+      done
+    | S_gadget _ | S_imm _ | S_opaque _ | S_opaque_dispatch _
+    | S_label _ | S_anchor _ -> ()
+  done;
+  let tags = t.tags and n = t.n and side = t.side and side_off = t.side_off in
+  { bytes = buf; offsets = t.labels; base;
+    layout = lazy (layout_of ~tags ~n ~side ~side_off buf) }
 
 (* Absolute address of a label in a materialized chain. *)
 let label_addr m name =

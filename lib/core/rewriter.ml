@@ -39,7 +39,9 @@ type result = {
   funcs : (string * func_result) list;
   total_gadget_uses : int;      (* A of Table III *)
   unique_gadgets : int;         (* B of Table III *)
-  audit : Audit.t;              (* claims for the static verifier *)
+  audit : Audit.t Lazy.t;
+      (* claims for the static verifier, built when forced.  An unforced
+         audit holds closures: a [result] must not cross [Marshal]. *)
 }
 
 exception Unsupported of string
@@ -227,7 +229,6 @@ type session = {
   ss_addr : int64;
   funcret_gadget : int64;
   rop_buf : Buffer.t;            (* accumulates the .rop section *)
-  mutable table_patches : (int64 * int64) list;  (* addr, value *)
 }
 
 let rop_cursor s = Int64.add Image.rop_base (Int64.of_int (Buffer.length s.rop_buf))
@@ -286,7 +287,7 @@ let live_for live_info (bi : Cfg.binstr) =
   R.union (Analysis.Liveness.live_out_at live_info bi.Cfg.addr) uses
 
 let rewrite_function (s : session) fname
-  : (func_stats * Audit.func, failure) Stdlib.result =
+  : (func_stats * Audit.func Lazy.t, failure) Stdlib.result =
   match Obs.Trace.with_span ~args:[ ("func", fname) ] "rewrite.cfg"
           (fun () -> Cfg.of_image s.img fname)
   with
@@ -562,53 +563,60 @@ let rewrite_function (s : session) fname
               m.Chain.offsets []
             |> List.sort compare
           in
-          let layout = m.Chain.layout in
-          let audit_points =
-            List.map
-              (fun (p : Builder.point) ->
-                 { Audit.p_addr = p.Builder.pt_addr;
-                   p_desc = p.Builder.pt_desc;
-                   p_live = p.Builder.pt_live;
-                   p_flags_live = p.Builder.pt_flags_live;
-                   p_defs = p.Builder.pt_defs;
-                   p_borrowed = p.Builder.pt_borrowed;
-                   p_slots =
-                     Array.sub layout p.Builder.pt_start
-                       (p.Builder.pt_stop - p.Builder.pt_start);
-                   p_hidden =
-                     (match p.Builder.pt_hidden with
-                      | None -> None
-                      | Some (lo, hi) ->
-                        (* slot indices -> chain byte offsets *)
-                        let off i =
-                          if i < Array.length layout then fst layout.(i)
-                          else Bytes.length m.Chain.bytes
-                        in
-                        Some (off lo, off hi)) })
-              (Builder.points b)
-          in
+          let points = Builder.points b in
+          let tables = !table_jobs in
+          (* the audit record is built only if someone asks for it (the
+             verifier, roplint, the tests); serving never does *)
           let fa =
-            { Audit.f_name = fname;
-              f_sym_addr = sym.Image.sym_addr;
-              f_sym_size = sym.Image.sym_size;
-              f_stub_len = Bytes.length stub;
-              f_chain_base = base;
-              f_chain_len = Bytes.length m.Chain.bytes;
-              f_layout = layout;
-              f_labels =
-                Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.Chain.offsets [];
-              f_points = audit_points;
-              f_tables =
+            lazy begin
+              let layout = Lazy.force m.Chain.layout in
+              let audit_points =
                 List.map
-                  (fun (table_addr, anchor, entries) ->
-                     (table_addr, anchor,
-                      List.map Builder.block_label entries))
-                  !table_jobs;
-              f_p1 =
-                (match s.config.Config.p1 with
-                 | Some p1 when p1_array <> 0L ->
-                   Some (p1_array, p1, p1_class_a)
-                 | _ -> None) }
+                  (fun (p : Builder.point) ->
+                     { Audit.p_addr = p.Builder.pt_addr;
+                       p_desc = p.Builder.pt_desc;
+                       p_live = p.Builder.pt_live;
+                       p_flags_live = p.Builder.pt_flags_live;
+                       p_defs = p.Builder.pt_defs;
+                       p_borrowed = p.Builder.pt_borrowed;
+                       p_slots =
+                         Array.sub layout p.Builder.pt_start
+                           (p.Builder.pt_stop - p.Builder.pt_start);
+                       p_hidden =
+                         (match p.Builder.pt_hidden with
+                          | None -> None
+                          | Some (lo, hi) ->
+                            (* slot indices -> chain byte offsets *)
+                            let off i =
+                              if i < Array.length layout then fst layout.(i)
+                              else Bytes.length m.Chain.bytes
+                            in
+                            Some (off lo, off hi)) })
+                  points
+              in
+              { Audit.f_name = fname;
+                f_sym_addr = sym.Image.sym_addr;
+                f_sym_size = sym.Image.sym_size;
+                f_stub_len = Bytes.length stub;
+                f_chain_base = base;
+                f_chain_len = Bytes.length m.Chain.bytes;
+                f_layout = layout;
+                f_labels =
+                  Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.Chain.offsets
+                    [];
+                f_points = audit_points;
+                f_tables =
+                  List.map
+                    (fun (table_addr, anchor, entries) ->
+                       (table_addr, anchor,
+                        List.map Builder.block_label entries))
+                    tables;
+                f_p1 =
+                  (match s.config.Config.p1 with
+                   | Some p1 when p1_array <> 0L ->
+                     Some (p1_array, p1, p1_class_a)
+                   | _ -> None) }
+            end
           in
           Ok
             ({ fs_points = b.Builder.program_points;
@@ -663,8 +671,7 @@ let rewrite_with (ctx : context) ~(config : Config.t) : result =
     { img; config; rng; pool;
       ss_addr = Image.rop_base;         (* ss is the first .rop object *)
       funcret_gadget = 0L;              (* patched below *)
-      rop_buf;
-      table_patches = [] }
+      rop_buf }
   in
   (* ss array: 64 frames *)
   let ss_addr = rop_alloc s (8 * 64) in
@@ -721,23 +728,28 @@ let rewrite_with (ctx : context) ~(config : Config.t) : result =
          | Error _ -> c "rewrite.funcs_failed" 1)
       raw
   end;
+  let pool_hi = Int64.add pool_base (Int64.of_int (Bytes.length pool_bytes)) in
   let audit =
-    { Audit.a_ss_addr = ss_addr;
-      a_funcret = funcret;
-      a_pool_lo = pool_base;
-      a_pool_hi = Int64.add pool_base (Int64.of_int (Bytes.length pool_bytes));
-      a_gadgets =
-        List.map
-          (fun (e : Pool.entry) ->
-             { Audit.g_addr = e.Pool.gadget.Gadget.addr;
-               g_gadget = e.Pool.gadget;
-               g_prefix = e.Pool.prefix;
-               g_found = e.Pool.is_found })
-          (Pool.all_gadgets pool);
-      a_funcs =
-        List.filter_map
-          (fun (_, r) -> match r with Ok (_, fa) -> Some fa | Error _ -> None)
-          raw }
+    lazy
+      { Audit.a_ss_addr = ss_addr;
+        a_funcret = funcret;
+        a_pool_lo = pool_base;
+        a_pool_hi = pool_hi;
+        a_gadgets =
+          List.map
+            (fun (e : Pool.entry) ->
+               { Audit.g_addr = e.Pool.gadget.Gadget.addr;
+                 g_gadget = e.Pool.gadget;
+                 g_prefix = e.Pool.prefix;
+                 g_found = e.Pool.is_found })
+            (Pool.all_gadgets pool);
+        a_funcs =
+          List.filter_map
+            (fun (_, r) ->
+               match r with
+               | Ok (_, fa) -> Some (Lazy.force fa)
+               | Error _ -> None)
+            raw }
   in
   { image = img; funcs; total_gadget_uses = uses; unique_gadgets = uniq;
     audit }

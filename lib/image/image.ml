@@ -150,21 +150,28 @@ let copy t = {
 
 let magic = "ropimg/v1\n"
 
+(* Written into one buffer of the exact output length: section data is
+   blitted once, with no intermediate string copies and no regrowth. *)
 let serialize (t : t) : string =
-  let b = Buffer.create 4096 in
-  let u32 v =
-    for i = 0 to 3 do
-      Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xff))
-    done
+  let str_len s = 4 + String.length s in
+  let len =
+    List.fold_left
+      (fun acc s ->
+         acc + str_len s.sec_name + 8 + 4 + 4 + Bytes.length s.sec_data)
+      (String.length magic + 4) t.sections
+    + List.fold_left (fun acc sy -> acc + str_len sy.sym_name + 8 + 4 + 4)
+      4 t.symbols
   in
-  let u64 v =
-    for i = 0 to 7 do
-      Buffer.add_char b
-        (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-    done
+  let b = Bytes.create len in
+  let pos = ref 0 in
+  let u32 v = Bytes.set_int32_le b !pos (Int32.of_int v); pos := !pos + 4 in
+  let u64 v = Bytes.set_int64_le b !pos v; pos := !pos + 8 in
+  let blit_string s =
+    Bytes.blit_string s 0 b !pos (String.length s);
+    pos := !pos + String.length s
   in
-  let str s = u32 (String.length s); Buffer.add_string b s in
-  Buffer.add_string b magic;
+  let str s = u32 (String.length s); blit_string s in
+  blit_string magic;
   u32 (List.length t.sections);
   List.iter
     (fun s ->
@@ -172,7 +179,10 @@ let serialize (t : t) : string =
        u64 s.sec_addr;
        u32 ((if s.sec_writable then 1 else 0)
             lor (if s.sec_executable then 2 else 0));
-       str (Bytes.to_string s.sec_data))
+       let n = Bytes.length s.sec_data in
+       u32 n;
+       Bytes.blit s.sec_data 0 b !pos n;
+       pos := !pos + n)
     t.sections;
   u32 (List.length t.symbols);
   List.iter
@@ -182,7 +192,8 @@ let serialize (t : t) : string =
        u32 sy.sym_size;
        u32 (if sy.sym_is_function then 1 else 0))
     t.symbols;
-  Buffer.contents b
+  assert (!pos = len);
+  Bytes.unsafe_to_string b
 
 exception Corrupt of string
 

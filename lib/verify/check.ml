@@ -592,4 +592,4 @@ let run img (audit : A.t) =
   gdiags @ per_func @ sections_pass img
 
 let check (r : Ropc.Rewriter.result) =
-  run r.Ropc.Rewriter.image r.Ropc.Rewriter.audit
+  run r.Ropc.Rewriter.image (Lazy.force r.Ropc.Rewriter.audit)

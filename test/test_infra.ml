@@ -135,6 +135,154 @@ let test_chain_undefined_label () =
     (Ropc.Chain.Materialize_error "undefined chain label nope")
     (fun () -> ignore (Ropc.Chain.materialize ~base:0L ch))
 
+let test_chain_duplicate_label () =
+  let ch = Ropc.Chain.create () in
+  Ropc.Chain.label ch "x";
+  Ropc.Chain.gadget ch 0x11L;
+  Ropc.Chain.anchor ch "x";
+  Alcotest.check_raises "duplicate label"
+    (Ropc.Chain.Materialize_error "duplicate label x")
+    (fun () -> ignore (Ropc.Chain.materialize ~base:0L ch))
+
+(* Oracle for the compact chain store: the straightforward list-fold
+   materializer (offsets in one pass, bytes in a second) over the symbolic
+   slot sequence. *)
+module Chain_oracle = struct
+  open Ropc.Chain
+
+  let materialize ~junk slots =
+    let offsets = Hashtbl.create 32 in
+    let layout_rev = ref [] in
+    let total =
+      List.fold_left
+        (fun off s ->
+           (match s with
+            | S_label name | S_anchor name ->
+              if Hashtbl.mem offsets name then
+                raise (Materialize_error ("duplicate label " ^ name));
+              Hashtbl.replace offsets name off
+            | _ -> ());
+           layout_rev := (off, s) :: !layout_rev;
+           off + slot_size s)
+        0 slots
+    in
+    let buf = Bytes.create total in
+    let write64 off v =
+      for i = 0 to 7 do
+        Bytes.set buf (off + i)
+          (Char.chr
+             (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
+      done
+    in
+    let lookup name =
+      match Hashtbl.find_opt offsets name with
+      | Some o -> o
+      | None -> raise (Materialize_error ("undefined chain label " ^ name))
+    in
+    ignore
+      (List.fold_left
+         (fun off s ->
+            (match s with
+             | S_gadget a | S_imm a -> write64 off a
+             | S_opaque { oq_value; oq_residue; oq_mult; _ } ->
+               write64 off
+                 (opaque_stored ~value:oq_value ~residue:oq_residue
+                    ~mult:oq_mult)
+             | S_opaque_dispatch { od_jop; _ } -> write64 off od_jop
+             | S_disp { target; anchor; bias } ->
+               write64 off
+                 (Int64.sub (Int64.of_int (lookup target - lookup anchor)) bias)
+             | S_skew eta ->
+               for i = 0 to eta - 1 do
+                 Bytes.set buf (off + i) (Char.chr (junk i))
+               done
+             | S_label _ | S_anchor _ -> ());
+            off + slot_size s)
+         0 slots);
+    (buf, offsets, Array.of_list (List.rev !layout_rev))
+
+  let push ch = function
+    | S_gadget a -> gadget ch a
+    | S_imm v -> imm ch v
+    | S_disp { target; anchor = a; bias } -> disp ch ~target ~anchor:a ~bias
+    | S_opaque { oq_value; oq_cls; oq_residue; oq_mult } ->
+      opaque ch ~value:oq_value ~cls:oq_cls ~residue:oq_residue ~mult:oq_mult
+    | S_opaque_dispatch { od_jop; od_target } ->
+      opaque_dispatch ch ~jop:od_jop ~target:od_target
+    | S_label n -> label ch n
+    | S_anchor n -> anchor ch n
+    | S_skew eta -> skew ch eta
+end
+
+(* A random push sequence over all eight slot kinds: skews of 1-7 bytes,
+   P1-style displacement biases, labels and anchors placed in any order
+   (every name a displacement refers to is placed somewhere); now and then
+   a duplicate or an undefined name, so the error paths are compared too. *)
+let random_slots seed len =
+  let open Ropc.Chain in
+  let rng = Util.Rng.create seed in
+  let r n = Util.Rng.int rng n in
+  let names = Array.init (1 + r 6) (Printf.sprintf "L%d") in
+  let unplaced = ref (Array.to_list names) in
+  let faulty = r 20 = 0 in
+  let name () =
+    if faulty && r 10 = 0 then "undef" else names.(r (Array.length names))
+  in
+  let place n = if r 2 = 0 then S_label n else S_anchor n in
+  let slot () =
+    match r 8 with
+    | 0 -> S_gadget (Util.Rng.next64 rng)
+    | 1 -> S_imm (Util.Rng.next64 rng)
+    | 2 ->
+      let bias = if r 2 = 0 then 0L else Int64.of_int (r 1000) in
+      S_disp { target = name (); anchor = name (); bias }
+    | 3 ->
+      S_opaque { oq_value = Util.Rng.next64 rng; oq_cls = r 4;
+                 oq_residue = Int64.of_int (r 97);
+                 oq_mult = Int64.of_int (1 + r 4096) }
+    | 4 ->
+      S_opaque_dispatch { od_jop = Util.Rng.next64 rng;
+                          od_target = Util.Rng.next64 rng }
+    | 5 | 6 ->
+      (match !unplaced with
+       | n :: rest when not (faulty && r 4 = 0) ->
+         unplaced := rest;
+         place n
+       | _ -> place (names.(r (Array.length names))))
+    | _ -> S_skew (1 + r 7)
+  in
+  let body = List.init len (fun _ -> slot ()) in
+  body @ List.map place !unplaced
+
+let prop_chain_store_matches_oracle =
+  QCheck.Test.make ~name:"chain store = list-fold materializer" ~count:500
+    QCheck.(pair small_nat (int_bound 300))
+    (fun (seed, len) ->
+       let slots = random_slots seed len in
+       let junk () =
+         let rng = Util.Rng.create (seed + 17) in
+         fun _ -> Util.Rng.int rng 256
+       in
+       let expected =
+         match Chain_oracle.materialize ~junk:(junk ()) slots with
+         | v -> Ok v
+         | exception Ropc.Chain.Materialize_error m -> Error m
+       in
+       let ch = Ropc.Chain.create () in
+       List.iter (Chain_oracle.push ch) slots;
+       let sorted h =
+         List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+       in
+       Ropc.Chain.length ch = List.length slots
+       &&
+       match expected, Ropc.Chain.materialize ~junk:(junk ()) ~base:0L ch with
+       | Ok (bytes, offsets, layout), m ->
+         Bytes.equal bytes m.Ropc.Chain.bytes
+         && sorted offsets = sorted m.Ropc.Chain.offsets
+         && layout = Lazy.force m.Ropc.Chain.layout
+       | Error _, _ -> false
+       | exception Ropc.Chain.Materialize_error m -> expected = Error m)
+
 (* --- assembler/linker ------------------------------------------------------------ *)
 
 let test_asm_label_resolution () =
@@ -196,7 +344,9 @@ let () =
        [ Alcotest.test_case "displacements" `Quick test_chain_displacements;
          Alcotest.test_case "bias" `Quick test_chain_bias;
          Alcotest.test_case "skew" `Quick test_chain_skew;
-         Alcotest.test_case "undefined label" `Quick test_chain_undefined_label ]);
+         Alcotest.test_case "undefined label" `Quick test_chain_undefined_label;
+         Alcotest.test_case "duplicate label" `Quick test_chain_duplicate_label;
+         QCheck_alcotest.to_alcotest prop_chain_store_matches_oracle ]);
       ("asm",
        [ Alcotest.test_case "labels" `Quick test_asm_label_resolution;
          Alcotest.test_case "calls and data" `Quick test_asm_call_and_data;

@@ -187,7 +187,7 @@ module A = Ropc.Audit
 
 let audit_of ~config prog fnames =
   let _, r = rewrite_result ~config prog fnames in
-  r.Ropc.Rewriter.audit
+  Lazy.force r.Ropc.Rewriter.audit
 
 (* +oc must actually emit opaque slots, each recoverable against the P1
    array ground truth recorded in the same audit; every opaque load ends in
@@ -358,7 +358,7 @@ let test_perfunction_differential () =
              f.A.f_layout
          then Some f.A.f_name
          else None)
-      r.Ropc.Rewriter.audit.A.a_funcs
+      (Lazy.force r.Ropc.Rewriter.audit).A.a_funcs
   in
   List.iter
     (fun fname ->

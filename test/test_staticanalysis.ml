@@ -80,7 +80,7 @@ let rewrite ?(config = Ropc.Config.rop_k ~seed:3 1.0) () =
 
 let test_clean_chain_passes () =
   let _, r = rewrite () in
-  let findings, stats = SD.chain_pass r.Ropc.Rewriter.audit in
+  let findings, stats = SD.chain_pass (Lazy.force r.Ropc.Rewriter.audit) in
   Alcotest.(check int) "no errors on a clean rewrite" 0
     (List.length (F.errors findings));
   (* the solver actually visited the chain *)
@@ -97,7 +97,7 @@ let test_injected_unbalance_caught () =
       Ropc.Config.debug_unbalanced_epilogue = true }
   in
   let _, r = rewrite ~config () in
-  let findings, _ = SD.chain_pass r.Ropc.Rewriter.audit in
+  let findings, _ = SD.chain_pass (Lazy.force r.Ropc.Rewriter.audit) in
   let tags = List.map (fun f -> f.F.tag) (F.errors findings) in
   Alcotest.(check bool) "chain-unswitch-unbalanced reported" true
     (List.mem "chain-unswitch-unbalanced" tags)
@@ -109,7 +109,8 @@ let test_transval_proves_fact () =
      every one behind a P3 loop and (correctly) skip them all *)
   let orig, r = rewrite ~config:(Ropc.Config.rop_k ~seed:3 0.25) () in
   let tv =
-    TV.run ~orig ~rewritten:r.Ropc.Rewriter.image r.Ropc.Rewriter.audit
+    TV.run ~orig ~rewritten:r.Ropc.Rewriter.image
+      (Lazy.force r.Ropc.Rewriter.audit)
   in
   Alcotest.(check bool) "proved at least one region" true (tv.TV.tv_proven > 0);
   Alcotest.(check int) "no unproven regions" 0 tv.TV.tv_unproven;
@@ -126,7 +127,8 @@ let test_transval_proves_fact () =
 let test_transval_proves_hidden () =
   let orig, r = rewrite ~config:(Ropc.Config.rop_k ~seed:3 ~hiding:true 1.0) () in
   let tv =
-    TV.run ~orig ~rewritten:r.Ropc.Rewriter.image r.Ropc.Rewriter.audit
+    TV.run ~orig ~rewritten:r.Ropc.Rewriter.image
+      (Lazy.force r.Ropc.Rewriter.audit)
   in
   Alcotest.(check bool) "proved hidden-payload regions" true (tv.TV.tv_proven > 0);
   Alcotest.(check int) "no unproven regions" 0 tv.TV.tv_unproven;
@@ -143,7 +145,8 @@ let test_injected_hidden_caught () =
   in
   let orig, r = rewrite ~config () in
   let tv =
-    TV.run ~orig ~rewritten:r.Ropc.Rewriter.image r.Ropc.Rewriter.audit
+    TV.run ~orig ~rewritten:r.Ropc.Rewriter.image
+      (Lazy.force r.Ropc.Rewriter.audit)
   in
   let tags = List.map (fun f -> f.F.tag) tv.TV.tv_findings in
   Alcotest.(check bool) "transval-mismatch reported" true
@@ -155,7 +158,7 @@ let test_stealth_smoke () =
   let _, r = rewrite () in
   let st =
     Staticanalysis.Stealth.run ~rewritten:r.Ropc.Rewriter.image
-      r.Ropc.Rewriter.audit
+      (Lazy.force r.Ropc.Rewriter.audit)
   in
   List.iter
     (fun fs ->
@@ -177,7 +180,7 @@ let test_stealth_opaque_vs_literal () =
     let _, r = rewrite ~config () in
     let st =
       Staticanalysis.Stealth.run ~rewritten:r.Ropc.Rewriter.image
-        r.Ropc.Rewriter.audit
+        (Lazy.force r.Ropc.Rewriter.audit)
     in
     match
       List.find_opt
@@ -205,7 +208,7 @@ let test_stealth_opaque_vs_literal () =
 
 let test_poolbloat_smoke () =
   let _, r = rewrite () in
-  let pb = Staticanalysis.Poolbloat.run r.Ropc.Rewriter.audit in
+  let pb = Staticanalysis.Poolbloat.run (Lazy.force r.Ropc.Rewriter.audit) in
   let open Staticanalysis.Poolbloat in
   Alcotest.(check bool) "pool has gadgets" true (pb.pb_total > 0);
   Alcotest.(check bool) "referenced <= total" true
@@ -219,7 +222,7 @@ let test_driver_end_to_end () =
   let orig, r = rewrite () in
   let report =
     Staticanalysis.Driver.lint ~orig ~rewritten:r.Ropc.Rewriter.image
-      r.Ropc.Rewriter.audit
+      (Lazy.force r.Ropc.Rewriter.audit)
   in
   Alcotest.(check int) "no errors" 0
     (List.length (F.errors report.Staticanalysis.Driver.r_findings));

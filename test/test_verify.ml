@@ -112,7 +112,7 @@ let expect_kind name kind ds =
 (* corrupting a synthesized gadget's first byte must break the decode check *)
 let test_inject_gadget_byte_flip () =
   let r = rewrite fact_prog [ "fact" ] in
-  let audit = r.Ropc.Rewriter.audit in
+  let audit = Lazy.force r.Ropc.Rewriter.audit in
   let img = r.Ropc.Rewriter.image in
   let g =
     match List.find_opt (fun g -> not g.A.g_found) audit.A.a_gadgets with
@@ -129,7 +129,7 @@ let test_inject_gadget_byte_flip () =
    from the audit side *)
 let test_inject_gadget_mislabel () =
   let r = rewrite fact_prog [ "fact" ] in
-  let audit = r.Ropc.Rewriter.audit in
+  let audit = Lazy.force r.Ropc.Rewriter.audit in
   let open X86.Isa in
   let mislabeled =
     { audit with
@@ -151,7 +151,7 @@ let test_inject_gadget_mislabel () =
    must trip the clobber pass *)
 let test_inject_live_clobber () =
   let r = rewrite fact_prog [ "fact" ] in
-  let audit = r.Ropc.Rewriter.audit in
+  let audit = Lazy.force r.Ropc.Rewriter.audit in
   let _, summaries = Verify.Check.gadget_pass r.Ropc.Rewriter.image audit in
   (* find a point and a register that its slots write but nothing excuses *)
   let pick (f : A.func) =
@@ -202,7 +202,7 @@ let test_inject_live_clobber () =
 (* shrinking the recorded symbol size below the pivot stub must be caught *)
 let test_inject_undersized_stub () =
   let r = rewrite fact_prog [ "fact" ] in
-  let audit = r.Ropc.Rewriter.audit in
+  let audit = Lazy.force r.Ropc.Rewriter.audit in
   let funcs =
     List.map
       (fun (f : A.func) -> { f with A.f_sym_size = f.A.f_stub_len - 1 })
@@ -214,7 +214,7 @@ let test_inject_undersized_stub () =
 (* smashing materialized chain bytes must break the slot byte check *)
 let test_inject_chain_patch () =
   let r = rewrite fact_prog [ "fact" ] in
-  let audit = r.Ropc.Rewriter.audit in
+  let audit = Lazy.force r.Ropc.Rewriter.audit in
   let img = r.Ropc.Rewriter.image in
   let f = List.hd audit.A.a_funcs in
   let off =
@@ -236,7 +236,7 @@ let test_inject_chain_patch () =
 let test_inject_p1_residue () =
   let config = Ropc.Config.rop_k ~seed:1 0.0 in
   let r = rewrite ~config fact_prog [ "fact" ] in
-  let audit = r.Ropc.Rewriter.audit in
+  let audit = Lazy.force r.Ropc.Rewriter.audit in
   let img = r.Ropc.Rewriter.image in
   let f = List.hd audit.A.a_funcs in
   (match f.A.f_p1 with
@@ -260,7 +260,7 @@ let test_inject_opaque_residue () =
   in
   let r = rewrite ~config fact_prog [ "fact" ] in
   expect_kind "opaque residue" Verify.Diag.Chain_byte_mismatch
-    (Verify.Check.run r.Ropc.Rewriter.image r.Ropc.Rewriter.audit)
+    (Verify.Check.run r.Ropc.Rewriter.image (Lazy.force r.Ropc.Rewriter.audit))
 
 let () =
   Alcotest.run "verify"

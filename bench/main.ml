@@ -284,19 +284,6 @@ let json_of_results ~quick (wrs : workload_result list)
     (micro : (string * float option) list) =
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let jstr s =
-    let e = Buffer.create (String.length s + 2) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string e "\\\""
-        | '\\' -> Buffer.add_string e "\\\\"
-        | '\n' -> Buffer.add_string e "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string e (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char e c)
-      s;
-    Buffer.contents e
-  in
   let speedup wr a bname =
     let find n = List.find (fun (e : engine_result) -> e.name = n) wr.wr_engines in
     (find a).ns_per_step /. (find bname).ns_per_step
@@ -308,13 +295,13 @@ let json_of_results ~quick (wrs : workload_result list)
   List.iteri
     (fun i wr ->
        pf "    {\n";
-       pf "      \"name\": \"%s\",\n" (jstr wr.wr_name);
+       pf "      \"name\": \"%s\",\n" (Obs.Json.escape wr.wr_name);
        pf "      \"steps\": %d,\n" wr.wr_steps;
        pf "      \"engines\": {\n";
        List.iteri
          (fun j (e : engine_result) ->
             pf "        \"%s\": { \"ns_per_step\": %.2f, \"steps_per_sec\": %.0f }%s\n"
-              (jstr e.name) e.ns_per_step
+              (Obs.Json.escape e.name) e.ns_per_step
               (1e9 /. e.ns_per_step)
               (if j = List.length wr.wr_engines - 1 then "" else ","))
          wr.wr_engines;
@@ -323,7 +310,7 @@ let json_of_results ~quick (wrs : workload_result list)
        pf "      \"equality\": \"%s\"\n"
          (match wr.wr_equal with
           | Ok () -> "ok"
-          | Error m -> jstr ("mismatch: " ^ m));
+          | Error m -> Obs.Json.escape ("mismatch: " ^ m));
        pf "    }%s\n" (if i = List.length wrs - 1 then "" else ",")
     )
     wrs;
@@ -331,7 +318,7 @@ let json_of_results ~quick (wrs : workload_result list)
   pf "  \"microbench_ns_per_run\": [\n";
   List.iteri
     (fun i (n, est) ->
-       pf "    { \"name\": \"%s\", \"ns\": %s }%s\n" (jstr n)
+       pf "    { \"name\": \"%s\", \"ns\": %s }%s\n" (Obs.Json.escape n)
          (match est with Some e -> Printf.sprintf "%.0f" e | None -> "null")
          (if i = List.length micro - 1 then "" else ","))
     micro;
@@ -341,65 +328,73 @@ let json_of_results ~quick (wrs : workload_result list)
 
 (* --- baseline gate (--baseline FILE) --------------------------------------
 
-   Compares this run's fast-engine steps/sec per workload against a committed
-   BENCH_emulator.json and fails on a regression beyond 5%.  This is the
-   observability cost contract made executable: the metric/trace hooks are
-   compiled into the engines unconditionally, and the gate holds while they
-   stay disabled. *)
+   Compares this run with a committed BENCH_emulator.json.  Retired steps
+   are deterministic, and both engines are checked equal, so each
+   workload's steps must match the baseline exactly.  Fast-engine
+   steps/sec must stay within 5%.  This is the observability cost contract
+   made executable: the metric/trace hooks are compiled into the engines
+   unconditionally, and the gate holds while they stay disabled. *)
 
 let regression_floor = 0.95
 
-let check_baseline ~path (wrs : workload_result list) =
+(* Parsed before this run writes its own JSON: the two paths may be the
+   same file. *)
+let load_baseline path =
+  let ic = open_in_bin path in
+  let doc = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Obs.Json.parse doc
+
+let baseline_workload root name =
   let module J = Obs.Json in
-  let doc =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
+  match Option.bind (J.member "workloads" root) J.to_list with
+  | None -> None
+  | Some ws ->
+    List.find_opt (fun w -> J.member "name" w = Some (J.Str name)) ws
+
+let check_steps ~path root (wrs : workload_result list) =
+  Printf.printf "== Steps gate (%s, exact) ==\n" path;
+  List.for_all
+    (fun wr ->
+       match Option.bind (baseline_workload root wr.wr_name)
+               (Obs.Json.member "steps") with
+       | Some (Obs.Json.Num base) ->
+         let ok = float_of_int wr.wr_steps = base in
+         Printf.printf "  %-20s %12d steps vs baseline %12.0f  %s\n"
+           wr.wr_name wr.wr_steps base (if ok then "ok" else "MISMATCH");
+         ok
+       | _ ->
+         Printf.printf "  %-20s no baseline entry; skipped\n" wr.wr_name;
+         true)
+    wrs
+
+let check_baseline ~path root (wrs : workload_result list) =
+  let base_fast name =
+    match Option.bind (baseline_workload root name)
+            (Obs.Json.path [ "engines"; "fast"; "steps_per_sec" ]) with
+    | Some (Obs.Json.Num sps) -> Some sps
+    | _ -> None
   in
-  match J.parse doc with
-  | Error e ->
-    Printf.printf "baseline %s: parse error: %s\n%!" path e;
-    false
-  | Ok root ->
-    let base_fast name =
-      match Option.bind (J.member "workloads" root) J.to_list with
-      | None -> None
-      | Some ws ->
-        List.find_map
-          (fun w ->
-             match J.member "name" w with
-             | Some (J.Str n) when n = name ->
-               (match J.path [ "engines"; "fast"; "steps_per_sec" ] w with
-                | Some (J.Num sps) -> Some sps
-                | _ -> None)
-             | _ -> None)
-          ws
-    in
-    Printf.printf "== Baseline gate (%s, fast engine within %.0f%%) ==\n" path
-      ((1.0 -. regression_floor) *. 100.0);
-    let ok =
-      List.for_all
-        (fun wr ->
-           let fast =
-             List.find (fun (e : engine_result) -> e.name = "fast")
-               wr.wr_engines
-           in
-           let cur = 1e9 /. fast.ns_per_step in
-           match base_fast wr.wr_name with
-           | None ->
-             Printf.printf "  %-20s no baseline entry; skipped\n" wr.wr_name;
-             true
-           | Some base ->
-             let ratio = cur /. base in
-             Printf.printf
-               "  %-20s %12.0f steps/sec vs baseline %12.0f  (%.2fx) %s\n"
-               wr.wr_name cur base ratio
-               (if ratio >= regression_floor then "ok" else "REGRESSION");
-             ratio >= regression_floor)
-        wrs
-    in
-    ok
+  Printf.printf "== Baseline gate (%s, fast engine within %.0f%%) ==\n" path
+    ((1.0 -. regression_floor) *. 100.0);
+  List.for_all
+    (fun wr ->
+       let fast =
+         List.find (fun (e : engine_result) -> e.name = "fast") wr.wr_engines
+       in
+       let cur = 1e9 /. fast.ns_per_step in
+       match base_fast wr.wr_name with
+       | None ->
+         Printf.printf "  %-20s no baseline entry; skipped\n" wr.wr_name;
+         true
+       | Some base ->
+         let ratio = cur /. base in
+         Printf.printf
+           "  %-20s %12.0f steps/sec vs baseline %12.0f  (%.2fx) %s\n"
+           wr.wr_name cur base ratio
+           (if ratio >= regression_floor then "ok" else "REGRESSION");
+         ratio >= regression_floor)
+    wrs
 
 let run_json ~quick ~baseline ~path =
   (* each round is a few ms per engine; 20 rounds keeps the best-of estimate
@@ -407,6 +402,7 @@ let run_json ~quick ~baseline ~path =
   let rounds = 20 in
   let quota = if quick then 0.4 else 1.5 in
   let limit = if quick then 50 else 200 in
+  let baseline = Option.map (fun p -> (p, load_baseline p)) baseline in
   let wrs = List.map (bench_workload ~rounds) (make_workloads ()) in
   Printf.printf "== Emulator engines (best of %d rounds) ==\n" rounds;
   List.iter
@@ -430,14 +426,21 @@ let run_json ~quick ~baseline ~path =
   if List.exists (fun wr -> wr.wr_equal <> Ok ()) wrs then exit 1;
   match baseline with
   | None -> ()
-  | Some p ->
-    if not (check_baseline ~path:p wrs) then begin
+  | Some (p, Error e) ->
+    Printf.printf "baseline %s: parse error: %s\n%!" p e;
+    exit 1
+  | Some (p, Ok root) ->
+    if not (check_steps ~path:p root wrs) then begin
+      Printf.printf "steps gate FAILED: retired steps differ from %s\n%!" p;
+      exit 1
+    end;
+    if not (check_baseline ~path:p root wrs) then begin
       (* transient container load can shave a few percent off one sample;
          re-measure once with more rounds before calling it a regression *)
       Printf.printf "baseline gate missed; re-measuring (%d rounds)\n%!"
         (rounds * 2);
       let wrs = List.map (bench_workload ~rounds:(rounds * 2)) (make_workloads ()) in
-      if not (check_baseline ~path:p wrs) then begin
+      if not (check_baseline ~path:p root wrs) then begin
         Printf.printf
           "baseline gate FAILED: fast engine regressed more than %.0f%%\n%!"
           ((1.0 -. regression_floor) *. 100.0);
@@ -573,44 +576,33 @@ let json_of_solver_results ~quick ~rounds (rs : solver_mode_result list) =
    the gate out of reach. *)
 let solver_speedup_cap = 2.5
 
-let check_solver_baseline ~path (rs : solver_mode_result list) =
-  let module J = Obs.Json in
-  let doc =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
+let check_solver_baseline ~path root (rs : solver_mode_result list) =
+  let base name =
+    match Obs.Json.member name root with
+    | Some (Obs.Json.Num x) -> Some x
+    | _ -> None
   in
-  match J.parse doc with
-  | Error e ->
-    Printf.printf "baseline %s: parse error: %s\n%!" path e;
-    false
-  | Ok root ->
-    let base name =
-      match J.member name root with Some (J.Num x) -> Some x | _ -> None
-    in
-    Printf.printf "== Solver baseline gate (%s) ==\n" path;
-    List.for_all
-      (fun (key, mode) ->
-         match base key with
-         | None ->
-           Printf.printf "  %-30s no baseline entry; skipped\n" key;
-           true
-         | Some b ->
-           let cur = solver_speedup rs mode in
-           let floor =
-             regression_floor *. Float.min b solver_speedup_cap
-           in
-           Printf.printf "  %-30s %.2fx vs baseline %.2fx (floor %.2fx) %s\n"
-             key cur b floor
-             (if cur >= floor then "ok" else "REGRESSION");
-           cur >= floor)
-      [ ("speedup_memoized_vs_serial", "memoized");
-        ("speedup_portfolio_vs_serial", "portfolio") ]
+  Printf.printf "== Solver baseline gate (%s) ==\n" path;
+  List.for_all
+    (fun (key, mode) ->
+       match base key with
+       | None ->
+         Printf.printf "  %-30s no baseline entry; skipped\n" key;
+         true
+       | Some b ->
+         let cur = solver_speedup rs mode in
+         let floor = regression_floor *. Float.min b solver_speedup_cap in
+         Printf.printf "  %-30s %.2fx vs baseline %.2fx (floor %.2fx) %s\n"
+           key cur b floor
+           (if cur >= floor then "ok" else "REGRESSION");
+         cur >= floor)
+    [ ("speedup_memoized_vs_serial", "memoized");
+      ("speedup_portfolio_vs_serial", "portfolio") ]
 
 let run_solver_json ~quick ~baseline ~path =
   let reps = if quick then 2 else 3 in
   let rounds = if quick then 6 else 10 in
+  let baseline = Option.map (fun p -> (p, load_baseline p)) baseline in
   let rs = run_solver_bench ~reps ~rounds in
   let oc = open_out path in
   output_string oc (json_of_solver_results ~quick ~rounds rs);
@@ -618,11 +610,14 @@ let run_solver_json ~quick ~baseline ~path =
   Printf.printf "wrote %s\n%!" path;
   match baseline with
   | None -> ()
-  | Some p ->
-    if not (check_solver_baseline ~path:p rs) then begin
+  | Some (p, Error e) ->
+    Printf.printf "baseline %s: parse error: %s\n%!" p e;
+    exit 1
+  | Some (p, Ok root) ->
+    if not (check_solver_baseline ~path:p root rs) then begin
       Printf.printf "solver gate missed; re-measuring\n%!";
       let rs = run_solver_bench ~reps:(reps * 2) ~rounds in
-      if not (check_solver_baseline ~path:p rs) then begin
+      if not (check_solver_baseline ~path:p root rs) then begin
         Printf.printf "solver baseline gate FAILED\n%!";
         exit 1
       end

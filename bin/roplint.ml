@@ -81,8 +81,8 @@ let json_of_report ~tname ~cfg_name (r : SA.Driver.report)
                   Some
                     (Printf.sprintf
                        "{\"func\":\"%s\",\"addr\":\"0x%Lx\",\"reason\":\"%s\"}"
-                       (F.json_escape rg.SA.Transval.rg_func)
-                       rg.SA.Transval.rg_addr (F.json_escape reason)))
+                       (Obs.Json.escape rg.SA.Transval.rg_func)
+                       rg.SA.Transval.rg_addr (Obs.Json.escape reason)))
              tv.SA.Transval.tv_regions))
    | None -> ());
   let st = r.SA.Driver.r_stealth in
@@ -95,7 +95,7 @@ let json_of_report ~tname ~cfg_name (r : SA.Driver.report)
              Printf.sprintf
                "{\"func\":\"%s\",\"score\":%.2f,\"slot_frac\":%.4f,\
                 \"reuse\":%.4f,\"clustering\":%.4f}"
-               (F.json_escape fs.SA.Stealth.fs_name) fs.SA.Stealth.fs_score
+               (Obs.Json.escape fs.SA.Stealth.fs_name) fs.SA.Stealth.fs_score
                fs.SA.Stealth.fs_slot_frac fs.SA.Stealth.fs_reuse
                fs.SA.Stealth.fs_clustering)
           st.SA.Stealth.sl_funcs));
@@ -114,7 +114,7 @@ let json_of_report ~tname ~cfg_name (r : SA.Driver.report)
                Printf.sprintf
                  "{\"func\":\"%s\",\"true_slots\":%d,\"blocks\":%d,\
                   \"unresolved\":%d,\"guesses\":%d}"
-                 (F.json_escape a.at_func) a.at_true_slots a.at_blocks
+                 (Obs.Json.escape a.at_func) a.at_true_slots a.at_blocks
                  a.at_unresolved a.at_guesses)
             attackers));
   Buffer.add_char b '}';

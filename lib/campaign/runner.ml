@@ -206,39 +206,25 @@ let crossover_csv curves =
             cv.cv_points)
        curves)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-       match ch with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let crossover_json (g : Grid.t) curves =
   let b = Buffer.create 4096 in
   Buffer.add_string b
     (Printf.sprintf
        "{\"schema\":\"campaign_crossover/v1\",\"grid\":\"%s\",\"cells\":%d,\"curves\":["
-       (json_escape g.Grid.g_name) (Grid.size g));
+       (Obs.Json.escape g.Grid.g_name) (Grid.size g));
   List.iteri
     (fun i cv ->
        if i > 0 then Buffer.add_char b ',';
        Buffer.add_string b
          (Printf.sprintf "{\"attacker\":\"%s\",\"config\":\"%s\",\"points\":["
-            (json_escape cv.cv_attacker) (json_escape cv.cv_config));
+            (Obs.Json.escape cv.cv_attacker) (Obs.Json.escape cv.cv_config));
        List.iteri
          (fun j p ->
             if j > 0 then Buffer.add_char b ',';
             Buffer.add_string b
               (Printf.sprintf
                  "{\"budget\":\"%s\",\"solver_evals\":%d,\"found\":%d,\"targets\":%d}"
-                 (json_escape p.pt_budget) p.pt_evals p.pt_found p.pt_targets))
+                 (Obs.Json.escape p.pt_budget) p.pt_evals p.pt_found p.pt_targets))
          cv.cv_points;
        Buffer.add_string b "]}")
     curves;

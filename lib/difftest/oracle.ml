@@ -62,8 +62,9 @@ let same_outcome a b =
 (* Which execution engine runs the machine legs.  [E_both] is the
    cross-engine oracle: every leg runs under the fast block-translating
    engine AND the reference stepper, and any observable divergence —
-   termination class, fault message, rax, retired step count, global
-   buffer — is reported as an [Engine_split] discrepancy. *)
+   termination class, fault message, retired step count, any of the 16
+   registers, rip or the five flags at exit, global buffer — is reported
+   as an [Engine_split] discrepancy. *)
 type engine_mode = E_fast | E_ref | E_both
 
 let engine_mode_name = function
@@ -236,6 +237,27 @@ let outcome_of_result img (r : Runner.result) : outcome =
   | Machine.Exec.Fault m -> Fault m
   | Machine.Exec.Out_of_fuel -> Timeout
 
+(* The first of the 16 registers, rip and the five flags on which the fast
+   engine's exit state [f] differs from the reference's [r]. *)
+let state_diff (f : Machine.Cpu.t) (r : Machine.Cpu.t) =
+  let module C = Machine.Cpu in
+  let v64 name a b =
+    if a = b then None
+    else Some (Printf.sprintf "%s: fast=%Ld ref=%Ld" name a b)
+  in
+  let flag name a b =
+    if a = b then None
+    else Some (Printf.sprintf "%s: fast=%b ref=%b" name a b)
+  in
+  List.find_map Fun.id
+    (List.map
+       (fun reg -> v64 (X86.Pp.reg_name reg) (C.get f reg) (C.get r reg))
+       X86.Isa.all_regs
+     @ [ v64 "rip" (C.rip f) (C.rip r);
+         flag "cf" f.C.cf r.C.cf; flag "zf" f.C.zf r.C.zf;
+         flag "sf" f.C.sf r.C.sf; flag "of" f.C.o_f r.C.o_f;
+         flag "pf" f.C.pf r.C.pf ])
+
 let run_machine ~fuel (cfg : config) (case : Gen.t) img args : outcome =
   match cfg.engine with
   | E_fast ->
@@ -246,9 +268,9 @@ let run_machine ~fuel (cfg : config) (case : Gen.t) img args : outcome =
       (Runner.call ~engine:Machine.Exec.Ref ~fuel img ~func:case.Gen.fname ~args)
   | E_both ->
     (* Cross-engine oracle: the comparison is strict — identical status
-       (message included), rax, retired step count and global buffer — since
-       the fast engine claims observational equivalence, not just
-       same-answer. *)
+       (message included), retired step count, exit state and global
+       buffer — since the fast engine claims observational equivalence,
+       not just same-answer. *)
     let rf =
       Runner.call ~engine:Machine.Exec.Fast ~fuel img ~func:case.Gen.fname ~args
     in
@@ -263,14 +285,13 @@ let run_machine ~fuel (cfg : config) (case : Gen.t) img args : outcome =
       Engine_split
         (Printf.sprintf "steps: fast=%d ref=%d (%s)" rf.Runner.steps
            rr.Runner.steps sf)
-    else if rf.Runner.rax <> rr.Runner.rax then
-      Engine_split
-        (Printf.sprintf "rax: fast=%Ld ref=%Ld" rf.Runner.rax rr.Runner.rax)
-    else begin
-      let mf = gbuf_snapshot img rf and mr = gbuf_snapshot img rr in
-      if mf <> mr then Engine_split "global buffer contents differ"
-      else outcome_of_result img rf
-    end
+    else
+      match state_diff rf.Runner.cpu rr.Runner.cpu with
+      | Some d -> Engine_split d
+      | None ->
+        let mf = gbuf_snapshot img rf and mr = gbuf_snapshot img rr in
+        if mf <> mr then Engine_split "global buffer contents differ"
+        else outcome_of_result img rf
 
 (* Run one input vector through every configured backend. *)
 let run (cfg : config) (p : prepared) args : (backend * outcome) list =

@@ -42,35 +42,21 @@ let add t r = t.runs <- t.runs @ [ r ]
 
 (* --- JSON emission (no external dependency) ------------------------------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let entry_json b e =
   Printf.bprintf b
     "{\"key\":\"%s\",\"status\":\"%s\",\"time_s\":%.6f,\"utime_s\":%.6f,\
      \"stime_s\":%.6f,\"attempts\":%d,\"cached\":%b}"
-    (esc e.e_key) (esc e.e_status) e.e_time_s e.e_utime_s e.e_stime_s
-    e.e_attempts e.e_cached
+    (Obs.Json.escape e.e_key) (Obs.Json.escape e.e_status) e.e_time_s
+    e.e_utime_s e.e_stime_s e.e_attempts e.e_cached
 
 let run_json b r =
   Printf.bprintf b
     "{\"label\":\"%s\",\"jobs\":%d,\"total\":%d,\"ok\":%d,\"failed\":%d,\
      \"timed_out\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"wall_s\":%.6f,\
      \"cpu_s\":%.6f,\"utilization\":%.4f,\"interrupted\":%b,\"entries\":["
-    (esc r.r_label) r.r_jobs r.r_total r.r_ok r.r_failed r.r_timed_out
-    r.r_cache_hits r.r_cache_misses r.r_wall_s r.r_cpu_s r.r_utilization
-    r.r_interrupted;
+    (Obs.Json.escape r.r_label) r.r_jobs r.r_total r.r_ok r.r_failed
+    r.r_timed_out r.r_cache_hits r.r_cache_misses r.r_wall_s r.r_cpu_s
+    r.r_utilization r.r_interrupted;
   List.iteri
     (fun i e ->
        if i > 0 then Buffer.add_char b ',';

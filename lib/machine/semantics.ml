@@ -1,12 +1,14 @@
 (* x64-lite semantics, defined once.
 
-   The first half holds the concrete int64 helpers: width arithmetic, flag
-   formulas, wide multiply and divide.  The block compiler in [Exec] builds
-   its hand-specialized closures from them.
+   The first half holds the concrete int64 helpers: width arithmetic,
+   parity, wide multiply and divide.  The flag formulas live only in [Make]
+   (the fast engine's 64-bit ALU kernel in [Exec] is their full-width
+   specialization).
 
    The second half is [Make], the per-instruction semantics over an
    abstract [MACHINE].  [Exec] instantiates it over [Cpu.t] (int64 values,
-   bool flags) for the reference stepper; [Symex.Sym_state] instantiates it
+   bool flags) for the reference stepper and for every shape its fast
+   engine does not specialize; [Symex.Sym_state] instantiates it
    over [Expr.t] values.  The attacker's model and the machine it attacks
    therefore share every formula.  test/test_symex.ml runs both instances
    on random single instructions and requires them to agree. *)
@@ -20,9 +22,6 @@ let mask = function
   | W64 -> -1L
 
 let truncate w v = Int64.logand v (mask w)
-
-let sign_bit w v =
-  Int64.logand (Int64.shift_right_logical v (width_bits w - 1)) 1L = 1L
 
 (* Sign-extend a [w]-wide value to 64 bits. *)
 let sign_extend w v =
@@ -45,25 +44,6 @@ let parity v =
   String.unsafe_get parity_table (Int64.to_int v land 0xFF) = '\001'
 
 type flags = { cf : bool; zf : bool; sf : bool; o_f : bool; pf : bool }
-
-(* Carry-out of r = a + b (+carry), all masked to width w: standard
-   bitwise formula, independent of how r was computed. *)
-let carry_out w a b r =
-  let m = Int64.logor (Int64.logand a b)
-            (Int64.logand (Int64.logor a b) (Int64.lognot r)) in
-  sign_bit w m
-
-(* Borrow-out of r = a - b (-borrow). *)
-let borrow_out w a b r =
-  let m = Int64.logor (Int64.logand (Int64.lognot a) b)
-            (Int64.logand (Int64.logor (Int64.lognot a) b) r) in
-  sign_bit w m
-
-let overflow_add w a b r =
-  sign_bit w (Int64.logand (Int64.logxor a r) (Int64.logxor b r))
-
-let overflow_sub w a b r =
-  sign_bit w (Int64.logand (Int64.logxor a b) (Int64.logxor a r))
 
 (* Unsigned and signed high halves of a 64x64 multiply. *)
 let mulhi_u a b =

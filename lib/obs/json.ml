@@ -1,12 +1,12 @@
-(* Minimal JSON reader.
+(* Minimal JSON reader, and the one string escaper.
 
    The repo emits JSON by hand (lib/jobs/manifest.ml, bench/main.ml,
-   Trace.to_json) and, with this module, can read it back without an
-   external dependency: the trace schema validator re-parses what
-   Trace.to_json wrote, and bench/main.exe reads the committed
-   BENCH_emulator.json baseline for its regression gate.  It is a strict
-   recursive-descent parser over the full document — no streaming, no
-   extensions beyond standard JSON. *)
+   Trace.to_json), escaping every string with [escape], and, with this
+   module, can read it back without an external dependency: the trace
+   schema validator re-parses what Trace.to_json wrote, and bench/main.exe
+   reads the committed BENCH_emulator.json baseline for its regression
+   gate.  It is a strict recursive-descent parser over the full document —
+   no streaming, no extensions beyond standard JSON. *)
 
 type t =
   | Null
@@ -17,6 +17,26 @@ type t =
   | Obj of (string * t) list
 
 exception Bad of string * int      (* message, byte offset *)
+
+(* The body of a JSON string literal holding the bytes of [s].  Quote,
+   backslash, newline, carriage return and tab get their short escapes,
+   the other control bytes \u00XX; every other byte, 0x7F and non-ASCII
+   included, passes through.  [parse] reads the literal back to [s] for
+   all 256 byte values. *)
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 let parse (s : string) : (t, string) result =
   let n = String.length s in

@@ -87,29 +87,15 @@ let spans () =
 
 (* --- chrome://tracing JSON export ---------------------------------------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let span_json b s =
   if s.s_instant then
     Printf.bprintf b
       "{\"name\":\"%s\",\"cat\":\"raindrop\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":1"
-      (esc s.s_name) s.s_ts_us
+      (Json.escape s.s_name) s.s_ts_us
   else
     Printf.bprintf b
       "{\"name\":\"%s\",\"cat\":\"raindrop\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1"
-      (esc s.s_name) s.s_ts_us s.s_dur_us;
+      (Json.escape s.s_name) s.s_ts_us s.s_dur_us;
   (match s.s_args with
    | [] -> ()
    | args ->
@@ -117,7 +103,7 @@ let span_json b s =
      List.iteri
        (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "\"%s\":\"%s\"" (esc k) (esc v))
+          Printf.bprintf b "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
        args;
      Buffer.add_char b '}');
   Buffer.add_char b '}'
@@ -130,7 +116,7 @@ let counter_json b ts (k, (v : Metrics.value)) =
   let one name n =
     Printf.bprintf b
       ",{\"name\":\"%s\",\"cat\":\"raindrop\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"args\":{\"value\":%d}}"
-      (esc name) ts n
+      (Json.escape name) ts n
   in
   match v with
   | Metrics.Counter n | Metrics.Gauge n -> one k n

@@ -241,23 +241,7 @@ type response = { rs_id : int; rs_body : resp_body }
 
 (* --- encoding (hand-rolled, like the rest of the repo's JSON output) -------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-       match ch with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ json_escape s ^ "\""
+let jstr s = "\"" ^ Obs.Json.escape s ^ "\""
 
 (* %.17g round-trips every finite float, so encode/decode is lossless. *)
 let jfloat f =

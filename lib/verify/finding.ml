@@ -60,28 +60,12 @@ let counts fs =
        | Info -> (e, w, i + 1))
     (0, 0, 0) fs
 
-(* Escape for embedding messages in hand-emitted JSON reports. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json f =
   let b = Buffer.create 128 in
   Printf.bprintf b "{\"severity\":\"%s\",\"tag\":\"%s\""
-    (severity_str f.severity) (json_escape f.tag);
+    (severity_str f.severity) (Obs.Json.escape f.tag);
   (match f.func with
-   | Some fn -> Printf.bprintf b ",\"func\":\"%s\"" (json_escape fn)
+   | Some fn -> Printf.bprintf b ",\"func\":\"%s\"" (Obs.Json.escape fn)
    | None -> ());
   (match f.addr with
    | Some a -> Printf.bprintf b ",\"addr\":\"0x%Lx\"" a
@@ -89,5 +73,5 @@ let to_json f =
   (match f.chain_off with
    | Some o -> Printf.bprintf b ",\"chain_off\":%d" o
    | None -> ());
-  Printf.bprintf b ",\"msg\":\"%s\"}" (json_escape f.msg);
+  Printf.bprintf b ",\"msg\":\"%s\"}" (Obs.Json.escape f.msg);
   Buffer.contents b

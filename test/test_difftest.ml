@@ -105,6 +105,22 @@ let test_oracle_layered_smoke () =
   Alcotest.(check bool) "most cases ROP-rewritten" true
     (s.Driver.s_coverage.Coverage.rop_rewritten >= 9)
 
+(* The cross-engine oracle names the first register, rip or flag on which
+   two exit states differ, and nothing when they agree. *)
+let test_state_diff () =
+  let cpu () = Machine.Cpu.create (Machine.Memory.create ()) in
+  let a = cpu () and b = cpu () in
+  Alcotest.(check (option string)) "equal states" None (Oracle.state_diff a b);
+  b.Machine.Cpu.pf <- true;
+  Alcotest.(check (option string)) "flag" (Some "pf: fast=false ref=true")
+    (Oracle.state_diff a b);
+  Machine.Cpu.set_rip a 0x40L;
+  Alcotest.(check (option string)) "rip before flags"
+    (Some "rip: fast=64 ref=0") (Oracle.state_diff a b);
+  Machine.Cpu.set b X86.Isa.R15 7L;
+  Alcotest.(check (option string)) "registers first"
+    (Some "r15: fast=0 ref=7") (Oracle.state_diff a b)
+
 let () =
   Alcotest.run "difftest"
     [ ("determinism",
@@ -115,7 +131,8 @@ let () =
            test_oracle_smoke;
          Alcotest.test_case "12-case smoke, layered+verified" `Quick
            test_oracle_layered_smoke;
-         Alcotest.test_case "preset table" `Quick test_configs ]);
+         Alcotest.test_case "preset table" `Quick test_configs;
+         Alcotest.test_case "cross-engine exit state" `Quick test_state_diff ]);
       ("shrink",
        [ Alcotest.test_case "synthetic predicate" `Quick test_shrink_synthetic ])
     ]

@@ -229,6 +229,23 @@ let test_schema_rejects () =
 
 (* --- the JSON parser itself -------------------------------------------------- *)
 
+(* The one escaper: short escapes for quote, backslash, \n, \r and \t,
+   \u00XX for the other control bytes, everything else verbatim; and
+   [parse] inverts it on every byte value, alone and all together. *)
+let test_json_escape () =
+  Alcotest.(check string) "mapping" "\\\"\\\\\\n\\r\\t\\u0001\x7f\xff"
+    (J.escape "\"\\\n\r\t\x01\x7f\xff");
+  let round s =
+    match J.parse ("\"" ^ J.escape s ^ "\"") with
+    | Ok (J.Str s') -> s' = s
+    | Ok _ | Error _ -> false
+  in
+  for c = 0 to 255 do
+    Alcotest.(check bool) (Printf.sprintf "byte 0x%02x" c) true
+      (round (String.make 1 (Char.chr c)))
+  done;
+  Alcotest.(check bool) "all bytes" true (round (String.init 256 Char.chr))
+
 let test_json_parser () =
   let ok s = match J.parse s with Ok v -> v | Error e -> Alcotest.fail e in
   Alcotest.(check bool) "null" true (ok "null" = J.Null);
@@ -272,4 +289,5 @@ let () =
            test_trace_json_roundtrip;
          Alcotest.test_case "schema rejections" `Quick test_schema_rejects ]);
       ("json",
-       [ Alcotest.test_case "parser" `Quick test_json_parser ]) ]
+       [ Alcotest.test_case "parser" `Quick test_json_parser;
+         Alcotest.test_case "escape round-trip" `Quick test_json_escape ]) ]

@@ -1,168 +1,15 @@
-(* Benchmark harness: one Bechamel micro-benchmark per table/figure of the
-   paper (measuring the core operation each experiment exercises), followed
-   by the quick-scale regeneration of every table and figure.
+(* Benchmark gates: the emulator engines and the solver memo/portfolio,
+   each written to a BENCH_*.json report and, with a baseline, gated
+   against the committed one.
 
-     dune exec bench/main.exe *)
+     dune exec bench/main.exe -- --json [FILE] [--quick] [--baseline FILE]
+     dune exec bench/main.exe -- --json-solver [FILE] [--quick]
+                                 [--baseline-solver FILE]
 
-open Bechamel
-open Toolkit
+   Both legs run under `dune build @bench` (bench/dune).  The quick-scale
+   regeneration of every table and figure is `bin/experiments.exe all`. *)
 
-(* --- one Test.make per table/figure -------------------------------------- *)
-
-(* Table II: one DSE attack on a small protected target *)
-let bench_table2 =
-  let t =
-    Minic.Randomfuns.generate
-      (Minic.Randomfuns.default_params ~loop_size:3 ~seed:1 ~input_size:1
-         ~control_index:0 ())
-  in
-  let img = Minic.Codegen.compile t.Minic.Randomfuns.prog in
-  let rop =
-    (Ropc.Rewriter.rewrite img ~functions:[ "target" ]
-       ~config:(Ropc.Config.rop_k 0.25)).Ropc.Rewriter.image
-  in
-  let budget =
-    { Symex.Engine.default_budget with wall_seconds = 0.4; solver_evals = 4000 }
-  in
-  Test.make ~name:"table2: DSE attack on ROP_0.25 target"
-    (Staged.stage (fun () ->
-         let tgt = { Symex.Engine.img = rop; func = "target"; n_inputs = 1 } in
-         ignore (Symex.Engine.dse ~goal:Symex.Engine.G_secret ~budget tgt)))
-
-(* Figure 5: chain execution overhead: run one ROP-encoded clbg benchmark *)
-let bench_fig5 =
-  let _, prog, fns, _ = List.nth Minic.Clbg.all 1 (* fannkuch *) in
-  let img = Minic.Codegen.compile prog in
-  let rop =
-    (Ropc.Rewriter.rewrite img ~functions:fns
-       ~config:(Ropc.Config.rop_k 0.05)).Ropc.Rewriter.image
-  in
-  Test.make ~name:"fig5: ROP_0.05 fannkuch execution"
-    (Staged.stage (fun () ->
-         ignore (Runner.call_exn ~fuel:100_000_000 rop ~func:"bench" ~args:[ 6L ])))
-
-(* Table III: a full rewrite of a clbg benchmark (chain crafting throughput) *)
-let bench_table3 =
-  let _, prog, fns, _ = List.nth Minic.Clbg.all 2 (* fasta *) in
-  Test.make ~name:"table3: rewrite fasta at k=1.0"
-    (Staged.stage (fun () ->
-         let img = Minic.Codegen.compile prog in
-         ignore
-           (Ropc.Rewriter.rewrite img ~functions:fns
-              ~config:(Ropc.Config.rop_k 1.0))))
-
-(* Table IV: RandomFuns generation *)
-let bench_table4 =
-  Test.make ~name:"table4: RandomFuns generation"
-    (Staged.stage (fun () ->
-         ignore
-           (Minic.Randomfuns.generate
-              (Minic.Randomfuns.default_params ~seed:3 ~input_size:4
-                 ~control_index:4 ()))))
-
-(* §VII-A.1: a TDS trace simplification *)
-let bench_efficacy =
-  let t =
-    Minic.Randomfuns.generate
-      (Minic.Randomfuns.default_params ~loop_size:3 ~seed:1 ~input_size:1
-         ~control_index:0 ())
-  in
-  let img = Minic.Codegen.compile t.Minic.Randomfuns.prog in
-  let rop =
-    (Ropc.Rewriter.rewrite img ~functions:[ "target" ]
-       ~config:(Ropc.Config.rop_k 0.5)).Ropc.Rewriter.image
-  in
-  Test.make ~name:"efficacy: TDS on a P3 chain"
-    (Staged.stage (fun () ->
-         ignore (Taint.Tds.run ~fuel:200_000 rop ~func:"target" ~n_inputs:1 ~input:[| 9 |])))
-
-(* §VII-A.2: a ROPDissector chain analysis *)
-let bench_ropaware =
-  let t =
-    Minic.Randomfuns.generate
-      (Minic.Randomfuns.default_params ~loop_size:3 ~seed:1 ~input_size:1
-         ~control_index:5 ())
-  in
-  let img = Minic.Codegen.compile t.Minic.Randomfuns.prog in
-  let r =
-    Ropc.Rewriter.rewrite img ~functions:[ "target" ]
-      ~config:(Ropc.Config.plain ())
-  in
-  let addr, len =
-    match List.assoc "target" r.Ropc.Rewriter.funcs with
-    | Ok st -> (st.Ropc.Rewriter.fs_chain_addr, st.Ropc.Rewriter.fs_chain_bytes)
-    | Error _ -> assert false
-  in
-  let img = r.Ropc.Rewriter.image in
-  Test.make ~name:"ropaware: ROPDissector chain walk"
-    (Staged.stage (fun () ->
-         ignore (Ropaware.Ropdissector.analyze img ~chain_addr:addr ~chain_len:len)))
-
-(* §VII-C1: corpus rewrite coverage *)
-let bench_coverage =
-  Test.make ~name:"coverage: rewrite the corpus"
-    (Staged.stage (fun () ->
-         let img = Minic.Corpus.compile () in
-         ignore
-           (Ropc.Rewriter.rewrite img ~functions:Minic.Corpus.all_names
-              ~config:(Ropc.Config.plain ()))))
-
-(* §VII-C3: the base64 chain *)
-let bench_casestudy =
-  let prog = Minic.Programs.base64_program () in
-  let img = Minic.Codegen.compile prog in
-  let rop =
-    (Ropc.Rewriter.rewrite img ~functions:[ "b64_check"; "b64_encode" ]
-       ~config:(Ropc.Config.rop_k 0.25)).Ropc.Rewriter.image
-  in
-  Test.make ~name:"casestudy: ROP_0.25 base64 check"
-    (Staged.stage (fun () ->
-         ignore
-           (Runner.call_exn ~fuel:100_000_000 rop ~func:"b64_check"
-              ~args:[ Minic.Programs.secret_arg ])))
-
-(* lib/jobs: fixed cost of the pool itself — fork, dispatch, marshal both
-   ways, reap — measured on trivial tasks so the scheduler overhead is the
-   whole signal.  Worth watching: every experiment cell pays this once. *)
-let bench_jobs =
-  Test.make ~name:"jobs: 8-task round-trip on a 2-worker pool"
-    (Staged.stage (fun () ->
-         ignore
-           (Jobs.Pool.map
-              { Jobs.Pool.default with Jobs.Pool.jobs = 2 }
-              ~key:string_of_int
-              ~f:(fun i -> i * i)
-              (List.init 8 Fun.id))))
-
-let tests =
-  [ bench_table2; bench_fig5; bench_table3; bench_table4; bench_efficacy;
-    bench_ropaware; bench_coverage; bench_casestudy; bench_jobs ]
-
-(* Returns [(name, ns_per_run option)] so --json can embed the estimates. *)
-let run_benchmarks ?(quota = 1.5) ?(limit = 200) () =
-  let cfg = Benchmark.cfg ~limit ~quota:(Time.second quota) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  Printf.printf "== Bechamel micro-benchmarks (one per table/figure) ==\n%!";
-  let out = ref [] in
-  List.iter
-    (fun test ->
-       let results = Benchmark.all cfg instances test in
-       let results = Analyze.all ols Instance.monotonic_clock results in
-       Hashtbl.iter
-         (fun name ols_result ->
-            match Analyze.OLS.estimates ols_result with
-            | Some [ est ] ->
-              Printf.printf "%-45s %12.0f ns/run\n%!" name est;
-              out := (name, Some est) :: !out
-            | Some _ | None ->
-              Printf.printf "%-45s (no estimate)\n%!" name;
-              out := (name, None) :: !out)
-         results)
-    tests;
-  List.rev !out
+module J = Obs.Json
 
 (* --- emulator engine benchmark (--json) ---------------------------------- *)
 
@@ -224,7 +71,7 @@ let run_machine_engine eng w mem0 =
     o_steps = cpu.Machine.Cpu.steps;
     o_dt = dt }
 
-type engine_result = { name : string; ns_per_step : float; steps : int }
+type engine_result = { name : string; ns_per_step : float }
 
 type workload_result = {
   wr_name : string;
@@ -273,58 +120,33 @@ let bench_workload ~rounds w : workload_result =
   { wr_name = w.w_name;
     wr_steps = fast0.o_steps;
     wr_engines =
-      List.mapi
-        (fun i (n, _) ->
-           { name = n; ns_per_step = best.(i); steps = fast0.o_steps })
-        engines;
+      List.mapi (fun i (n, _) -> { name = n; ns_per_step = best.(i) }) engines;
     wr_equal }
 
-(* Hand-rolled JSON, same idiom as lib/jobs/manifest.ml. *)
-let json_of_results ~quick (wrs : workload_result list)
-    (micro : (string * float option) list) =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+let json_of_results ~quick (wrs : workload_result list) =
   let speedup wr a bname =
     let find n = List.find (fun (e : engine_result) -> e.name = n) wr.wr_engines in
     (find a).ns_per_step /. (find bname).ns_per_step
   in
-  pf "{\n";
-  pf "  \"schema\": \"bench_emulator/v1\",\n";
-  pf "  \"quick\": %b,\n" quick;
-  pf "  \"workloads\": [\n";
-  List.iteri
-    (fun i wr ->
-       pf "    {\n";
-       pf "      \"name\": \"%s\",\n" (Obs.Json.escape wr.wr_name);
-       pf "      \"steps\": %d,\n" wr.wr_steps;
-       pf "      \"engines\": {\n";
-       List.iteri
-         (fun j (e : engine_result) ->
-            pf "        \"%s\": { \"ns_per_step\": %.2f, \"steps_per_sec\": %.0f }%s\n"
-              (Obs.Json.escape e.name) e.ns_per_step
-              (1e9 /. e.ns_per_step)
-              (if j = List.length wr.wr_engines - 1 then "" else ","))
-         wr.wr_engines;
-       pf "      },\n";
-       pf "      \"speedup_fast_vs_ref\": %.2f,\n" (speedup wr "ref" "fast");
-       pf "      \"equality\": \"%s\"\n"
-         (match wr.wr_equal with
-          | Ok () -> "ok"
-          | Error m -> Obs.Json.escape ("mismatch: " ^ m));
-       pf "    }%s\n" (if i = List.length wrs - 1 then "" else ",")
-    )
-    wrs;
-  pf "  ],\n";
-  pf "  \"microbench_ns_per_run\": [\n";
-  List.iteri
-    (fun i (n, est) ->
-       pf "    { \"name\": \"%s\", \"ns\": %s }%s\n" (Obs.Json.escape n)
-         (match est with Some e -> Printf.sprintf "%.0f" e | None -> "null")
-         (if i = List.length micro - 1 then "" else ","))
-    micro;
-  pf "  ]\n";
-  pf "}\n";
-  Buffer.contents b
+  let engine (e : engine_result) =
+    ( e.name,
+      J.Obj
+        [ ("ns_per_step", J.decimals 2 e.ns_per_step);
+          ("steps_per_sec", J.decimals 0 (1e9 /. e.ns_per_step)) ] )
+  in
+  let workload wr =
+    J.Obj
+      [ ("name", J.Str wr.wr_name); ("steps", J.int wr.wr_steps);
+        ("engines", J.Obj (List.map engine wr.wr_engines));
+        ("speedup_fast_vs_ref", J.decimals 2 (speedup wr "ref" "fast"));
+        ("equality",
+         J.Str (match wr.wr_equal with Ok () -> "ok" | Error m -> "mismatch: " ^ m)) ]
+  in
+  J.to_string
+    (J.Obj
+       [ ("schema", J.Str "bench_emulator/v2"); ("quick", J.Bool quick);
+         ("workloads", J.Arr (List.map workload wrs)) ])
+  ^ "\n"
 
 (* --- baseline gate (--baseline FILE) --------------------------------------
 
@@ -343,11 +165,10 @@ let load_baseline path =
   let ic = open_in_bin path in
   let doc = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  Obs.Json.parse doc
+  J.parse doc
 
 let baseline_workload root name =
-  let module J = Obs.Json in
-  match Option.bind (J.member "workloads" root) J.to_list with
+  match Option.bind (J.member "workloads" root) J.as_list with
   | None -> None
   | Some ws ->
     List.find_opt (fun w -> J.member "name" w = Some (J.Str name)) ws
@@ -357,8 +178,8 @@ let check_steps ~path root (wrs : workload_result list) =
   List.for_all
     (fun wr ->
        match Option.bind (baseline_workload root wr.wr_name)
-               (Obs.Json.member "steps") with
-       | Some (Obs.Json.Num base) ->
+               (J.member "steps") with
+       | Some (J.Num base) ->
          let ok = float_of_int wr.wr_steps = base in
          Printf.printf "  %-20s %12d steps vs baseline %12.0f  %s\n"
            wr.wr_name wr.wr_steps base (if ok then "ok" else "MISMATCH");
@@ -371,8 +192,8 @@ let check_steps ~path root (wrs : workload_result list) =
 let check_baseline ~path root (wrs : workload_result list) =
   let base_fast name =
     match Option.bind (baseline_workload root name)
-            (Obs.Json.path [ "engines"; "fast"; "steps_per_sec" ]) with
-    | Some (Obs.Json.Num sps) -> Some sps
+            (J.path [ "engines"; "fast"; "steps_per_sec" ]) with
+    | Some (J.Num sps) -> Some sps
     | _ -> None
   in
   Printf.printf "== Baseline gate (%s, fast engine within %.0f%%) ==\n" path
@@ -400,8 +221,6 @@ let run_json ~quick ~baseline ~path =
   (* each round is a few ms per engine; 20 rounds keeps the best-of estimate
      stable enough for the 5% baseline gate even in quick mode *)
   let rounds = 20 in
-  let quota = if quick then 0.4 else 1.5 in
-  let limit = if quick then 50 else 200 in
   let baseline = Option.map (fun p -> (p, load_baseline p)) baseline in
   let wrs = List.map (bench_workload ~rounds) (make_workloads ()) in
   Printf.printf "== Emulator engines (best of %d rounds) ==\n" rounds;
@@ -417,8 +236,7 @@ let run_json ~quick ~baseline ~path =
         | Ok () -> Printf.printf "  engines agree (status, rax, steps)\n%!"
         | Error m -> Printf.printf "  ENGINE MISMATCH: %s\n%!" m))
     wrs;
-  let micro = run_benchmarks ~quota ~limit () in
-  let json = json_of_results ~quick wrs micro in
+  let json = json_of_results ~quick wrs in
   let oc = open_out path in
   output_string oc json;
   close_out oc;
@@ -545,30 +363,29 @@ let run_solver_bench ~reps ~rounds =
   rs
 
 let json_of_solver_results ~quick ~rounds (rs : solver_mode_result list) =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let memo_x = solver_speedup rs "memoized" in
   let port_x = solver_speedup rs "portfolio" in
-  pf "{\n";
-  pf "  \"schema\": \"bench_solver/v1\",\n";
-  pf "  \"quick\": %b,\n" quick;
-  pf "  \"corpus\": { \"queries\": 42, \"rounds\": %d },\n" rounds;
-  pf "  \"modes\": {\n";
-  List.iteri
-    (fun i r ->
-       pf "    \"%s\": { \"queries_per_sec\": %.0f, \"evals\": %d, \"memo_hits\": %d }%s\n"
-         r.sm_name r.sm_qps r.sm_evals r.sm_memo_hits
-         (if i = List.length rs - 1 then "" else ","))
-    rs;
-  pf "  },\n";
-  pf "  \"speedup_memoized_vs_serial\": %.2f,\n" memo_x;
-  pf "  \"speedup_portfolio_vs_serial\": %.2f,\n" port_x;
-  pf "  \"acceptance\": {\n";
-  pf "    \"criterion\": \"memoized and portfolio each >= 2x serial queries/sec on the repeated-query corpus\",\n";
-  pf "    \"pass\": %b\n" (memo_x >= 2.0 && port_x >= 2.0);
-  pf "  }\n";
-  pf "}\n";
-  Buffer.contents b
+  let mode r =
+    ( r.sm_name,
+      J.Obj
+        [ ("queries_per_sec", J.decimals 0 r.sm_qps); ("evals", J.int r.sm_evals);
+          ("memo_hits", J.int r.sm_memo_hits) ] )
+  in
+  J.to_string
+    (J.Obj
+       [ ("schema", J.Str "bench_solver/v1"); ("quick", J.Bool quick);
+         ("corpus", J.Obj [ ("queries", J.int 42); ("rounds", J.int rounds) ]);
+         ("modes", J.Obj (List.map mode rs));
+         ("speedup_memoized_vs_serial", J.decimals 2 memo_x);
+         ("speedup_portfolio_vs_serial", J.decimals 2 port_x);
+         ("acceptance",
+          J.Obj
+            [ ("criterion",
+               J.Str
+                 "memoized and portfolio each >= 2x serial queries/sec on the \
+                  repeated-query corpus");
+              ("pass", J.Bool (memo_x >= 2.0 && port_x >= 2.0)) ]) ])
+  ^ "\n"
 
 (* Baseline gate on *speedups* (machine-independent, unlike raw qps): this
    run's memoized and portfolio speedups must reach 95%% of the committed
@@ -578,8 +395,8 @@ let solver_speedup_cap = 2.5
 
 let check_solver_baseline ~path root (rs : solver_mode_result list) =
   let base name =
-    match Obs.Json.member name root with
-    | Some (Obs.Json.Num x) -> Some x
+    match J.member name root with
+    | Some (J.Num x) -> Some x
     | _ -> None
   in
   Printf.printf "== Solver baseline gate (%s) ==\n" path;
@@ -623,22 +440,6 @@ let run_solver_json ~quick ~baseline ~path =
       end
     end
 
-let run_full () =
-  ignore (run_benchmarks ());
-  Printf.printf "\n== Quick-scale regeneration of every table and figure ==\n%!";
-  Harness.Experiments.table4 ();
-  ignore (Harness.Experiments.table3 ());
-  ignore (Harness.Experiments.fig5 ());
-  ignore (Harness.Experiments.coverage ());
-  Harness.Experiments.ropaware ();
-  Harness.Experiments.efficacy ~budget_s:4.0 ();
-  Harness.Experiments.casestudy ~budget_s:6.0 ();
-  (* the big matrix goes through the worker pool, as bin/experiments does *)
-  ignore
-    (Harness.Experiments.table2
-       ~pool:{ Jobs.Pool.default with Jobs.Pool.jobs = 2 }
-       ~scale:Harness.Experiments.quick_scale ())
-
 let () =
   let argv = Array.to_list Sys.argv in
   let quick = List.mem "--quick" argv in
@@ -674,4 +475,8 @@ let () =
      | None -> ())
   | None, Some sp ->
     run_solver_json ~quick ~baseline:(solver_baseline_path argv) ~path:sp
-  | None, None -> run_full ()
+  | None, None ->
+    prerr_string
+      "usage: main.exe --json [FILE] [--quick] [--baseline FILE]\n\
+      \       main.exe --json-solver [FILE] [--quick] [--baseline-solver FILE]\n";
+    exit 2

@@ -172,42 +172,49 @@ let bench_json ~quick ~specs_n ~programs_n ~configs_n ~seeds_n ~jobs ~shards
     ~(cold : Serve.Loadgen.result) ~(warm : Serve.Loadgen.result)
     ~identity_checked ~identity_mismatches ~pass =
   let open Serve.Loadgen in
-  let b = Buffer.create 1024 in
-  let load name (r : Serve.Loadgen.result) =
-    Printf.bprintf b
-      "  \"%s\": {\"rps\": %.2f, \"wall_s\": %.3f, \"completed\": %d, \
-       \"p50_ms\": %.3f, \"p90_ms\": %.3f, \"p99_ms\": %.3f, \
-       \"hit_rate\": %.1f, \"shed\": %d, \"expired\": %d, \"errors\": %d},\n"
-      name r.r_rps r.r_wall_s r.r_completed r.r_p50_ms r.r_p90_ms r.r_p99_ms
-      r.r_hit_rate r.r_shed r.r_expired r.r_errors
+  let module J = Obs.Json in
+  let load (r : Serve.Loadgen.result) =
+    J.Obj
+      [ ("rps", J.decimals 2 r.r_rps); ("wall_s", J.decimals 3 r.r_wall_s);
+        ("completed", J.int r.r_completed);
+        ("p50_ms", J.decimals 3 r.r_p50_ms); ("p90_ms", J.decimals 3 r.r_p90_ms);
+        ("p99_ms", J.decimals 3 r.r_p99_ms);
+        ("hit_rate", J.decimals 1 r.r_hit_rate); ("shed", J.int r.r_shed);
+        ("expired", J.int r.r_expired); ("errors", J.int r.r_errors) ]
   in
-  Buffer.add_string b "{\n  \"schema\": \"bench_serve/v1\",\n";
-  Printf.bprintf b "  \"quick\": %b,\n" quick;
-  Printf.bprintf b
-    "  \"grid\": {\"programs\": %d, \"configs\": %d, \"seeds\": %d, \
-     \"specs\": %d},\n"
-    programs_n configs_n seeds_n specs_n;
-  Printf.bprintf b
-    "  \"server\": {\"jobs\": %d, \"shards\": %d, \"conns\": %d},\n" jobs
-    shards conns;
-  Printf.bprintf b
-    "  \"serial\": {\"rewrites_per_sec\": %.2f, \"wall_s\": %.3f},\n"
-    serial_rps serial_wall;
-  load "served_cold" cold;
-  load "served_warm" warm;
-  Printf.bprintf b "  \"speedup_cold_vs_serial\": %.3f,\n"
-    (cold.r_rps /. Float.max 1e-9 serial_rps);
-  Printf.bprintf b "  \"speedup_warm_vs_serial\": %.3f,\n"
-    (warm.r_rps /. Float.max 1e-9 serial_rps);
-  Printf.bprintf b
-    "  \"identity\": {\"checked\": %d, \"mismatches\": %d},\n" identity_checked
-    identity_mismatches;
-  Printf.bprintf b
-    "  \"acceptance\": {\"criterion\": \"byte-identical artifacts and warm \
-     served throughput >= 3x serial one-shot at concurrency = pool size\", \
-     \"pass\": %b}\n}\n"
-    pass;
-  Buffer.contents b
+  let speedup (r : Serve.Loadgen.result) =
+    J.decimals 3 (r.r_rps /. Float.max 1e-9 serial_rps)
+  in
+  J.to_string
+    (J.Obj
+       [ ("schema", J.Str "bench_serve/v1"); ("quick", J.Bool quick);
+         ("grid",
+          J.Obj
+            [ ("programs", J.int programs_n); ("configs", J.int configs_n);
+              ("seeds", J.int seeds_n); ("specs", J.int specs_n) ]);
+         ("server",
+          J.Obj
+            [ ("jobs", J.int jobs); ("shards", J.int shards);
+              ("conns", J.int conns) ]);
+         ("serial",
+          J.Obj
+            [ ("rewrites_per_sec", J.decimals 2 serial_rps);
+              ("wall_s", J.decimals 3 serial_wall) ]);
+         ("served_cold", load cold); ("served_warm", load warm);
+         ("speedup_cold_vs_serial", speedup cold);
+         ("speedup_warm_vs_serial", speedup warm);
+         ("identity",
+          J.Obj
+            [ ("checked", J.int identity_checked);
+              ("mismatches", J.int identity_mismatches) ]);
+         ("acceptance",
+          J.Obj
+            [ ("criterion",
+               J.Str
+                 "byte-identical artifacts and warm served throughput >= 3x \
+                  serial one-shot at concurrency = pool size");
+              ("pass", J.Bool pass) ]) ])
+  ^ "\n"
 
 let read_committed_speedup file =
   let ic = open_in_bin file in
@@ -218,7 +225,7 @@ let read_committed_speedup file =
   | Ok j ->
     (match
        Option.bind (Obs.Json.member "speedup_warm_vs_serial" j)
-         Obs.Json.to_float
+         Obs.Json.as_float
      with
      | Some v -> v
      | None -> fail_setup "baseline %s lacks speedup_warm_vs_serial" file)

@@ -20,6 +20,7 @@
 
 open Cmdliner
 module F = Verify.Finding
+module J = Obs.Json
 module SA = Staticanalysis
 
 (* Table I/II matrix plus the ROPfuscator layer rows — shared with ropcheck,
@@ -55,70 +56,63 @@ type cell = {
   c_proven : int;
   c_unproven : int;
   c_skipped : int;
-  c_json : string;                (* cell JSON, sans timings *)
-  c_timings : (string * float * float) list;
+  c_fields : (string * J.t) list; (* the cell's JSON members, sans timings *)
+  c_timings : J.t;
 }
 
 let json_of_report ~tname ~cfg_name (r : SA.Driver.report)
     (attackers : attacker list) =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\"program\":\"%s\",\"config\":\"%s\"" tname cfg_name;
-  Printf.bprintf b ",\"findings\":[%s]"
-    (String.concat "," (List.map F.to_json r.SA.Driver.r_findings));
-  (match r.SA.Driver.r_transval with
-   | Some tv ->
-     Printf.bprintf b
-       ",\"transval\":{\"proven\":%d,\"unproven\":%d,\"skipped\":%d,\
-        \"unproven_regions\":[%s]}"
-       tv.SA.Transval.tv_proven tv.SA.Transval.tv_unproven
-       (List.length tv.SA.Transval.tv_skipped)
-       (String.concat ","
-          (List.filter_map
-             (fun (rg : SA.Transval.region) ->
-                match rg.SA.Transval.rg_verdict with
-                | SA.Transval.Proven _ -> None
-                | SA.Transval.Unproven reason ->
-                  Some
-                    (Printf.sprintf
-                       "{\"func\":\"%s\",\"addr\":\"0x%Lx\",\"reason\":\"%s\"}"
-                       (Obs.Json.escape rg.SA.Transval.rg_func)
-                       rg.SA.Transval.rg_addr (Obs.Json.escape reason)))
-             tv.SA.Transval.tv_regions))
-   | None -> ());
+  let unproven (rg : SA.Transval.region) =
+    match rg.SA.Transval.rg_verdict with
+    | SA.Transval.Proven _ -> None
+    | SA.Transval.Unproven reason ->
+      Some
+        (J.Obj
+           [ ("func", J.Str rg.SA.Transval.rg_func);
+             ("addr", J.Str (Printf.sprintf "0x%Lx" rg.SA.Transval.rg_addr));
+             ("reason", J.Str reason) ])
+  in
+  let transval tv =
+    J.Obj
+      [ ("proven", J.int tv.SA.Transval.tv_proven);
+        ("unproven", J.int tv.SA.Transval.tv_unproven);
+        ("skipped", J.int (List.length tv.SA.Transval.tv_skipped));
+        ("unproven_regions",
+         J.Arr (List.filter_map unproven tv.SA.Transval.tv_regions)) ]
+  in
   let st = r.SA.Driver.r_stealth in
-  Printf.bprintf b
-    ",\"stealth\":{\"ret_density\":%.4f,\"popret_per_kib\":%.2f,\"funcs\":[%s]}"
-    st.SA.Stealth.sl_ret_density st.SA.Stealth.sl_popret_per_kib
-    (String.concat ","
-       (List.map
-          (fun (fs : SA.Stealth.func_score) ->
-             Printf.sprintf
-               "{\"func\":\"%s\",\"score\":%.2f,\"slot_frac\":%.4f,\
-                \"reuse\":%.4f,\"clustering\":%.4f}"
-               (Obs.Json.escape fs.SA.Stealth.fs_name) fs.SA.Stealth.fs_score
-               fs.SA.Stealth.fs_slot_frac fs.SA.Stealth.fs_reuse
-               fs.SA.Stealth.fs_clustering)
-          st.SA.Stealth.sl_funcs));
+  let func_score (fs : SA.Stealth.func_score) =
+    J.Obj
+      [ ("func", J.Str fs.SA.Stealth.fs_name);
+        ("score", J.decimals 2 fs.SA.Stealth.fs_score);
+        ("slot_frac", J.decimals 4 fs.SA.Stealth.fs_slot_frac);
+        ("reuse", J.decimals 4 fs.SA.Stealth.fs_reuse);
+        ("clustering", J.decimals 4 fs.SA.Stealth.fs_clustering) ]
+  in
   let pb = r.SA.Driver.r_poolbloat in
-  Printf.bprintf b
-    ",\"poolbloat\":{\"gadgets\":%d,\"referenced\":%d,\"pool_bytes\":%d,\
-     \"live_bytes\":%d,\"shrinkable_suffix\":%d}"
-    pb.SA.Poolbloat.pb_total pb.SA.Poolbloat.pb_referenced
-    pb.SA.Poolbloat.pb_pool_bytes pb.SA.Poolbloat.pb_live_bytes
-    pb.SA.Poolbloat.pb_shrinkable_suffix;
-  if attackers <> [] then
-    Printf.bprintf b ",\"ropaware\":[%s]"
-      (String.concat ","
-         (List.map
-            (fun a ->
-               Printf.sprintf
-                 "{\"func\":\"%s\",\"true_slots\":%d,\"blocks\":%d,\
-                  \"unresolved\":%d,\"guesses\":%d}"
-                 (Obs.Json.escape a.at_func) a.at_true_slots a.at_blocks
-                 a.at_unresolved a.at_guesses)
-            attackers));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let attacker a =
+    J.Obj
+      [ ("func", J.Str a.at_func); ("true_slots", J.int a.at_true_slots);
+        ("blocks", J.int a.at_blocks); ("unresolved", J.int a.at_unresolved);
+        ("guesses", J.int a.at_guesses) ]
+  in
+  [ ("program", J.Str tname); ("config", J.Str cfg_name);
+    ("findings", J.Arr (List.map F.to_json r.SA.Driver.r_findings)) ]
+  @ J.opt "transval" transval r.SA.Driver.r_transval
+  @ [ ("stealth",
+       J.Obj
+         [ ("ret_density", J.decimals 4 st.SA.Stealth.sl_ret_density);
+           ("popret_per_kib", J.decimals 2 st.SA.Stealth.sl_popret_per_kib);
+           ("funcs", J.Arr (List.map func_score st.SA.Stealth.sl_funcs)) ]);
+      ("poolbloat",
+       J.Obj
+         [ ("gadgets", J.int pb.SA.Poolbloat.pb_total);
+           ("referenced", J.int pb.SA.Poolbloat.pb_referenced);
+           ("pool_bytes", J.int pb.SA.Poolbloat.pb_pool_bytes);
+           ("live_bytes", J.int pb.SA.Poolbloat.pb_live_bytes);
+           ("shrinkable_suffix", J.int pb.SA.Poolbloat.pb_shrinkable_suffix) ]) ]
+  @ (if attackers = [] then []
+     else [ ("ropaware", J.Arr (List.map attacker attackers)) ])
 
 let lint_one ~verbose ~transval ~ropaware tname cfg_name config build fns =
   let orig = build () in
@@ -224,12 +218,16 @@ let lint_one ~verbose ~transval ~ropaware tname cfg_name config build fns =
     c_proven = proven;
     c_unproven = unproven;
     c_skipped = skipped;
-    c_json = json_of_report ~tname ~cfg_name report attackers;
+    c_fields = json_of_report ~tname ~cfg_name report attackers;
     c_timings =
-      List.map
-        (fun (t : SA.Driver.timing) ->
-           (t.SA.Driver.t_pass, t.SA.Driver.t_wall_s, t.SA.Driver.t_cpu_s))
-        report.SA.Driver.r_timings }
+      J.Arr
+        (List.map
+           (fun (t : SA.Driver.timing) ->
+              J.Obj
+                [ ("pass", J.Str t.SA.Driver.t_pass);
+                  ("wall_s", J.decimals 6 t.SA.Driver.t_wall_s);
+                  ("cpu_s", J.decimals 6 t.SA.Driver.t_cpu_s) ])
+           report.SA.Driver.r_timings) }
 
 (* --- driver ---------------------------------------------------------------- *)
 
@@ -305,20 +303,10 @@ let main seed program config verbose jobs manifest trace metrics no_transval
              proven := !proven + c.c_proven;
              unproven := !unproven + c.c_unproven;
              skipped := !skipped + c.c_skipped;
-             let json =
-               if no_timings then c.c_json
-               else
-                 Printf.sprintf "%s,\"timings\":[%s]}"
-                   (String.sub c.c_json 0 (String.length c.c_json - 1))
-                   (String.concat ","
-                      (List.map
-                         (fun (p, w, cpu) ->
-                            Printf.sprintf
-                              "{\"pass\":\"%s\",\"wall_s\":%.6f,\
-                               \"cpu_s\":%.6f}" p w cpu)
-                         c.c_timings))
+             let timings =
+               if no_timings then [] else [ ("timings", c.c_timings) ]
              in
-             cell_jsons := json :: !cell_jsons
+             cell_jsons := J.Obj (c.c_fields @ timings) :: !cell_jsons
            | Jobs.Pool.Failed msg ->
              Printf.printf "== %s / %s ==\n  harness failure: %s\n" tname
                cfg_name msg;
@@ -332,9 +320,12 @@ let main seed program config verbose jobs manifest trace metrics no_transval
        | None -> ()
        | Some path ->
          let oc = open_out path in
-         Printf.fprintf oc
-           "{\"schema\":\"roplint/v1\",\"seed\":%d,\"cells\":[%s]}\n" seed
-           (String.concat "," (List.rev !cell_jsons));
+         output_string oc
+           (J.to_string
+              (J.Obj
+                 [ ("schema", J.Str "roplint/v1"); ("seed", J.int seed);
+                   ("cells", J.Arr (List.rev !cell_jsons)) ]));
+         output_char oc '\n';
          close_out oc);
       let total = !proven + !unproven in
       let rate =

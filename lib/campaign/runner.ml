@@ -207,29 +207,22 @@ let crossover_csv curves =
        curves)
 
 let crossover_json (g : Grid.t) curves =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"campaign_crossover/v1\",\"grid\":\"%s\",\"cells\":%d,\"curves\":["
-       (Obs.Json.escape g.Grid.g_name) (Grid.size g));
-  List.iteri
-    (fun i cv ->
-       if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b
-         (Printf.sprintf "{\"attacker\":\"%s\",\"config\":\"%s\",\"points\":["
-            (Obs.Json.escape cv.cv_attacker) (Obs.Json.escape cv.cv_config));
-       List.iteri
-         (fun j p ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b
-              (Printf.sprintf
-                 "{\"budget\":\"%s\",\"solver_evals\":%d,\"found\":%d,\"targets\":%d}"
-                 (Obs.Json.escape p.pt_budget) p.pt_evals p.pt_found p.pt_targets))
-         cv.cv_points;
-       Buffer.add_string b "]}")
-    curves;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let point p =
+    J.Obj
+      [ ("budget", J.Str p.pt_budget); ("solver_evals", J.int p.pt_evals);
+        ("found", J.int p.pt_found); ("targets", J.int p.pt_targets) ]
+  in
+  let curve cv =
+    J.Obj
+      [ ("attacker", J.Str cv.cv_attacker); ("config", J.Str cv.cv_config);
+        ("points", J.Arr (List.map point cv.cv_points)) ]
+  in
+  J.to_string
+    (J.Obj
+       [ ("schema", J.Str "campaign_crossover/v1"); ("grid", J.Str g.Grid.g_name);
+         ("cells", J.int (Grid.size g)); ("curves", J.Arr (List.map curve curves)) ])
+  ^ "\n"
 
 (* --- the run ------------------------------------------------------------------ *)
 

@@ -40,40 +40,32 @@ let create () = { runs = [] }
 
 let add t r = t.runs <- t.runs @ [ r ]
 
-(* --- JSON emission (no external dependency) ------------------------------- *)
+(* --- JSON emission ---------------------------------------------------------- *)
 
-let entry_json b e =
-  Printf.bprintf b
-    "{\"key\":\"%s\",\"status\":\"%s\",\"time_s\":%.6f,\"utime_s\":%.6f,\
-     \"stime_s\":%.6f,\"attempts\":%d,\"cached\":%b}"
-    (Obs.Json.escape e.e_key) (Obs.Json.escape e.e_status) e.e_time_s
-    e.e_utime_s e.e_stime_s e.e_attempts e.e_cached
+module J = Obs.Json
 
-let run_json b r =
-  Printf.bprintf b
-    "{\"label\":\"%s\",\"jobs\":%d,\"total\":%d,\"ok\":%d,\"failed\":%d,\
-     \"timed_out\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"wall_s\":%.6f,\
-     \"cpu_s\":%.6f,\"utilization\":%.4f,\"interrupted\":%b,\"entries\":["
-    (Obs.Json.escape r.r_label) r.r_jobs r.r_total r.r_ok r.r_failed
-    r.r_timed_out r.r_cache_hits r.r_cache_misses r.r_wall_s r.r_cpu_s
-    r.r_utilization r.r_interrupted;
-  List.iteri
-    (fun i e ->
-       if i > 0 then Buffer.add_char b ',';
-       entry_json b e)
-    r.r_entries;
-  Buffer.add_string b "]}"
+(* Times print to the microsecond, utilization to four places. *)
+let entry_json e =
+  J.Obj
+    [ ("key", J.Str e.e_key); ("status", J.Str e.e_status);
+      ("time_s", J.decimals 6 e.e_time_s); ("utime_s", J.decimals 6 e.e_utime_s);
+      ("stime_s", J.decimals 6 e.e_stime_s); ("attempts", J.int e.e_attempts);
+      ("cached", J.Bool e.e_cached) ]
+
+let run_json r =
+  J.Obj
+    [ ("label", J.Str r.r_label); ("jobs", J.int r.r_jobs);
+      ("total", J.int r.r_total); ("ok", J.int r.r_ok);
+      ("failed", J.int r.r_failed); ("timed_out", J.int r.r_timed_out);
+      ("cache_hits", J.int r.r_cache_hits);
+      ("cache_misses", J.int r.r_cache_misses);
+      ("wall_s", J.decimals 6 r.r_wall_s); ("cpu_s", J.decimals 6 r.r_cpu_s);
+      ("utilization", J.decimals 4 r.r_utilization);
+      ("interrupted", J.Bool r.r_interrupted);
+      ("entries", J.Arr (List.map entry_json r.r_entries)) ]
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"runs\":[";
-  List.iteri
-    (fun i r ->
-       if i > 0 then Buffer.add_char b ',';
-       run_json b r)
-    t.runs;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  J.to_string (J.Obj [ ("runs", J.Arr (List.map run_json t.runs)) ]) ^ "\n"
 
 (* Atomic write (temp + rename), creating parent directories as needed. *)
 let write t path =

@@ -1,12 +1,16 @@
-(* Minimal JSON reader, and the one string escaper.
+(* The repo's JSON: one value type, one compact printer, one reader.
 
-   The repo emits JSON by hand (lib/jobs/manifest.ml, bench/main.ml,
-   Trace.to_json), escaping every string with [escape], and, with this
-   module, can read it back without an external dependency: the trace
-   schema validator re-parses what Trace.to_json wrote, and bench/main.exe
-   reads the committed BENCH_emulator.json baseline for its regression
-   gate.  It is a strict recursive-descent parser over the full document —
-   no streaming, no extensions beyond standard JSON. *)
+   Every JSON artifact and wire header (run manifests, traces, findings,
+   campaign ledgers, roplint reports, the BENCH_*.json files, served
+   rewrite replies) is built as a [t] and printed by [to_buffer], so the
+   text format lives here and nowhere else.  The printer has one layout
+   (no whitespace, members in list order) and one number rule:
+   an integral value below 1e15 in magnitude prints with no fraction, NaN
+   and the infinities print [null], and any other number prints as the
+   shortest of %.15g/%.16g/%.17g that reads back to the same float.  So
+   [parse (to_string v) = Ok v] for every [v] without non-finite numbers.
+   The reader is a strict recursive-descent parser over the full document
+   — no streaming, no extensions beyond standard JSON. *)
 
 type t =
   | Null
@@ -18,25 +22,100 @@ type t =
 
 exception Bad of string * int      (* message, byte offset *)
 
-(* The body of a JSON string literal holding the bytes of [s].  Quote,
-   backslash, newline, carriage return and tab get their short escapes,
-   the other control bytes \u00XX; every other byte, 0x7F and non-ASCII
-   included, passes through.  [parse] reads the literal back to [s] for
-   all 256 byte values. *)
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+(* --- builders --------------------------------------------------------------- *)
+
+let int n = Num (float_of_int n)
+
+(* The member [(k, f v)] when [v] is present, no member otherwise. *)
+let opt k f = function Some v -> [ (k, f v) ] | None -> []
+
+(* [x] rounded to [d] decimal places as printf's %.*f rounds it, for
+   measurements whose further digits are noise. *)
+let decimals d x =
+  if Float.is_finite x then Num (float_of_string (Printf.sprintf "%.*f" d x))
+  else Num x
+
+(* --- printer ---------------------------------------------------------------- *)
+
+(* A string literal holding the bytes of [s].  Quote, backslash, newline,
+   carriage return and tab get their short escapes, the other control bytes
+   \u00XX; every other byte, 0x7F and non-ASCII included, passes through.
+   [parse] reads the literal back to [s] for all 256 byte values. *)
+let add_string b s =
+  Buffer.add_char b '"';
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let esc =
+      match s.[i] with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+      | _ -> ""
+    in
+    if esc <> "" then begin
+      Buffer.add_substring b s !start (i - !start);
+      Buffer.add_string b esc;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring b s !start (String.length s - !start);
+  Buffer.add_char b '"'
+
+let add_number b f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    Buffer.add_string b (string_of_int (int_of_float f))
+  else if not (Float.is_finite f) then Buffer.add_string b "null"
+  else begin
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then Buffer.add_string b s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      Buffer.add_string b
+        (if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f)
+  end
+
+let rec to_buffer b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Num f -> add_number b f
+  | Str s -> add_string b s
+  | Arr vs ->
+    Buffer.add_char b '[';
+    List.iteri
+      (fun i v -> if i > 0 then Buffer.add_char b ','; to_buffer b v)
+      vs;
+    Buffer.add_char b ']'
+  | Obj kvs ->
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i kv -> if i > 0 then Buffer.add_char b ','; add_member b kv)
+      kvs;
+    Buffer.add_char b '}'
+
+and add_member b (k, v) =
+  add_string b k;
+  Buffer.add_char b ':';
+  to_buffer b v
+
+let to_string v =
+  let b = Buffer.create 256 in
+  to_buffer b v;
   Buffer.contents b
+
+(* Print [Obj (fields @ [ (key, Arr items) ])], pulling [items] one value at
+   a time, so a long array (a trace's events) is never held as one tree. *)
+let stream_obj b fields key (items : t Seq.t) =
+  Buffer.add_char b '{';
+  List.iter (fun kv -> add_member b kv; Buffer.add_char b ',') fields;
+  add_string b key;
+  Buffer.add_string b ":[";
+  Seq.iteri (fun i v -> if i > 0 then Buffer.add_char b ','; to_buffer b v) items;
+  Buffer.add_string b "]}"
+
+(* --- reader ----------------------------------------------------------------- *)
 
 let parse (s : string) : (t, string) result =
   let n = String.length s in
@@ -173,9 +252,9 @@ let parse (s : string) : (t, string) result =
 (* --- accessors ------------------------------------------------------------ *)
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-let to_list = function Arr l -> Some l | _ -> None
-let to_float = function Num f -> Some f | _ -> None
-let to_string = function Str s -> Some s | _ -> None
+let as_list = function Arr l -> Some l | _ -> None
+let as_float = function Num f -> Some f | _ -> None
+let as_string = function Str s -> Some s | _ -> None
 
 (* Follow a path of object keys. *)
 let rec path ks v =

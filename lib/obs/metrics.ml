@@ -189,6 +189,18 @@ let reset () =
          Array.fill h.h_buckets 0 n_buckets 0)
     registry
 
+(* --- latency quantiles ---------------------------------------------------- *)
+
+(* The [p]th percentile (0..100) of an ascending [sorted] sample: the
+   element at rank p% of the way from the first to the last, rounded to the
+   nearest rank.  0.0 for an empty sample. *)
+let percentile (sorted : float array) p =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else
+    sorted.(min (n - 1)
+              (int_of_float ((p /. 100.0 *. float_of_int (n - 1)) +. 0.5)))
+
 (* --- rendering ------------------------------------------------------------ *)
 
 let pp_value b = function

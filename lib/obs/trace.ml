@@ -87,53 +87,59 @@ let spans () =
 
 (* --- chrome://tracing JSON export ---------------------------------------- *)
 
-let span_json b s =
-  if s.s_instant then
-    Printf.bprintf b
-      "{\"name\":\"%s\",\"cat\":\"raindrop\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":1"
-      (Json.escape s.s_name) s.s_ts_us
-  else
-    Printf.bprintf b
-      "{\"name\":\"%s\",\"cat\":\"raindrop\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1"
-      (Json.escape s.s_name) s.s_ts_us s.s_dur_us;
-  (match s.s_args with
-   | [] -> ()
-   | args ->
-     Buffer.add_string b ",\"args\":{";
-     List.iteri
-       (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
-       args;
-     Buffer.add_char b '}');
-  Buffer.add_char b '}'
+(* Timestamps and durations print to the nanosecond. *)
+let us x = Json.decimals 3 x
+
+let span_json s =
+  let phase =
+    if s.s_instant then
+      [ ("ph", Json.Str "i"); ("s", Json.Str "t"); ("ts", us s.s_ts_us) ]
+    else [ ("ph", Json.Str "X"); ("ts", us s.s_ts_us); ("dur", us s.s_dur_us) ]
+  in
+  let args = List.map (fun (k, v) -> (k, Json.Str v)) s.s_args in
+  Json.Obj
+    ([ ("name", Json.Str s.s_name); ("cat", Json.Str "raindrop") ]
+     @ phase
+     @ [ ("pid", Json.int 1); ("tid", Json.int 1) ]
+     @ (if args = [] then [] else [ ("args", Json.Obj args) ]))
 
 (* Counter events from a metrics snapshot, stamped at the trace end so the
    exported file carries the final counter values alongside the flame
    view.  Histograms expand to .count/.sum; gauges and counters emit one
    event each. *)
-let counter_json b ts (k, (v : Metrics.value)) =
+let counter_json ts (k, (v : Metrics.value)) =
   let one name n =
-    Printf.bprintf b
-      ",{\"name\":\"%s\",\"cat\":\"raindrop\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"args\":{\"value\":%d}}"
-      (Json.escape name) ts n
+    Json.Obj
+      [ ("name", Json.Str name); ("cat", Json.Str "raindrop");
+        ("ph", Json.Str "C"); ("ts", us ts); ("pid", Json.int 1);
+        ("args", Json.Obj [ ("value", Json.int n) ]) ]
   in
   match v with
-  | Metrics.Counter n | Metrics.Gauge n -> one k n
-  | Metrics.Hist h -> one (k ^ ".count") h.count; one (k ^ ".sum") h.sum
+  | Metrics.Counter n | Metrics.Gauge n -> [ one k n ]
+  | Metrics.Hist h -> [ one (k ^ ".count") h.count; one (k ^ ".sum") h.sum ]
 
+(* Events are printed one at a time: the whole trace is never a tree. *)
 let to_json ?(metrics : Metrics.snapshot = []) () =
   let b = Buffer.create 4096 in
   let ss = spans () in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  Buffer.add_string b
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"raindrop\"}}";
-  List.iter (fun s -> Buffer.add_char b ','; span_json b s) ss;
   let end_ts =
     List.fold_left (fun acc s -> Float.max acc (s.s_ts_us +. s.s_dur_us)) 0.0 ss
   in
-  List.iter (counter_json b end_ts) metrics;
-  Buffer.add_string b "]}\n";
+  let process =
+    Json.Obj
+      [ ("name", Json.Str "process_name"); ("ph", Json.Str "M");
+        ("pid", Json.int 1); ("tid", Json.int 1);
+        ("args", Json.Obj [ ("name", Json.Str "raindrop") ]) ]
+  in
+  Json.stream_obj b
+    [ ("displayTimeUnit", Json.Str "ms") ]
+    "traceEvents"
+    (Seq.append
+       (Seq.cons process (Seq.map span_json (List.to_seq ss)))
+       (Seq.flat_map
+          (fun m -> List.to_seq (counter_json end_ts m))
+          (List.to_seq metrics)));
+  Buffer.add_char b '\n';
   Buffer.contents b
 
 (* --- schema validation ---------------------------------------------------- *)
@@ -149,12 +155,12 @@ let validate_json (doc : string) : (int, string) result =
     (match Json.member "traceEvents" root with
      | None -> Error "missing traceEvents"
      | Some evs ->
-       (match Json.to_list evs with
+       (match Json.as_list evs with
         | None -> Error "traceEvents is not an array"
         | Some evs ->
           let check i ev =
-            let str k = Option.bind (Json.member k ev) Json.to_string in
-            let num k = Option.bind (Json.member k ev) Json.to_float in
+            let str k = Option.bind (Json.member k ev) Json.as_string in
+            let num k = Option.bind (Json.member k ev) Json.as_float in
             let fail msg = Error (Printf.sprintf "event %d: %s" i msg) in
             match str "name", str "ph" with
             | None, _ -> fail "missing name"

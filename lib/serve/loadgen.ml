@@ -40,11 +40,6 @@ type cstate = {
   mutable l_eof : bool;
 }
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (p /. 100.0 *. float_of_int (n - 1) +. 0.5)))
-
 let run ~socket ~conns ?(want_image = false) ?(mode = Closed)
     ?(duration_s = 5.0) ?(max_wall_s = 600.0) ~specs ~rounds () :
   (result, string) Stdlib.result =
@@ -231,9 +226,9 @@ let run ~socket ~conns ?(want_image = false) ?(mode = Closed)
              r_expired = !expired;
              r_errors = !errors;
              r_rps = float_of_int !completed /. Float.max 1e-9 wall;
-             r_p50_ms = percentile sorted 50.0;
-             r_p90_ms = percentile sorted 90.0;
-             r_p99_ms = percentile sorted 99.0;
+             r_p50_ms = Obs.Metrics.percentile sorted 50.0;
+             r_p90_ms = Obs.Metrics.percentile sorted 90.0;
+             r_p99_ms = Obs.Metrics.percentile sorted 99.0;
              r_hit_rate =
                (if !completed = 0 then 0.0
                 else 100.0 *. float_of_int !hits /. float_of_int !completed) }

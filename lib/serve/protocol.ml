@@ -2,15 +2,16 @@
 
    Frames are a 4-byte big-endian payload length followed by a JSON
    document, over a Unix-domain socket or a pipe pair.  JSON keeps the
-   protocol inspectable (`socat - UNIX:sock | xxd`) and reuses the repo's
-   existing reader (Obs.Json) on the decode side.  The image artifact, the
-   only binary payload, follows the document raw: a rewrite reply that
-   carries one is `JSON header with "image_bytes":n, 0x00, n image bytes`.
-   JSON text never holds a raw 0x00, so the first one splits header from
-   attachment and every other message is plain JSON.  Every request
-   carries a client-assigned [id] echoed in its response, so clients may
-   pipeline requests on one connection and correlate out-of-order
-   completions.
+   protocol inspectable (`socat - UNIX:sock | xxd`); every message is an
+   Obs.Json.t, printed by Obs.Json's one printer and read back by its
+   parser, so encode/decode is lossless for every finite float.  The image
+   artifact, the only binary payload, follows the document raw: a rewrite
+   reply that carries one is `JSON header with "image_bytes":n, 0x00, n
+   image bytes`.  JSON text never holds a raw 0x00, so the first one splits
+   header from attachment and every other message is plain JSON.  Every
+   request carries a client-assigned [id] echoed in its response, so
+   clients may pipeline requests on one connection and correlate
+   out-of-order completions.
 
    Two I/O styles are provided: blocking [read_frame]/[write_frame] for
    clients and tests, and for non-blocking event loops a [deframer] (feed
@@ -239,77 +240,70 @@ type resp_body =
 
 type response = { rs_id : int; rs_body : resp_body }
 
-(* --- encoding (hand-rolled, like the rest of the repo's JSON output) -------- *)
+(* --- encoding (Obs.Json) ------------------------------------------------------ *)
 
-let jstr s = "\"" ^ Obs.Json.escape s ^ "\""
-
-(* %.17g round-trips every finite float, so encode/decode is lossless. *)
-let jfloat f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+module J = Obs.Json
 
 let encode_request (r : request) : string =
-  let b = Buffer.create 128 in
-  (match r.rq_body with
-   | Rewrite q ->
-     Printf.bprintf b "{\"op\":\"rewrite\",\"id\":%d" r.rq_id;
-     (match q.q_prog with
-      | Some p -> Printf.bprintf b ",\"prog\":%s" (jstr p)
-      | None -> ());
-     (match q.q_digest with
-      | Some d -> Printf.bprintf b ",\"digest\":%s" (jstr d)
-      | None -> ());
-     Printf.bprintf b ",\"config\":%s,\"seed\":%d,\"want_image\":%b}"
-       (jstr q.q_config) q.q_seed q.q_want_image
-   | Stats -> Printf.bprintf b "{\"op\":\"stats\",\"id\":%d}" r.rq_id
-   | Ping -> Printf.bprintf b "{\"op\":\"ping\",\"id\":%d}" r.rq_id
-   | Shutdown -> Printf.bprintf b "{\"op\":\"shutdown\",\"id\":%d}" r.rq_id);
-  Buffer.contents b
+  let op name rest = J.Obj (("op", J.Str name) :: ("id", J.int r.rq_id) :: rest) in
+  J.to_string
+    (match r.rq_body with
+     | Rewrite q ->
+       let str s = J.Str s in
+       op "rewrite"
+         (J.opt "prog" str q.q_prog
+          @ J.opt "digest" str q.q_digest
+          @ [ ("config", J.Str q.q_config); ("seed", J.int q.q_seed);
+              ("want_image", J.Bool q.q_want_image) ])
+     | Stats -> op "stats" []
+     | Ping -> op "ping" []
+     | Shutdown -> op "shutdown" [])
 
 let encode_response (r : response) : string =
   let attachment =
     match r.rs_body with R_rewrite rr -> rr.rr_image | _ -> None
   in
+  let op ?(ok = true) name rest =
+    J.Obj (("op", J.Str name) :: ("ok", J.Bool ok) :: ("id", J.int r.rs_id) :: rest)
+  in
+  let header =
+    match r.rs_body with
+    | R_rewrite rr ->
+      op "rewrite"
+        ([ ("prog", J.Str rr.rr_prog); ("digest", J.Str rr.rr_digest);
+           ("key", J.Str rr.rr_key);
+           ("cache", J.Str (cache_status_to_string rr.rr_cache)) ]
+         @ J.opt "image_bytes" (fun img -> J.int (String.length img)) attachment
+         @ [ ("image_digest", J.Str rr.rr_image_digest);
+             ("funcs",
+              J.Arr (List.map (fun (f, st) -> J.Arr [ J.Str f; J.Str st ])
+                       rr.rr_funcs));
+             ("gadget_uses", J.int rr.rr_gadget_uses);
+             ("unique_gadgets", J.int rr.rr_unique_gadgets);
+             ("queue_ms", J.Num rr.rr_queue_ms);
+             ("rewrite_ms", J.Num rr.rr_rewrite_ms) ])
+    | R_stats st ->
+      op "stats"
+        [ ("uptime_s", J.Num st.st_uptime_s); ("jobs", J.int st.st_jobs);
+          ("queue_depth", J.int st.st_queue_depth);
+          ("inflight", J.int st.st_inflight);
+          ("requests", J.int st.st_requests);
+          ("completed", J.int st.st_completed); ("hits", J.int st.st_hits);
+          ("misses", J.int st.st_misses); ("coalesced", J.int st.st_coalesced);
+          ("shed", J.int st.st_shed); ("expired", J.int st.st_expired);
+          ("errors", J.int st.st_errors);
+          ("throughput_rps", J.Num st.st_throughput_rps);
+          ("hit_rate", J.Num st.st_hit_rate); ("p50_ms", J.Num st.st_p50_ms);
+          ("p90_ms", J.Num st.st_p90_ms); ("p99_ms", J.Num st.st_p99_ms);
+          ("cache_entries", J.int st.st_cache_entries);
+          ("cache_bytes", J.int st.st_cache_bytes) ]
+    | R_pong -> op "pong" []
+    | R_bye -> op "bye" []
+    | R_error e ->
+      op ~ok:false "error" [ ("code", J.int e.code); ("error", J.Str e.msg) ]
+  in
   let b = Buffer.create (256 + Option.fold ~none:0 ~some:String.length attachment) in
-  (match r.rs_body with
-   | R_rewrite rr ->
-     Printf.bprintf b
-       "{\"op\":\"rewrite\",\"ok\":true,\"id\":%d,\"prog\":%s,\"digest\":%s,\
-        \"key\":%s,\"cache\":%s"
-       r.rs_id (jstr rr.rr_prog) (jstr rr.rr_digest) (jstr rr.rr_key)
-       (jstr (cache_status_to_string rr.rr_cache));
-     Option.iter
-       (fun img -> Printf.bprintf b ",\"image_bytes\":%d" (String.length img))
-       attachment;
-     Printf.bprintf b ",\"image_digest\":%s,\"funcs\":[" (jstr rr.rr_image_digest);
-     List.iteri
-       (fun i (f, st) ->
-          if i > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "[%s,%s]" (jstr f) (jstr st))
-       rr.rr_funcs;
-     Printf.bprintf b
-       "],\"gadget_uses\":%d,\"unique_gadgets\":%d,\"queue_ms\":%s,\
-        \"rewrite_ms\":%s}"
-       rr.rr_gadget_uses rr.rr_unique_gadgets (jfloat rr.rr_queue_ms)
-       (jfloat rr.rr_rewrite_ms)
-   | R_stats st ->
-     Printf.bprintf b
-       "{\"op\":\"stats\",\"ok\":true,\"id\":%d,\"uptime_s\":%s,\"jobs\":%d,\
-        \"queue_depth\":%d,\"inflight\":%d,\"requests\":%d,\"completed\":%d,\
-        \"hits\":%d,\"misses\":%d,\"coalesced\":%d,\"shed\":%d,\"expired\":%d,\
-        \"errors\":%d,\"throughput_rps\":%s,\"hit_rate\":%s,\"p50_ms\":%s,\
-        \"p90_ms\":%s,\"p99_ms\":%s,\"cache_entries\":%d,\"cache_bytes\":%d}"
-       r.rs_id (jfloat st.st_uptime_s) st.st_jobs st.st_queue_depth
-       st.st_inflight st.st_requests st.st_completed st.st_hits st.st_misses
-       st.st_coalesced st.st_shed st.st_expired st.st_errors
-       (jfloat st.st_throughput_rps) (jfloat st.st_hit_rate)
-       (jfloat st.st_p50_ms) (jfloat st.st_p90_ms) (jfloat st.st_p99_ms)
-       st.st_cache_entries st.st_cache_bytes
-   | R_pong -> Printf.bprintf b "{\"op\":\"pong\",\"ok\":true,\"id\":%d}" r.rs_id
-   | R_bye -> Printf.bprintf b "{\"op\":\"bye\",\"ok\":true,\"id\":%d}" r.rs_id
-   | R_error e ->
-     Printf.bprintf b "{\"op\":\"error\",\"ok\":false,\"id\":%d,\"code\":%d,\"error\":%s}"
-       r.rs_id e.code (jstr e.msg));
+  J.to_buffer b header;
   Option.iter
     (fun img -> Buffer.add_char b '\000'; Buffer.add_string b img)
     attachment;
@@ -317,15 +311,13 @@ let encode_response (r : response) : string =
 
 (* --- decoding (Obs.Json) ---------------------------------------------------- *)
 
-let jmem k j = Obs.Json.member k j
-
 let jget_str k j =
-  match Option.bind (jmem k j) Obs.Json.to_string with
+  match Option.bind (J.member k j) J.as_string with
   | Some s -> Ok s
   | None -> Error (Printf.sprintf "missing or non-string field %S" k)
 
 let jget_int_opt k j =
-  Option.map int_of_float (Option.bind (jmem k j) Obs.Json.to_float)
+  Option.map int_of_float (Option.bind (J.member k j) J.as_float)
 
 let jget_int k j =
   match jget_int_opt k j with
@@ -333,20 +325,20 @@ let jget_int k j =
   | None -> Error (Printf.sprintf "missing or non-numeric field %S" k)
 
 let jget_float k j =
-  match Option.bind (jmem k j) Obs.Json.to_float with
+  match Option.bind (J.member k j) J.as_float with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or non-numeric field %S" k)
 
 let jget_bool_opt k j =
-  match jmem k j with Some (Obs.Json.Bool b) -> Some b | _ -> None
+  match J.member k j with Some (J.Bool b) -> Some b | _ -> None
 
 let ( let* ) = Result.bind
 
 let decode_request (payload : string) : (request, string) result =
-  let* j = Obs.Json.parse payload in
+  let* j = J.parse payload in
   let* () =
     match j with
-    | Obs.Json.Obj _ -> Ok ()
+    | J.Obj _ -> Ok ()
     | _ -> Error "request is not a JSON object"
   in
   let* op = jget_str "op" j in
@@ -356,8 +348,8 @@ let decode_request (payload : string) : (request, string) result =
     let* config = jget_str "config" j in
     let seed = Option.value ~default:1 (jget_int_opt "seed" j) in
     let want = Option.value ~default:false (jget_bool_opt "want_image" j) in
-    let prog = Option.bind (jmem "prog" j) Obs.Json.to_string in
-    let digest = Option.bind (jmem "digest" j) Obs.Json.to_string in
+    let prog = Option.bind (J.member "prog" j) J.as_string in
+    let digest = Option.bind (J.member "digest" j) J.as_string in
     Ok { rq_id = id;
          rq_body = Rewrite { q_prog = prog; q_digest = digest;
                              q_config = config; q_seed = seed;
@@ -368,12 +360,12 @@ let decode_request (payload : string) : (request, string) result =
   | op -> Error (Printf.sprintf "unknown op %S" op)
 
 let decode_funcs j =
-  match Option.bind (jmem "funcs" j) Obs.Json.to_list with
+  match Option.bind (J.member "funcs" j) J.as_list with
   | None -> Error "missing funcs array"
   | Some items ->
     let rec go acc = function
       | [] -> Ok (List.rev acc)
-      | Obs.Json.Arr [ Obs.Json.Str f; Obs.Json.Str st ] :: rest ->
+      | J.Arr [ J.Str f; J.Str st ] :: rest ->
         go ((f, st) :: acc) rest
       | _ -> Error "malformed funcs entry"
     in
@@ -389,13 +381,13 @@ let decode_response (payload : string) : (response, string) result =
       ( String.sub payload 0 i,
         Some (String.sub payload (i + 1) (String.length payload - i - 1)) )
   in
-  let* j = Obs.Json.parse header in
+  let* j = J.parse header in
   let* op = jget_str "op" j in
   let id = Option.value ~default:0 (jget_int_opt "id" j) in
   let* image =
-    match jmem "image_bytes" j, attachment with
+    match J.member "image_bytes" j, attachment with
     | None, None -> Ok None
-    | Some (Obs.Json.Num n), Some a
+    | Some (J.Num n), Some a
       when op = "rewrite" && n = float_of_int (String.length a) -> Ok (Some a)
     | _ -> Error "image_bytes does not match the attached bytes"
   in

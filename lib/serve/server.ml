@@ -100,15 +100,11 @@ let ring_add r v =
   r.r_buf.(r.r_n mod ring_cap) <- v;
   r.r_n <- r.r_n + 1
 
-(* Exact percentile over the retained window (last [ring_cap] samples). *)
-let ring_percentile r p =
-  let n = min r.r_n ring_cap in
-  if n = 0 then 0.0
-  else begin
-    let a = Array.sub r.r_buf 0 n in
-    Array.sort compare a;
-    a.(min (n - 1) (int_of_float (p /. 100.0 *. float_of_int (n - 1) +. 0.5)))
-  end
+(* The retained window (last [ring_cap] samples), ascending. *)
+let ring_sorted r =
+  let a = Array.sub r.r_buf 0 (min r.r_n ring_cap) in
+  Array.sort compare a;
+  a
 
 (* --- server state ----------------------------------------------------------- *)
 
@@ -343,6 +339,7 @@ let stats_now st : Protocol.stats =
   let now = Unix.gettimeofday () in
   let up = Float.max 1e-9 (now -. st.st_t0) in
   let lookups = st.st_hits + st.st_misses in
+  let lat = ring_sorted st.st_lat in
   { Protocol.st_uptime_s = up;
     st_jobs = st.st_opts.jobs;
     st_queue_depth = List.length st.st_queue;
@@ -359,9 +356,9 @@ let stats_now st : Protocol.stats =
     st_hit_rate =
       (if lookups = 0 then 0.0
        else 100.0 *. float_of_int st.st_hits /. float_of_int lookups);
-    st_p50_ms = ring_percentile st.st_lat 50.0;
-    st_p90_ms = ring_percentile st.st_lat 90.0;
-    st_p99_ms = ring_percentile st.st_lat 99.0;
+    st_p50_ms = Obs.Metrics.percentile lat 50.0;
+    st_p90_ms = Obs.Metrics.percentile lat 90.0;
+    st_p99_ms = Obs.Metrics.percentile lat 99.0;
     st_cache_entries = Shardcache.entries st.st_cache;
     st_cache_bytes = Shardcache.size_bytes st.st_cache }
 

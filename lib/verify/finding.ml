@@ -61,17 +61,10 @@ let counts fs =
     (0, 0, 0) fs
 
 let to_json f =
-  let b = Buffer.create 128 in
-  Printf.bprintf b "{\"severity\":\"%s\",\"tag\":\"%s\""
-    (severity_str f.severity) (Obs.Json.escape f.tag);
-  (match f.func with
-   | Some fn -> Printf.bprintf b ",\"func\":\"%s\"" (Obs.Json.escape fn)
-   | None -> ());
-  (match f.addr with
-   | Some a -> Printf.bprintf b ",\"addr\":\"0x%Lx\"" a
-   | None -> ());
-  (match f.chain_off with
-   | Some o -> Printf.bprintf b ",\"chain_off\":%d" o
-   | None -> ());
-  Printf.bprintf b ",\"msg\":\"%s\"}" (Obs.Json.escape f.msg);
-  Buffer.contents b
+  let module J = Obs.Json in
+  J.Obj
+    ([ ("severity", J.Str (severity_str f.severity)); ("tag", J.Str f.tag) ]
+     @ J.opt "func" (fun fn -> J.Str fn) f.func
+     @ J.opt "addr" (fun a -> J.Str (Printf.sprintf "0x%Lx" a)) f.addr
+     @ J.opt "chain_off" J.int f.chain_off
+     @ [ ("msg", J.Str f.msg) ])

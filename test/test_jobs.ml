@@ -250,19 +250,22 @@ let test_cache_skips_recompute () =
    | rs -> Alcotest.failf "expected 2 manifest runs, got %d" (List.length rs));
   let path = Filename.concat dir "manifest.json" in
   Jobs.Manifest.write m path;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let contains ~sub s =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "manifest JSON names the run" true
-    (contains ~sub:"\"label\":\"squares\"" s);
-  Alcotest.(check bool) "manifest JSON reports cache hits" true
-    (contains ~sub:"\"cache_hits\":8" s)
+  let module J = Obs.Json in
+  match J.parse s with
+  | Error e -> Alcotest.fail ("manifest JSON: " ^ e)
+  | Ok root ->
+    (match Option.bind (J.member "runs" root) J.as_list with
+     | Some [ j1; j2 ] ->
+       Alcotest.(check bool) "manifest JSON names the run" true
+         (J.path [ "label" ] j1 = Some (J.Str "squares")
+          && J.path [ "label" ] j2 = Some (J.Str "squares"));
+       Alcotest.(check bool) "manifest JSON reports cache hits" true
+         (J.path [ "cache_hits" ] j1 = Some (J.Num 0.0)
+          && J.path [ "cache_hits" ] j2 = Some (J.Num 8.0))
+     | _ -> Alcotest.fail "manifest JSON: expected 2 runs")
 
 let () =
   Alcotest.run "jobs"

@@ -117,6 +117,23 @@ let test_parallel_merge_equals_serial () =
     (M.snapshot () = serial);
   scrub ()
 
+(* The one latency percentile (served stats and the load generator):
+   nearest rank over p% of the span from the first to the last sample. *)
+let test_percentile () =
+  let a = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 7.0; 8.0; 9.0; 10.0 |] in
+  List.iter
+    (fun (p, want) ->
+       Alcotest.(check (float 0.0)) (Printf.sprintf "p%g" p) want
+         (M.percentile a p))
+    [ (0.0, 1.0); (10.0, 2.0); (50.0, 6.0); (90.0, 9.0); (95.0, 10.0);
+      (99.0, 10.0); (100.0, 10.0) ];
+  Alcotest.(check (float 0.0)) "empty" 0.0 (M.percentile [||] 50.0);
+  List.iter
+    (fun p ->
+       Alcotest.(check (float 0.0)) (Printf.sprintf "single p%g" p) 7.5
+         (M.percentile [| 7.5 |] p))
+    [ 0.0; 50.0; 99.0; 100.0 ]
+
 let nothing () = ()
 
 let test_disabled_no_allocation () =
@@ -178,13 +195,13 @@ let test_trace_json_roundtrip () =
    | Error e -> Alcotest.fail ("parse: " ^ e)
    | Ok root ->
      let evs =
-       match Option.bind (J.member "traceEvents" root) J.to_list with
+       match Option.bind (J.member "traceEvents" root) J.as_list with
        | Some l -> l
        | None -> Alcotest.fail "no traceEvents array"
      in
      let names =
        List.filter_map
-         (fun ev -> Option.bind (J.member "name" ev) J.to_string)
+         (fun ev -> Option.bind (J.member "name" ev) J.as_string)
          evs
      in
      List.iter
@@ -195,7 +212,7 @@ let test_trace_json_roundtrip () =
      (* the escaped span arg survives the round trip *)
      let outer =
        List.find
-         (fun ev -> J.member "name" ev |> Option.map J.to_string
+         (fun ev -> J.member "name" ev |> Option.map J.as_string
                     = Some (Some "outer"))
          evs
      in
@@ -229,14 +246,14 @@ let test_schema_rejects () =
 
 (* --- the JSON parser itself -------------------------------------------------- *)
 
-(* The one escaper: short escapes for quote, backslash, \n, \r and \t,
+(* Strings print with short escapes for quote, backslash, \n, \r and \t,
    \u00XX for the other control bytes, everything else verbatim; and
-   [parse] inverts it on every byte value, alone and all together. *)
+   [parse] inverts that on every byte value, alone and all together. *)
 let test_json_escape () =
-  Alcotest.(check string) "mapping" "\\\"\\\\\\n\\r\\t\\u0001\x7f\xff"
-    (J.escape "\"\\\n\r\t\x01\x7f\xff");
+  Alcotest.(check string) "mapping" "\"\\\"\\\\\\n\\r\\t\\u0001\x7f\xff\""
+    (J.to_string (J.Str "\"\\\n\r\t\x01\x7f\xff"));
   let round s =
-    match J.parse ("\"" ^ J.escape s ^ "\"") with
+    match J.parse (J.to_string (J.Str s)) with
     | Ok (J.Str s') -> s' = s
     | Ok _ | Error _ -> false
   in
@@ -245,6 +262,63 @@ let test_json_escape () =
       (round (String.make 1 (Char.chr c)))
   done;
   Alcotest.(check bool) "all bytes" true (round (String.init 256 Char.chr))
+
+(* The number rule, case by case: integral below 1e15 without a fraction,
+   non-finite as null, everything else shortest-round-trip. *)
+let test_json_numbers () =
+  let num f = J.to_string (J.Num f) in
+  Alcotest.(check string) "nan" "null" (num Float.nan);
+  Alcotest.(check string) "+inf" "null" (num Float.infinity);
+  Alcotest.(check string) "-inf" "null" (num Float.neg_infinity);
+  Alcotest.(check string) "non-finite in a tree" "[null,{\"x\":null}]"
+    (J.to_string (J.Arr [ J.Num Float.nan; J.Obj [ ("x", J.Num Float.infinity) ] ]));
+  Alcotest.(check string) "integral" "-42" (num (-42.0));
+  Alcotest.(check string) "largest fraction-free" "999999999999999"
+    (num 999999999999999.0);
+  Alcotest.(check string) "1e15 takes %g" "1e+15" (num 1e15);
+  Alcotest.(check string) "0.1 shortest" "0.1" (num 0.1);
+  Alcotest.(check string) "0.1 + 0.2 needs 17 digits" "0.30000000000000004"
+    (num (0.1 +. 0.2));
+  Alcotest.(check string) "decimals" "32.91" (J.to_string (J.decimals 2 32.9149))
+
+(* parse (to_string v) = Ok v over random trees whose numbers are drawn
+   from the hard cases: negatives, subnormals, integers at and past 1e15,
+   decimals that binary floats cannot hold exactly, and raw bit patterns. *)
+let gen_json =
+  let open QCheck.Gen in
+  let finite f = if Float.is_finite f then f else 0.0 in
+  let num =
+    oneof
+      [ map float_of_int int;
+        map (fun f -> -.f) (float_range 0.0 1e6);
+        map (fun k -> Float.ldexp (float_of_int k) (-1074)) (int_range 1 (1 lsl 20));
+        map (fun k -> 1e15 +. float_of_int k) (int_range (-3) 1000);
+        map (fun k -> float_of_int k *. 1e16) (int_range (-50) 50);
+        map (fun (a, d) -> float_of_int a /. (10.0 ** float_of_int d))
+          (pair (int_range (-100000) 100000) (int_range 1 9));
+        map (fun bits -> finite (Int64.float_of_bits bits)) ui64 ]
+  in
+  let str = string_size ~gen:char (int_range 0 12) in
+  sized_size (int_range 0 4)
+  @@ fix (fun self depth ->
+      let leaf =
+        oneof
+          [ return J.Null; map (fun b -> J.Bool b) bool; map (fun f -> J.Num f) num;
+            map (fun s -> J.Str s) str ]
+      in
+      if depth = 0 then leaf
+      else
+        frequency
+          [ (2, leaf);
+            (1, map (fun l -> J.Arr l) (list_size (int_range 0 4) (self (depth - 1))));
+            (1,
+             map (fun l -> J.Obj l)
+               (list_size (int_range 0 4) (pair str (self (depth - 1))))) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:2000 ~name:"json: parse (to_string v) = Ok v"
+    (QCheck.make ~print:J.to_string gen_json)
+    (fun v -> J.parse (J.to_string v) = Ok v)
 
 let test_json_parser () =
   let ok s = match J.parse s with Ok v -> v | Error e -> Alcotest.fail e in
@@ -282,7 +356,8 @@ let () =
          Alcotest.test_case "parallel merge = serial" `Quick
            test_parallel_merge_equals_serial;
          Alcotest.test_case "disabled mode allocates nothing" `Quick
-           test_disabled_no_allocation ]);
+           test_disabled_no_allocation;
+         Alcotest.test_case "percentile" `Quick test_percentile ]);
       ("trace",
        [ Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
          Alcotest.test_case "json round-trip" `Quick
@@ -290,4 +365,6 @@ let () =
          Alcotest.test_case "schema rejections" `Quick test_schema_rejects ]);
       ("json",
        [ Alcotest.test_case "parser" `Quick test_json_parser;
-         Alcotest.test_case "escape round-trip" `Quick test_json_escape ]) ]
+         Alcotest.test_case "escape round-trip" `Quick test_json_escape;
+         Alcotest.test_case "number rule" `Quick test_json_numbers;
+         QCheck_alcotest.to_alcotest prop_json_roundtrip ]) ]

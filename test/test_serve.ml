@@ -76,7 +76,7 @@ let test_request_roundtrip () =
 
 let test_response_roundtrip () =
   (* the image payload covers every byte value: the attachment must be 8-bit
-     clean, and jfloat must round-trip the timing floats losslessly *)
+     clean, and the JSON printer must round-trip the timing floats losslessly *)
   let all_bytes = String.init 256 Char.chr in
   let resps =
     [ { P.rs_id = 1; rs_body = P.R_rewrite (sample_reply ~image:(Some all_bytes)) };

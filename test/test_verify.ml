@@ -262,6 +262,25 @@ let test_inject_opaque_residue () =
   expect_kind "opaque residue" Verify.Diag.Chain_byte_mismatch
     (Verify.Check.run r.Ropc.Rewriter.image (Lazy.force r.Ropc.Rewriter.audit))
 
+(* A finding renders to JSON that parses back to the same fields, even when
+   its function name and message carry a quote, a newline and a control
+   byte. *)
+let test_finding_json () =
+  let module J = Obs.Json in
+  let f =
+    Verify.Finding.make ~severity:Verify.Finding.Warning ~func:"f\"n\nx\x01"
+      ~addr:0x401000L ~chain_off:24 "chain-bad-slot" "slot \"7\"\nbad\x02 byte"
+  in
+  match J.parse (J.to_string (Verify.Finding.to_json f)) with
+  | Error e -> Alcotest.fail ("finding JSON: " ^ e)
+  | Ok v ->
+    Alcotest.(check bool) "fields read back" true
+      (v
+       = J.Obj
+           [ ("severity", J.Str "warning"); ("tag", J.Str "chain-bad-slot");
+             ("func", J.Str "f\"n\nx\x01"); ("addr", J.Str "0x401000");
+             ("chain_off", J.Num 24.0); ("msg", J.Str "slot \"7\"\nbad\x02 byte") ])
+
 let () =
   Alcotest.run "verify"
     [ ("positive",
@@ -281,4 +300,6 @@ let () =
          Alcotest.test_case "chain byte patch" `Quick test_inject_chain_patch;
          Alcotest.test_case "P1 residue break" `Quick test_inject_p1_residue;
          Alcotest.test_case "opaque wrong-residue slot" `Quick
-           test_inject_opaque_residue ]) ]
+           test_inject_opaque_residue ]);
+      ("report",
+       [ Alcotest.test_case "finding JSON round-trip" `Quick test_finding_json ]) ]

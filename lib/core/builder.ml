@@ -18,7 +18,8 @@ exception Bail of string
    the verifier replays the slots against these facts. *)
 type point = {
   pt_addr : int64;             (* original instruction address (0 if none) *)
-  pt_desc : string;            (* human label, e.g. the source instruction *)
+  pt_desc : string Lazy.t;     (* human label, e.g. the source instruction;
+                                  forced only when the audit is built *)
   mutable pt_live : R.t;       (* registers that must survive the roplet *)
   pt_flags_live : bool;        (* must the status flags survive? *)
   pt_defs : R.t;               (* registers the roplet means to define *)
@@ -48,7 +49,10 @@ type t = {
   mutable program_points : int;   (* N of Table III *)
   mutable points : point list;    (* reversed; audit trace *)
   mutable cur_point : point option;
+  scratch : reg array;            (* [with_scratch]'s shuffle buffer *)
 }
+
+let all_regs_array = Array.of_list all_regs
 
 let create ~pool ~config ~rng ~fname ~ss_addr ~spill_base ~flags_spill
     ~funcret_gadget ~p1_array ~p1_class_a =
@@ -56,7 +60,7 @@ let create ~pool ~config ~rng ~fname ~ss_addr ~spill_base ~flags_spill
     flags_spill; funcret_gadget; p1_array; p1_class_a;
     branch_ordinal = 0; opaque_ordinal = 0; fresh_counter = 0;
     program_points = 0;
-    points = []; cur_point = None }
+    points = []; cur_point = None; scratch = Array.copy all_regs_array }
 
 (* --- audit trace ---------------------------------------------------------- *)
 
@@ -101,18 +105,38 @@ let points b =
   end_point b;
   List.rev b.points
 
+(* Labels are built by hand rather than through [Printf]: chain crafting
+   makes one per block, branch and trampoline, and the format interpreter
+   was a visible share of its allocation.  The strings are unchanged:
+   [fresh] gives "%s$%s%d" of fname, prefix and a counter, and
+   [block_label] gives "bb_%Lx". *)
 let fresh b prefix =
   let n = b.fresh_counter in
   b.fresh_counter <- n + 1;
-  Printf.sprintf "%s$%s%d" b.fname prefix n
+  String.concat "" [ b.fname; "$"; prefix; string_of_int n ]
 
-let block_label addr = Printf.sprintf "bb_%Lx" addr
+let block_label addr =
+  let rec digits n v =
+    if Int64.equal v 0L then n
+    else digits (n + 1) (Int64.shift_right_logical v 4)
+  in
+  let n = max 1 (digits 0 addr) in
+  let s = Bytes.create (3 + n) in
+  Bytes.blit_string "bb_" 0 s 0 3;
+  for i = 0 to n - 1 do
+    let d = Int64.to_int (Int64.shift_right_logical addr (4 * i)) land 15 in
+    Bytes.set s (2 + n - i) "0123456789abcdef".[d]
+  done;
+  Bytes.unsafe_to_string s
 
 (* --- scratch allocation -------------------------------------------------- *)
 
 (* Registers the chain machinery may never allocate: the chain's own program
    counter and the frame register we keep live for the original code. *)
 let reserved = R.of_list [ RSP; RBP ]
+
+(* Registers [a.(i)] .. [a.(n-1)], as a list. *)
+let rec first_regs a i n = if i = n then [] else a.(i) :: first_regs a (i + 1) n
 
 (* Allocate [n] scratch registers dead at this point ([live] from liveness,
    [avoid] = operand registers of the roplet being lowered).  When dead
@@ -122,20 +146,35 @@ let reserved = R.of_list [ RSP; RBP ]
    failures. *)
 let with_scratch ?(allow_spill = true) b ~live ~avoid n (f : reg list -> unit) =
   let forbidden = R.union (R.union live avoid) reserved in
-  let free = List.filter (fun r -> not (R.mem_reg forbidden r)) all_regs in
-  let free = Util.Rng.shuffle b.rng free in
-  if List.length free >= n then begin
-    let regs = List.filteri (fun i _ -> i < n) free in
-    f regs
-  end else if not allow_spill then
+  (* the dead registers, in [all_regs] order, then Fisher-Yates shuffled in
+     place: the draws of [Util.Rng.shuffle] without its two list copies *)
+  let a = b.scratch in
+  let nfree = ref 0 in
+  for k = 0 to Array.length all_regs_array - 1 do
+    let r = all_regs_array.(k) in
+    if not (R.mem_reg forbidden r) then begin
+      a.(!nfree) <- r;
+      incr nfree
+    end
+  done;
+  let nfree = !nfree in
+  for i = nfree - 1 downto 1 do
+    let j = Util.Rng.int b.rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done;
+  if nfree >= n then f (first_regs a 0 n)
+  else if not allow_spill then
     raise (Bail (Printf.sprintf
                    "register pressure at a spill-unsafe point: need %d, have %d"
-                   n (List.length free)))
+                   n nfree))
   else begin
-    let missing = n - List.length free in
+    let free = first_regs a 0 nfree in
+    let missing = n - nfree in
     if missing > b.config.Config.spill_slots then
       raise (Bail (Printf.sprintf "register pressure: need %d scratch, have %d, %d spill slots"
-                     n (List.length free) b.config.Config.spill_slots));
+                     n nfree b.config.Config.spill_slots));
     (* borrow live registers (not operands, not reserved) *)
     let borrowable =
       List.filter
@@ -358,6 +397,48 @@ let plain_branch b ~live ~cc ~target =
         Chain.anchor b.chain anchor
       | regs, _ -> template_error "plain_branch (branch group, 2 scratch)" regs)
 
+(* The f(x) recovery sequence, shared by P1 branches and every opaque
+   recovery: sv := P1[f(x)*s*8 + cls*8] mod m, where f(x) opaquely combines
+   up to 4 input-derived (live) registers; clobbers [si] and [st].  Sharing
+   it byte for byte means a scanner cannot tell a recovered constant from an
+   encoded branch. *)
+let opaque_residue_seq b ~live ~cls (si, st, sv) =
+  let p1 =
+    match b.config.Config.p1 with
+    | Some p -> p
+    | None -> invalid_arg "Builder.opaque_residue_seq: no P1 parameters"
+  in
+  let sources =
+    List.filter
+      (fun r -> R.mem_reg live r && not (R.mem_reg reserved r))
+      all_regs
+  in
+  let sources = Util.Rng.shuffle b.rng sources in
+  let sources = List.filteri (fun i _ -> i < 4) sources in
+  (match sources with
+   | [] -> g b [ Mov (W64, Reg si, Imm 0L) ]
+   | first :: others ->
+     g b [ Mov (W64, Reg si, Reg first) ];
+     List.iter
+       (fun r ->
+          match Util.Rng.int b.rng 3 with
+          | 0 -> g b [ Alu (Add, W64, Reg si, Reg r) ]
+          | 1 -> g b [ Alu (Xor, W64, Reg si, Reg r) ]
+          | _ -> g b [ Alu (Add, W64, Reg si, Reg r);
+                       Shift (Rol, W64, Reg si, S_imm 3) ])
+       others);
+  g b [ Alu (And, W64, Reg si, Imm (Int64.of_int (p1.Config.p - 1))) ];
+  load_imm b ~scratch:[] st (Int64.of_int (8 * p1.Config.s));
+  g b [ Imul2 (W64, si, Reg st) ];
+  load_imm b ~scratch:[] st (Int64.add b.p1_array (Int64.of_int (8 * cls)));
+  g b [ Mov (W64, Reg sv,
+             Mem { base = Some st; index = Some (si, 1); disp = 0L }) ];
+  if p1.Config.m land (p1.Config.m - 1) = 0 then
+    g b [ Alu (And, W64, Reg sv, Imm (Int64.of_int (p1.Config.m - 1))) ]
+  else
+    raise (Bail "non-power-of-two P1 modulus requires the div path \
+                 (unimplemented fast path)")
+
 (* P1 branch group: the branch offset is split into an array-encoded part [a]
    (recovered through the periodic opaque array, with input-derived aliasing
    via f(x)) and a branch-specific part delta-a popped from the chain
@@ -398,40 +479,7 @@ let p1_branch b ~live ~cc ~target =
             conditional");
       match rest with
       | [ si; st; sv; so ] ->
-        (* f(x): opaquely combine up to 4 input-derived (live) registers *)
-        let sources =
-          List.filter
-            (fun r -> R.mem_reg live r && not (R.mem_reg reserved r))
-            all_regs
-        in
-        let sources = Util.Rng.shuffle b.rng sources in
-        let sources = List.filteri (fun i _ -> i < 4) sources in
-        (match sources with
-         | [] -> g b [ Mov (W64, Reg si, Imm 0L) ]
-         | first :: others ->
-           g b [ Mov (W64, Reg si, Reg first) ];
-           List.iter
-             (fun r ->
-                match Util.Rng.int b.rng 3 with
-                | 0 -> g b [ Alu (Add, W64, Reg si, Reg r) ]
-                | 1 -> g b [ Alu (Xor, W64, Reg si, Reg r) ]
-                | _ -> g b [ Alu (Add, W64, Reg si, Reg r);
-                             Shift (Rol, W64, Reg si, S_imm 3) ])
-             others);
-        g b [ Alu (And, W64, Reg si, Imm (Int64.of_int (p1.Config.p - 1))) ];
-        load_imm b ~scratch:[] st (Int64.of_int (8 * p1.Config.s));
-        g b [ Imul2 (W64, si, Reg st) ];
-        (* cell address = A + cls*8 + f(x)*s*8 *)
-        load_imm b ~scratch:[]
-          st (Int64.add b.p1_array (Int64.of_int (8 * cls)));
-        g b [ Mov (W64, Reg sv, Mem { base = Some st; index = Some (si, 1); disp = 0L }) ];
-        (* a = A[...] mod m *)
-        if p1.Config.m land (p1.Config.m - 1) = 0 then
-          g b [ Alu (And, W64, Reg sv, Imm (Int64.of_int (p1.Config.m - 1))) ]
-        else begin
-          (* div path: needs rax/rdx; they are scratch-only here *)
-          raise (Bail "non-power-of-two P1 modulus requires the div path (unimplemented fast path)")
-        end;
+        opaque_residue_seq b ~live ~cls (si, st, sv);
         (* delta = (delta - a) + a *)
         g b [ Pop (Reg so) ];
         Chain.disp b.chain ~target ~anchor ~bias:(Int64.of_int a);
@@ -465,47 +513,6 @@ let opaque_roll b =
 let free_scratch _b ~live ~avoid =
   let forbidden = R.union (R.union live avoid) reserved in
   List.length (List.filter (fun r -> not (R.mem_reg forbidden r)) all_regs)
-
-(* Shared middle of every opaque recovery: sv := P1[f(x)*s*8 + cls*8] mod m,
-   clobbering [si] and [st] — byte for byte the extraction sequence of
-   [p1_branch], so a scanner cannot tell a recovered constant from an
-   encoded branch. *)
-let opaque_residue_seq b ~live ~cls (si, st, sv) =
-  let p1 =
-    match b.config.Config.p1 with
-    | Some p -> p
-    | None -> invalid_arg "Builder.opaque_residue_seq: no P1 parameters"
-  in
-  let sources =
-    List.filter
-      (fun r -> R.mem_reg live r && not (R.mem_reg reserved r))
-      all_regs
-  in
-  let sources = Util.Rng.shuffle b.rng sources in
-  let sources = List.filteri (fun i _ -> i < 4) sources in
-  (match sources with
-   | [] -> g b [ Mov (W64, Reg si, Imm 0L) ]
-   | first :: others ->
-     g b [ Mov (W64, Reg si, Reg first) ];
-     List.iter
-       (fun r ->
-          match Util.Rng.int b.rng 3 with
-          | 0 -> g b [ Alu (Add, W64, Reg si, Reg r) ]
-          | 1 -> g b [ Alu (Xor, W64, Reg si, Reg r) ]
-          | _ -> g b [ Alu (Add, W64, Reg si, Reg r);
-                       Shift (Rol, W64, Reg si, S_imm 3) ])
-       others);
-  g b [ Alu (And, W64, Reg si, Imm (Int64.of_int (p1.Config.p - 1))) ];
-  load_imm b ~scratch:[] st (Int64.of_int (8 * p1.Config.s));
-  g b [ Imul2 (W64, si, Reg st) ];
-  load_imm b ~scratch:[] st (Int64.add b.p1_array (Int64.of_int (8 * cls)));
-  g b [ Mov (W64, Reg sv,
-             Mem { base = Some st; index = Some (si, 1); disp = 0L }) ];
-  if p1.Config.m land (p1.Config.m - 1) = 0 then
-    g b [ Alu (And, W64, Reg sv, Imm (Int64.of_int (p1.Config.m - 1))) ]
-  else
-    raise (Bail "non-power-of-two P1 modulus requires the div path \
-                 (unimplemented fast path)")
 
 (* Choose this slot's encoding and rotate the class.  The first slot under
    [debug_opaque_residue] records a residue that disagrees with the array's

@@ -343,7 +343,7 @@ let rewrite_function (s : session) fname
              b.Builder.program_points <- b.Builder.program_points + 1;
              let uses, defs = Analysis.Reguse.def_use bi.Cfg.instr in
              Builder.begin_point b ~addr:bi.Cfg.addr
-               ~desc:(X86.Pp.instr_str bi.Cfg.instr) ~live
+               ~desc:(lazy (X86.Pp.instr_str bi.Cfg.instr)) ~live
                ~flags_live:
                  (Analysis.Liveness.flags_live_after live_info bi.Cfg.addr)
                ~defs;
@@ -442,9 +442,9 @@ let rewrite_function (s : session) fname
                let taddr, tdesc, tflags =
                  match block.Cfg.b_term_instr with
                  | Some ti ->
-                   (ti.Cfg.addr, X86.Pp.instr_str ti.Cfg.instr,
+                   (ti.Cfg.addr, lazy (X86.Pp.instr_str ti.Cfg.instr),
                     Analysis.Liveness.flags_live_after live_info ti.Cfg.addr)
-                 | None -> (addr, "fallthrough", false)
+                 | None -> (addr, Lazy.from_val "fallthrough", false)
                in
                let point_live =
                  match block.Cfg.b_term with
@@ -507,7 +507,8 @@ let rewrite_function (s : session) fname
           List.iter
             (fun (tramp, cc, bv, target, live) ->
                Chain.label b.Builder.chain tramp;
-               Builder.begin_point b ~addr:0L ~desc:("p2 trampoline " ^ tramp)
+               Builder.begin_point b ~addr:0L
+                 ~desc:(lazy ("p2 trampoline " ^ tramp))
                  ~live ~flags_live:false ~defs:R.empty;
                Predicates.taken_guard b ~live ~cc bv;
                Builder.branch b ~live ~cc:None ~target;
@@ -574,7 +575,7 @@ let rewrite_function (s : session) fname
                 List.map
                   (fun (p : Builder.point) ->
                      { Audit.p_addr = p.Builder.pt_addr;
-                       p_desc = p.Builder.pt_desc;
+                       p_desc = Lazy.force p.Builder.pt_desc;
                        p_live = p.Builder.pt_live;
                        p_flags_live = p.Builder.pt_flags_live;
                        p_defs = p.Builder.pt_defs;

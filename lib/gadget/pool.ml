@@ -18,37 +18,67 @@
 open X86.Isa
 
 (* Synthesized gadgets remember which registers their diversification prefix
-   writes ([prefix] is empty for found gadgets and prefix-free variants). *)
+   writes ([prefix] is empty for found gadgets and prefix-free variants) and
+   their encoding, computed once ([code] is empty for found gadgets, which
+   are never emitted). *)
 type entry = {
   gadget : Gadget.t;
   prefix : reg list;
   is_found : bool;
+  code : bytes;
+  mutable used_in : int;                (* last stats epoch that used it *)
+}
+
+(* Every variant of one body: found gadgets (in the order [create] saw them,
+   reversed) and synthesized ones (newest first).  A request's candidates
+   are [found @ synth] filtered by usability, in that order. *)
+type bucket = {
+  mutable found : entry list;
+  mutable synth : entry list;
 }
 
 type t = {
   rng : Util.Rng.t;
-  found : (Gadget.key, entry list) Hashtbl.t;
-  synthesized : (Gadget.key, entry list) Hashtbl.t;
+  buckets : (Gadget.key, bucket) Hashtbl.t;
   mutable next_addr : int64;            (* where the next synthetic gadget goes *)
   mutable emitted : entry list;         (* reversed *)
+  mutable found_entries : entry list;   (* reversed; for [all_gadgets] *)
   variants : int;                       (* max variants kept per key *)
   dead_prefix_prob : int;               (* percent chance of a dead prefix *)
-  (* usage statistics (Table III) *)
+  (* usage statistics (Table III).  Entries have distinct addresses (the
+     finder yields one gadget per offset, synthesis advances [next_addr]),
+     so counting entries first used in the current epoch counts unique
+     addresses. *)
   mutable uses : int;                   (* A: total gadget uses *)
-  used_addrs : (int64, unit) Hashtbl.t; (* B: unique gadgets used *)
+  mutable unique : int;                 (* B: unique gadgets used *)
+  mutable epoch : int;                  (* bumped by [reset_stats] *)
 }
 
+let bucket t key =
+  match Hashtbl.find t.buckets key with
+  | b -> b
+  | exception Not_found ->
+    let b = { found = []; synth = [] } in
+    Hashtbl.add t.buckets key b;
+    b
+
 let create ?(variants = 3) ?(dead_prefix_prob = 40) ~rng ~next_addr found_list =
-  let found = Hashtbl.create 256 in
+  let t =
+    { rng; buckets = Hashtbl.create 256; next_addr; emitted = [];
+      found_entries = []; variants; dead_prefix_prob;
+      uses = 0; unique = 0; epoch = 0 }
+  in
   List.iter
     (fun g ->
-       let k = Gadget.key g in
-       let prev = Option.value (Hashtbl.find_opt found k) ~default:[] in
-       Hashtbl.replace found k
-         ({ gadget = g; prefix = []; is_found = true } :: prev))
+       let e =
+         { gadget = g; prefix = []; is_found = true; code = Bytes.empty;
+           used_in = -1 }
+       in
+       let b = bucket t (Gadget.key g) in
+       b.found <- e :: b.found;
+       t.found_entries <- e :: t.found_entries)
     found_list;
-  { rng; found; synthesized = Hashtbl.create 256; next_addr; emitted = [];
-    variants; dead_prefix_prob; uses = 0; used_addrs = Hashtbl.create 256 }
+  t
 
 (* Dynamically-dead prefix instructions: harmless writes to a clobberable
    register.  They concur to nothing, diversifying the byte pattern. *)
@@ -67,83 +97,101 @@ let dead_prefix t ~clobberable =
     (ins, [ r ])
   | _ -> ([], [])
 
-let synthesize t ~ending ~clobberable body =
+(* Synthesize a new variant of [body] and file it, newest first, in [b]. *)
+let synthesize t b ~ending ~clobberable body =
   let prefix_ins, prefix = dead_prefix t ~clobberable in
   let g =
     { Gadget.addr = t.next_addr; body = prefix_ins @ body; ending }
   in
-  t.next_addr <- Int64.add t.next_addr (Int64.of_int (Gadget.length g));
-  let e = { gadget = g; prefix; is_found = false } in
+  let code = Gadget.encode g in
+  t.next_addr <- Int64.add t.next_addr (Int64.of_int (Bytes.length code));
+  let e = { gadget = g; prefix; is_found = false; code; used_in = -1 } in
   t.emitted <- e :: t.emitted;
+  b.synth <- e :: b.synth;
   e
 
 let record_use t e =
   t.uses <- t.uses + 1;
-  Hashtbl.replace t.used_addrs e.gadget.Gadget.addr ();
+  if e.used_in <> t.epoch then begin
+    e.used_in <- t.epoch;
+    t.unique <- t.unique + 1
+  end;
   e.gadget.Gadget.addr
 
 (* A cached variant is only usable when every register its diversification
    prefix writes is clobberable at *this* use site. *)
-let usable ~clobberable e =
-  List.for_all (fun r -> List.mem r clobberable) e.prefix
+let rec covered clobberable = function
+  | [] -> true
+  | r :: rs -> List.memq r clobberable && covered clobberable rs
+
+let usable clobberable e = covered clobberable e.prefix
+
+let rec count_usable clobberable n = function
+  | [] -> n
+  | e :: es ->
+    count_usable clobberable (if usable clobberable e then n + 1 else n) es
+
+(* The [k]-th usable entry of [es], counting from 0; the caller has
+   counted that there are more than [k]. *)
+let rec nth_usable clobberable k = function
+  | [] -> invalid_arg "Pool.nth_usable"
+  | e :: es ->
+    if not (usable clobberable e) then nth_usable clobberable k es
+    else if k = 0 then e
+    else nth_usable clobberable (k - 1) es
 
 (* Request a ret-ending gadget whose body is exactly [body].  [clobberable]
    lists registers that are dead at the use site, allowed to appear in
-   dynamically-dead diversification prefixes. *)
+   dynamically-dead diversification prefixes.  A cached request does one
+   table lookup and allocates nothing. *)
 let request ?(clobberable = []) t (body : instr list) : int64 =
-  let key : Gadget.key = body in
-  let candidates =
-    List.filter (usable ~clobberable)
-      (Option.value (Hashtbl.find_opt t.found key) ~default:[]
-       @ Option.value (Hashtbl.find_opt t.synthesized key) ~default:[])
-  in
+  let b = bucket t body in
+  let n_found = count_usable clobberable 0 b.found in
+  let n = count_usable clobberable n_found b.synth in
   let e =
-    if candidates = [] || List.length candidates < t.variants
-       && Util.Rng.int t.rng 100 < 30
-    then begin
-      let e = synthesize t ~ending:Gadget.E_ret ~clobberable body in
-      let prev = Option.value (Hashtbl.find_opt t.synthesized key) ~default:[] in
-      Hashtbl.replace t.synthesized key (e :: prev);
-      e
+    if n = 0 || n < t.variants && Util.Rng.int t.rng 100 < 30 then
+      synthesize t b ~ending:Gadget.E_ret ~clobberable body
+    else begin
+      let k = Util.Rng.int t.rng n in
+      if k < n_found then nth_usable clobberable k b.found
+      else nth_usable clobberable (k - n_found) b.synth
     end
-    else Util.Rng.choose t.rng candidates
   in
   record_use t e
 
-(* Request a JOP gadget (ends with jmp reg, no ret). *)
-let request_jop ?(clobberable = []) t (body : instr list) : int64 =
-  let key : Gadget.key = body in
-  let cached =
-    match Hashtbl.find_opt t.synthesized key with
-    | Some es -> List.find_opt (usable ~clobberable) es
-    | None -> None
-  in
-  match cached with
-  | Some e -> record_use t e
-  | None ->
-    let e = synthesize t ~ending:(Gadget.E_jop RAX) ~clobberable body in
+(* Serve the first usable synthesized variant of [b], else a new one. *)
+let rec serve_jop t b ~clobberable body = function
+  | e :: es ->
+    if usable clobberable e then record_use t e
+    else serve_jop t b ~clobberable body es
+  | [] ->
     (* ending reg is informational; body already contains the jmp *)
-    let prev = Option.value (Hashtbl.find_opt t.synthesized key) ~default:[] in
-    Hashtbl.replace t.synthesized key (e :: prev);
-    record_use t e
+    record_use t (synthesize t b ~ending:(Gadget.E_jop RAX) ~clobberable body)
+
+(* Request a JOP gadget (ends with jmp reg, no ret).  Only synthesized
+   variants serve, never found ones. *)
+let request_jop ?(clobberable = []) t (body : instr list) : int64 =
+  let b = bucket t body in
+  serve_jop t b ~clobberable body b.synth
 
 (* Bytes of all synthesized gadgets, in address order, for appending to
    .text.  The first gadget's address must equal the pool's [next_addr] at
    creation time. *)
 let emitted_bytes t =
-  let gs = List.rev t.emitted in
   let buf = Buffer.create 1024 in
-  List.iter (fun e -> Buffer.add_bytes buf (Gadget.encode e.gadget)) gs;
+  List.iter (fun e -> Buffer.add_bytes buf e.code) (List.rev t.emitted);
   Buffer.to_bytes buf
 
 (* Every gadget the pool knows about — scanned and synthesized — with its
-   prefix provenance, for the static verifier's address -> semantics map. *)
+   prefix provenance, for the static verifier's address -> semantics map.
+   Found gadgets come first, in scan order, then synthesized ones in address
+   order. *)
 let all_gadgets t : entry list =
-  let found = Hashtbl.fold (fun _ es acc -> es @ acc) t.found [] in
-  found @ List.rev t.emitted
+  List.rev_append t.found_entries (List.rev t.emitted)
 
-let stats t = (t.uses, Hashtbl.length t.used_addrs)
+let stats t = (t.uses, t.unique)
 
 let reset_stats t =
   t.uses <- 0;
-  Hashtbl.reset t.used_addrs
+  t.unique <- 0;
+  t.epoch <- t.epoch + 1

@@ -5,19 +5,29 @@
    that experiments are reproducible from a seed, mirroring the paper's use of
    per-program obfuscation-time choices. *)
 
-type t = { mutable state : int64 }
+(* The state lives in 8 bytes rather than a [mutable int64] field: a
+   mutable field holds a boxed int64, so every step would allocate, while
+   [Bytes.get/set_int64_ne] read and write it unboxed. *)
+type t = bytes
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy t = Bytes.copy t
 
 let golden = 0x9E3779B97F4A7C15L
 
-(* Core splitmix64 step: returns a full 64-bit value. *)
-let next64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+(* Core splitmix64 step: returns a full 64-bit value.  Inlined into [int],
+   the hottest draw of chain crafting, so that no int64 crosses a call
+   there and none is boxed. *)
+let[@inline] next64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
@@ -52,9 +62,7 @@ let shuffle t xs =
   Array.to_list a
 
 (* Derive an independent stream, e.g. one per obfuscated function. *)
-let split t =
-  let s = next64 t in
-  { state = s }
+let split t = of_state (next64 t)
 
 (* Derive a stream from a master seed and a stable string key (a job's
    cache key, a table cell id, ...).  Unlike [split], the result does not
@@ -67,4 +75,4 @@ let of_key ~seed key =
   for i = 0 to 7 do
     s := Int64.logor (Int64.shift_left !s 8) (Int64.of_int (Char.code d.[i]))
   done;
-  { state = !s }
+  of_state !s

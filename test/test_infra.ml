@@ -28,6 +28,34 @@ let prop_rng_shuffle_permutes =
        let rng = Util.Rng.create seed in
        List.sort compare (Util.Rng.shuffle rng xs) = List.sort compare xs)
 
+(* Literal streams recorded before the generator's state moved into an
+   unboxed byte store: the layout changed, the draws must not. *)
+let test_rng_stream_pins () =
+  let module R = Util.Rng in
+  let ints r bound n = List.init n (fun _ -> R.int r bound) in
+  let r = R.create 1 in
+  Alcotest.(check (list int)) "create 1, int 1000"
+    [ 616; 129; 647; 58; 190; 512; 761; 133 ] (ints r 1000 8);
+  Alcotest.(check (list int)) "int 2^40 keeps the high bits"
+    [ 238595051370; 152959474149; 127780885464 ] (ints r (1 lsl 40) 3);
+  let s = R.split r in
+  Alcotest.(check int64) "split" 8141976017713698904L (R.next64 s);
+  Alcotest.(check (list int)) "parent after split"
+    [ 347696; 84130; 790954; 649934 ] (ints r 1_000_000 4);
+  let k = R.of_key ~seed:7 "fact/rop0.5" in
+  Alcotest.(check int64) "of_key" (-7908798123520636211L) (R.next64 k);
+  Alcotest.(check (list int)) "of_key, int 100" [ 43; 95; 19; 92 ] (ints k 100 4);
+  Alcotest.(check (list int)) "shuffle"
+    [ 5; 9; 6; 1; 4; 0; 2; 8; 3; 7 ]
+    (R.shuffle (R.create 2) (List.init 10 Fun.id));
+  let a = R.create 3 in
+  ignore (R.int a 5);
+  let c = R.copy a in
+  Alcotest.(check int64) "copy, 1st" (-5528608851982440055L) (R.next64 c);
+  Alcotest.(check int64) "copy, 2nd" (-7139356981108613887L) (R.next64 c);
+  Alcotest.(check int64) "the copy's draws leave the original alone"
+    (-5528608851982440055L) (R.next64 a)
+
 (* --- gadget finder ------------------------------------------------------------ *)
 
 let test_finder_finds_planted () =
@@ -80,6 +108,294 @@ let test_pool_prefers_found () =
     if a <> 0x400100L && a < 0x5000L then ok := false
   done;
   Alcotest.(check bool) "found gadget reachable" !ok true
+
+(* --- pool reference model ------------------------------------------------------ *)
+
+(* The list-based pool the current one replaced, kept as the reference: a
+   request filters [found @ synthesized] afresh, and unique uses are a table
+   of addresses.  Draw for draw, it is the pool's specification. *)
+module Pool_model = struct
+  type entry = { gadget : Gadget.t; prefix : reg list; is_found : bool }
+
+  type t = {
+    rng : Util.Rng.t;
+    found : (Gadget.key, entry list) Hashtbl.t;
+    synthesized : (Gadget.key, entry list) Hashtbl.t;
+    mutable next_addr : int64;
+    mutable emitted : entry list;
+    variants : int;
+    dead_prefix_prob : int;
+    mutable uses : int;
+    used_addrs : (int64, unit) Hashtbl.t;
+  }
+
+  let create ~variants ~dead_prefix_prob ~rng ~next_addr found_list =
+    let found = Hashtbl.create 256 in
+    List.iter
+      (fun g ->
+         let k = Gadget.key g in
+         let prev = Option.value (Hashtbl.find_opt found k) ~default:[] in
+         Hashtbl.replace found k
+           ({ gadget = g; prefix = []; is_found = true } :: prev))
+      found_list;
+    { rng; found; synthesized = Hashtbl.create 256; next_addr; emitted = [];
+      variants; dead_prefix_prob; uses = 0; used_addrs = Hashtbl.create 256 }
+
+  let dead_prefix t ~clobberable =
+    match clobberable with
+    | [] -> ([], [])
+    | regs when Util.Rng.int t.rng 100 < t.dead_prefix_prob ->
+      let r = Util.Rng.choose t.rng regs in
+      let ins =
+        match Util.Rng.int t.rng 4 with
+        | 0 -> [ Mov (W64, Reg r, Imm (Int64.of_int (Util.Rng.int t.rng 4096))) ]
+        | 1 -> [ Alu (Xor, W64, Reg r, Reg r) ]
+        | 2 -> [ Unary (Not, W64, Reg r) ]
+        | _ -> [ Lea (r, { base = Some r; index = None; disp = 0L }) ]
+      in
+      (ins, [ r ])
+    | _ -> ([], [])
+
+  let synthesize t ~ending ~clobberable body =
+    let prefix_ins, prefix = dead_prefix t ~clobberable in
+    let g = { Gadget.addr = t.next_addr; body = prefix_ins @ body; ending } in
+    t.next_addr <- Int64.add t.next_addr (Int64.of_int (Gadget.length g));
+    let e = { gadget = g; prefix; is_found = false } in
+    t.emitted <- e :: t.emitted;
+    e
+
+  let record_use t e =
+    t.uses <- t.uses + 1;
+    Hashtbl.replace t.used_addrs e.gadget.Gadget.addr ();
+    e.gadget.Gadget.addr
+
+  let usable ~clobberable e =
+    List.for_all (fun r -> List.mem r clobberable) e.prefix
+
+  let add_synth t key e =
+    let prev = Option.value (Hashtbl.find_opt t.synthesized key) ~default:[] in
+    Hashtbl.replace t.synthesized key (e :: prev)
+
+  let request ~clobberable t body =
+    let candidates =
+      List.filter (usable ~clobberable)
+        (Option.value (Hashtbl.find_opt t.found body) ~default:[]
+         @ Option.value (Hashtbl.find_opt t.synthesized body) ~default:[])
+    in
+    let e =
+      if candidates = [] || List.length candidates < t.variants
+         && Util.Rng.int t.rng 100 < 30
+      then begin
+        let e = synthesize t ~ending:Gadget.E_ret ~clobberable body in
+        add_synth t body e;
+        e
+      end
+      else Util.Rng.choose t.rng candidates
+    in
+    record_use t e
+
+  let request_jop ~clobberable t body =
+    let cached =
+      match Hashtbl.find_opt t.synthesized body with
+      | Some es -> List.find_opt (usable ~clobberable) es
+      | None -> None
+    in
+    match cached with
+    | Some e -> record_use t e
+    | None ->
+      let e = synthesize t ~ending:(Gadget.E_jop RAX) ~clobberable body in
+      add_synth t body e;
+      record_use t e
+
+  let emitted_bytes t =
+    let buf = Buffer.create 1024 in
+    List.iter (fun e -> Buffer.add_bytes buf (Gadget.encode e.gadget))
+      (List.rev t.emitted);
+    Buffer.to_bytes buf
+
+  let all_gadgets t =
+    Hashtbl.fold (fun _ es acc -> es @ acc) t.found [] @ List.rev t.emitted
+
+  let stats t = (t.uses, Hashtbl.length t.used_addrs)
+
+  let reset_stats t =
+    t.uses <- 0;
+    Hashtbl.reset t.used_addrs
+end
+
+(* Bodies a stream draws from: ret-style and jmp-ending ones, requested
+   through either entry point, so buckets are shared the way the rewriter
+   shares them. *)
+let model_bodies =
+  [| [ Pop (Reg RCX) ];
+     [ Pop (Reg RAX) ];
+     [ Mov (W64, Reg RAX, Reg RCX) ];
+     [ Alu (Add, W64, Reg RSP, Reg RCX) ];
+     [ Jmp (J_op (Reg RAX)) ];
+     [ Xchg (W64, Reg RSP, Mem (mem_b RCX 0)); Jmp (J_op (Reg RDX)) ] |]
+
+(* Clobberable set [c]: a subset of R12..R15 (bits 0-3), reversed when bit
+   4 is set, since [dead_prefix] picks by list position. *)
+let clobber_set c =
+  let regs =
+    List.filteri (fun i _ -> c land (1 lsl i) <> 0) [ R12; R13; R14; R15 ]
+  in
+  if c land 16 <> 0 then List.rev regs else regs
+
+type pool_op = Req of int * int | Jop of int * int | Reset
+
+let gen_pool_case =
+  let open QCheck.Gen in
+  let nb = Array.length model_bodies - 1 in
+  let* seed = int_bound 100_000 in
+  let* variants = int_range 1 4 in
+  let* prob = int_bound 100 in
+  let* found = list_size (int_bound 6) (int_bound nb) in
+  let+ ops =
+    list_size (int_range 1 300)
+      (frequency
+         [ (8, map2 (fun b c -> Req (b, c)) (int_bound nb) (int_bound 31));
+           (3, map2 (fun b c -> Jop (b, c)) (int_bound nb) (int_bound 31));
+           (1, return Reset) ])
+  in
+  (seed, variants, prob, found, ops)
+
+let print_pool_case (seed, variants, prob, found, ops) =
+  Printf.sprintf "seed=%d variants=%d prob=%d found=[%s] ops=[%s]" seed
+    variants prob
+    (String.concat ";" (List.map string_of_int found))
+    (String.concat ";"
+       (List.map
+          (function
+            | Req (b, c) -> Printf.sprintf "R%d/%d" b c
+            | Jop (b, c) -> Printf.sprintf "J%d/%d" b c
+            | Reset -> "reset")
+          ops))
+
+let prop_pool_matches_model =
+  QCheck.Test.make ~name:"pool = list-based reference model" ~count:300
+    (QCheck.make ~print:print_pool_case gen_pool_case)
+    (fun (seed, variants, prob, found, ops) ->
+       (* found gadgets sit at distinct addresses below the pool, as the
+          finder's one-per-offset scan guarantees *)
+       let found =
+         List.mapi
+           (fun i b ->
+              { Gadget.addr = Int64.of_int (0x1000 + (16 * i));
+                body = model_bodies.(b); ending = Gadget.E_ret })
+           found
+       in
+       let next_addr = 0x5000L in
+       let pool =
+         Pool.create ~variants ~dead_prefix_prob:prob
+           ~rng:(Util.Rng.create seed) ~next_addr found
+       in
+       let model =
+         Pool_model.create ~variants ~dead_prefix_prob:prob
+           ~rng:(Util.Rng.create seed) ~next_addr found
+       in
+       let step op =
+         (match op with
+          | Req (b, c) ->
+            let clobberable = clobber_set c in
+            Int64.equal
+              (Pool.request ~clobberable pool model_bodies.(b))
+              (Pool_model.request ~clobberable model model_bodies.(b))
+          | Jop (b, c) ->
+            let clobberable = clobber_set c in
+            Int64.equal
+              (Pool.request_jop ~clobberable pool model_bodies.(b))
+              (Pool_model.request_jop ~clobberable model model_bodies.(b))
+          | Reset ->
+            Pool.reset_stats pool;
+            Pool_model.reset_stats model;
+            true)
+         && Pool.stats pool = Pool_model.stats model
+       in
+       (* the same gadgets with the same provenance; only the order of
+          the found ones differs (the model's is its table's) *)
+       let pool_gadgets () =
+         List.map
+           (fun (e : Pool.entry) -> (e.Pool.gadget, e.Pool.prefix, e.Pool.is_found))
+           (Pool.all_gadgets pool)
+       in
+       let model_gadgets () =
+         List.map
+           (fun (e : Pool_model.entry) -> Pool_model.(e.gadget, e.prefix, e.is_found))
+           (Pool_model.all_gadgets model)
+       in
+       List.for_all step ops
+       && Bytes.equal (Pool.emitted_bytes pool) (Pool_model.emitted_bytes model)
+       && List.sort compare (pool_gadgets ())
+          = List.sort compare (model_gadgets ()))
+
+(* Allocation fence: once a body has its variants, serving it from the
+   pool allocates nothing, with or without a clobberable set, and neither
+   does a draw from the generator.  The [Some] that passing an optional
+   argument builds belongs to the call site, so the fenced loop passes one
+   built outside it. *)
+let test_pool_alloc_fence () =
+  let plain = [ Pop (Reg RCX) ] and prefixed = [ Pop (Reg RAX) ] in
+  let clobberable = Sys.opaque_identity [ R12; R13 ] in
+  let some_clobberable = Some clobberable in
+  let pool =
+    Pool.create ~variants:3 ~dead_prefix_prob:100 ~rng:(Util.Rng.create 5)
+      ~next_addr:0x5000L []
+  in
+  (* warm up: the plain body gets prefix-free variants, the other one
+     variants whose prefixes only [clobberable] covers *)
+  for _ = 1 to 200 do
+    ignore (Pool.request pool plain);
+    ignore (Pool.request ~clobberable pool prefixed)
+  done;
+  let fence name f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do f () done;
+    Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0
+      (Gc.minor_words () -. w0)
+  in
+  let _, before = Pool.stats pool in
+  fence "cached request" (fun () -> ignore (Pool.request pool plain));
+  fence "cached request, ~clobberable" (fun () ->
+      ignore (Pool.request ?clobberable:some_clobberable pool prefixed));
+  let _, after = Pool.stats pool in
+  Alcotest.(check int) "nothing synthesized while fenced" before after;
+  let rng = Util.Rng.create 9 in
+  fence "Rng.int" (fun () ->
+      ignore (Sys.opaque_identity (Util.Rng.int rng 1000)))
+
+(* --- chain labels ------------------------------------------------------------- *)
+
+let prop_block_label =
+  QCheck.Test.make ~name:"block_label = sprintf \"bb_%Lx\"" ~count:500
+    QCheck.(oneof [ int64; map Int64.of_int small_nat ])
+    (fun a ->
+       let a = Int64.logand a Int64.max_int in
+       Ropc.Builder.block_label a = Printf.sprintf "bb_%Lx" a)
+
+let test_block_label_edges () =
+  List.iter
+    (fun (a, want) ->
+       Alcotest.(check string) want want (Ropc.Builder.block_label a))
+    [ (0L, "bb_0"); (0x401a2fL, "bb_401a2f");
+      (Int64.max_int, "bb_7fffffffffffffff") ]
+
+let prop_fresh_label =
+  QCheck.Test.make ~name:"fresh = sprintf \"%s$%s%d\"" ~count:200
+    QCheck.(triple printable_string printable_string (int_bound 40))
+    (fun (fname, prefix, k) ->
+       let pool =
+         Pool.create ~rng:(Util.Rng.create 1) ~next_addr:0x5000L []
+       in
+       let b =
+         Ropc.Builder.create ~pool ~config:Ropc.Config.default
+           ~rng:(Util.Rng.create 1) ~fname ~ss_addr:0L ~spill_base:0L
+           ~flags_spill:0L ~funcret_gadget:0L ~p1_array:0L ~p1_class_a:[||]
+       in
+       List.for_all
+         (fun n ->
+            Ropc.Builder.fresh b prefix = Printf.sprintf "%s$%s%d" fname prefix n)
+         (List.init (k + 1) Fun.id))
 
 (* --- chain materializer -------------------------------------------------------- *)
 
@@ -333,13 +649,20 @@ let () =
   Alcotest.run "infra"
     [ ("rng",
        [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+         Alcotest.test_case "stream pins" `Quick test_rng_stream_pins;
          QCheck_alcotest.to_alcotest prop_rng_range;
          QCheck_alcotest.to_alcotest prop_rng_shuffle_permutes ]);
       ("gadget",
        [ Alcotest.test_case "finder finds planted" `Quick test_finder_finds_planted;
          Alcotest.test_case "finder unaligned" `Quick test_finder_unaligned;
          Alcotest.test_case "pool diversifies" `Quick test_pool_diversifies;
-         Alcotest.test_case "pool uses found" `Quick test_pool_prefers_found ]);
+         Alcotest.test_case "pool uses found" `Quick test_pool_prefers_found;
+         QCheck_alcotest.to_alcotest prop_pool_matches_model;
+         Alcotest.test_case "pool allocation fence" `Quick test_pool_alloc_fence ]);
+      ("labels",
+       [ QCheck_alcotest.to_alcotest prop_block_label;
+         Alcotest.test_case "block_label edges" `Quick test_block_label_edges;
+         QCheck_alcotest.to_alcotest prop_fresh_label ]);
       ("chain",
        [ Alcotest.test_case "displacements" `Quick test_chain_displacements;
          Alcotest.test_case "bias" `Quick test_chain_bias;

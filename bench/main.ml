@@ -371,6 +371,10 @@ let json_of_solver_results ~quick ~rounds (rs : solver_mode_result list) =
         [ ("queries_per_sec", J.decimals 0 r.sm_qps); ("evals", J.int r.sm_evals);
           ("memo_hits", J.int r.sm_memo_hits) ] )
   in
+  let counts r =
+    ( r.sm_name,
+      J.Obj [ ("evals", J.int r.sm_evals); ("memo_hits", J.int r.sm_memo_hits) ] )
+  in
   J.to_string
     (J.Obj
        [ ("schema", J.Str "bench_solver/v1"); ("quick", J.Bool quick);
@@ -378,6 +382,8 @@ let json_of_solver_results ~quick ~rounds (rs : solver_mode_result list) =
          ("modes", J.Obj (List.map mode rs));
          ("speedup_memoized_vs_serial", J.decimals 2 memo_x);
          ("speedup_portfolio_vs_serial", J.decimals 2 port_x);
+         ("exact_counts",
+          J.Obj [ (string_of_int rounds, J.Obj (List.map counts rs)) ]);
          ("acceptance",
           J.Obj
             [ ("criterion",
@@ -416,6 +422,33 @@ let check_solver_baseline ~path root (rs : solver_mode_result list) =
     [ ("speedup_memoized_vs_serial", "memoized");
       ("speedup_portfolio_vs_serial", "portfolio") ]
 
+(* Exact gate on the deterministic counts: per mode, the evaluations and
+   memo hits of one rep must equal the baseline's for the same round count.
+   They depend on the round count, so the committed report keeps an
+   "exact_counts" entry for the quick leg's rounds beside its own. *)
+let check_solver_counts ~path ~rounds root (rs : solver_mode_result list) =
+  Printf.printf "== Solver counts gate (%s, exact, %d rounds) ==\n" path rounds;
+  List.for_all
+    (fun r ->
+       let base k =
+         match J.path [ "exact_counts"; string_of_int rounds; r.sm_name; k ] root with
+         | Some (J.Num x) -> Some x
+         | _ -> None
+       in
+       match base "evals", base "memo_hits" with
+       | Some evals, Some hits ->
+         let ok =
+           float_of_int r.sm_evals = evals && float_of_int r.sm_memo_hits = hits
+         in
+         Printf.printf "  %-10s %9d evals %5d memo hits vs baseline %9.0f %5.0f  %s\n"
+           r.sm_name r.sm_evals r.sm_memo_hits evals hits
+           (if ok then "ok" else "MISMATCH");
+         ok
+       | _ ->
+         Printf.printf "  %-10s no baseline entry; skipped\n" r.sm_name;
+         true)
+    rs
+
 let run_solver_json ~quick ~baseline ~path =
   let reps = if quick then 2 else 3 in
   let rounds = if quick then 6 else 10 in
@@ -431,6 +464,10 @@ let run_solver_json ~quick ~baseline ~path =
     Printf.printf "baseline %s: parse error: %s\n%!" p e;
     exit 1
   | Some (p, Ok root) ->
+    if not (check_solver_counts ~path:p ~rounds root rs) then begin
+      Printf.printf "solver counts gate FAILED: counts differ from %s\n%!" p;
+      exit 1
+    end;
     if not (check_solver_baseline ~path:p root rs) then begin
       Printf.printf "solver gate missed; re-measuring\n%!";
       let rs = run_solver_bench ~reps:(reps * 2) ~rounds in

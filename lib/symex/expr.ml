@@ -263,8 +263,13 @@ let evaluator ~input =
 
 (* For solver workloads the same expression DAG is evaluated under thousands
    of candidate models.  [compile] flattens the DAG once into an array
-   program in topological order; [run] then evaluates a model with a single
-   allocation-free sweep. *)
+   program in topological order, one 8-byte slot per physical node; [run]
+   then evaluates a model in a single sweep.  Constant slots are written
+   once, at [compile], and [run] visits only the other nodes ([live]).  Each
+   common arm stores its own result straight into [slots]: an [int64 array]
+   store, or one store after the arms join, would box every result.  The
+   rare kinds (division, [Mulhi_*], [Low], [Load]) still go through
+   [eval_bin]/[eval_un] and may allocate. *)
 
 type cnode =
   | C_const of int64
@@ -276,10 +281,14 @@ type cnode =
       (* base, addr idx, size, write log as (addr idx, value idx, size) *)
 
 type compiled = {
-  nodes : cnode array;
+  nodes : cnode array;            (* one per physical node *)
   roots : int array;              (* one per source expression *)
-  values : int64 array;           (* scratch, reused across runs *)
+  live : int array;               (* ids of the non-constant nodes, in order *)
+  slots : Bytes.t;                (* node i's value at byte 8i, reused across runs *)
 }
+
+let get_slot s i = Bytes.get_int64_ne s (i lsl 3)
+let set_slot s i v = Bytes.set_int64_ne s (i lsl 3) v
 
 let compile (exprs : t list) : compiled =
   let tbl = Phys_tbl.create 1024 in
@@ -328,48 +337,119 @@ let compile (exprs : t list) : compiled =
   in
   let roots = Array.of_list (List.map go exprs) in
   let nodes = Array.of_list (List.rev !nodes) in
-  { nodes; roots; values = Array.make (Array.length nodes) 0L }
-
-(* Evaluate all roots under [input]; returns the scratch array indexed by
-   node id (read roots via [c.roots]). *)
-let run (c : compiled) ~input =
-  let v = c.values in
-  for i = 0 to Array.length c.nodes - 1 do
-    v.(i) <-
-      (match c.nodes.(i) with
-       | C_const x -> x
-       | C_input k -> Int64.of_int (input k land 0xff)
-       | C_bin (op, a, b) -> eval_bin op v.(a) v.(b)
-       | C_un (op, a) -> eval_un op v.(a)
-       | C_ite (cc, t, f) -> if v.(cc) <> 0L then v.(t) else v.(f)
-       | C_load (base, ia, size, log) ->
-         let addr = v.(ia) in
-         let byte bi =
-           let ba = Int64.add addr (Int64.of_int bi) in
-           let rec walk = function
-             | [] ->
-               (match Machine.Memory.read_u8_opt base ba with
-                | Some x -> Int64.of_int x
-                | None -> 0L)
-             | (iwa, iwv, ws) :: rest ->
-               let off = Int64.sub ba v.(iwa) in
-               if Int64.compare off 0L >= 0
-                  && Int64.compare off (Int64.of_int ws) < 0
-               then
-                 Int64.logand
-                   (Int64.shift_right_logical v.(iwv) (8 * Int64.to_int off))
-                   0xFFL
-               else walk rest
-           in
-           walk log
-         in
-         let r = ref 0L in
-         for k = size - 1 downto 0 do
-           r := Int64.logor (Int64.shift_left !r 8) (byte k)
-         done;
-         !r)
+  let slots = Bytes.make (8 * Array.length nodes) '\000' in
+  let live = ref [] in
+  for i = Array.length nodes - 1 downto 0 do
+    match nodes.(i) with
+    | C_const x -> set_slot slots i x
+    | C_input _ | C_bin _ | C_un _ | C_ite _ | C_load _ -> live := i :: !live
   done;
-  v
+  { nodes; roots; live = Array.of_list !live; slots }
+
+let run_load s base addr size log =
+  let byte bi =
+    let ba = Int64.add addr (Int64.of_int bi) in
+    let rec walk = function
+      | [] ->
+        (match Machine.Memory.read_u8_opt base ba with
+         | Some x -> Int64.of_int x
+         | None -> 0L)
+      | (iwa, iwv, ws) :: rest ->
+        let off = Int64.sub ba (get_slot s iwa) in
+        if Int64.compare off 0L >= 0 && Int64.compare off (Int64.of_int ws) < 0
+        then
+          Int64.logand
+            (Int64.shift_right_logical (get_slot s iwv)
+               (8 * Int64.to_int off))
+            0xFFL
+        else walk rest
+    in
+    walk log
+  in
+  let r = ref 0L in
+  for k = size - 1 downto 0 do
+    r := Int64.logor (Int64.shift_left !r 8) (byte k)
+  done;
+  !r
+
+(* Evaluate all roots under [input]; read the results with [slot] and the
+   helpers below (node ids via [c.roots]).  Comparisons are spelled with
+   [<] on int64 operands, which compiles to a machine compare, where
+   [Int64.compare] would box both sides. *)
+let run (c : compiled) ~input =
+  let s = c.slots and nodes = c.nodes and live = c.live in
+  for k = 0 to Array.length live - 1 do
+    let i = live.(k) in
+    match nodes.(i) with
+    | C_const _ -> ()                  (* never live *)
+    | C_input b -> set_slot s i (Int64.of_int (input b land 0xff))
+    | C_bin (op, a, b) ->
+      let x = get_slot s a and y = get_slot s b in
+      (match op with
+       | Add -> set_slot s i (Int64.add x y)
+       | Sub -> set_slot s i (Int64.sub x y)
+       | Mul -> set_slot s i (Int64.mul x y)
+       | And -> set_slot s i (Int64.logand x y)
+       | Or -> set_slot s i (Int64.logor x y)
+       | Xor -> set_slot s i (Int64.logxor x y)
+       | Shl ->
+         set_slot s i (Int64.shift_left x (Int64.to_int (Int64.logand y 63L)))
+       | Shr ->
+         set_slot s i
+           (Int64.shift_right_logical x (Int64.to_int (Int64.logand y 63L)))
+       | Sar ->
+         set_slot s i (Int64.shift_right x (Int64.to_int (Int64.logand y 63L)))
+       | Eq -> set_slot s i (if x = y then 1L else 0L)
+       | Ult ->
+         set_slot s i
+           (if Int64.sub x Int64.min_int < Int64.sub y Int64.min_int then 1L
+            else 0L)
+       | Slt -> set_slot s i (if x < y then 1L else 0L)
+       | Ule ->
+         set_slot s i
+           (if Int64.sub x Int64.min_int <= Int64.sub y Int64.min_int then 1L
+            else 0L)
+       | Sle -> set_slot s i (if x <= y then 1L else 0L)
+       | Udiv | Urem | Sdiv | Srem | Mulhi_u | Mulhi_s ->
+         set_slot s i (eval_bin op x y))
+    | C_un (op, a) ->
+      let x = get_slot s a in
+      (match op with
+       | Not -> set_slot s i (Int64.lognot x)
+       | Neg -> set_slot s i (Int64.neg x)
+       | Bool_not -> set_slot s i (if x = 0L then 1L else 0L)
+       | Low _ -> set_slot s i (eval_un op x))
+    | C_ite (cc, t, f) ->
+      set_slot s i (if get_slot s cc <> 0L then get_slot s t else get_slot s f)
+    | C_load (base, ia, size, log) ->
+      set_slot s i (run_load s base (get_slot s ia) size log)
+  done
+
+let slot c i = get_slot c.slots i
+
+(* Readers that return [bool]/[int]: a caller in another module cannot
+   inline [slot] under separate compilation, so an [int64] it returns is
+   boxed. *)
+let slot_true c i = get_slot c.slots i <> 0L
+
+let slot_xor_popcount c i j =
+  let v = ref (Int64.logxor (get_slot c.slots i) (get_slot c.slots j)) in
+  let n = ref 0 in
+  while !v <> 0L do
+    v := Int64.logand !v (Int64.sub !v 1L);
+    incr n
+  done;
+  !n
+
+(* bit length of |a - b| (wrapping, so min_int counts 64) *)
+let slot_log2_dist c i j =
+  let d = Int64.sub (get_slot c.slots i) (get_slot c.slots j) in
+  let d = ref (if d >= 0L then d else Int64.neg d) and n = ref 0 in
+  while !d <> 0L do
+    d := Int64.shift_right_logical !d 1;
+    incr n
+  done;
+  !n
 
 (* --- inspection ------------------------------------------------------------ *)
 

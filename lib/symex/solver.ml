@@ -145,31 +145,21 @@ let compile_query cs =
   in
   { comp; items }
 
-let popcount (v : int64) =
-  let rec go acc v = if v = 0L then acc
-    else go (acc + 1) (Int64.logand v (Int64.sub v 1L)) in
-  go 0 v
-
-let log2_dist a b =
-  let d = Int64.abs (Int64.sub a b) in
-  let rec bits acc v = if v = 0L then acc else bits (acc + 1) (Int64.shift_right_logical v 1) in
-  bits 0 d
-
 (* evaluate the query under [m]; returns (all satisfied, penalty) *)
 let eval_query q (m : model) =
-  let v = Expr.run q.comp ~input:(input_of_model m) in
+  let c = q.comp in
+  Expr.run c ~input:(input_of_model m);
   let pen = ref 0 in
   Array.iter
     (fun (ci, want, kind) ->
-       let sat = (v.(ci) <> 0L) = want in
-       if not sat then
+       if Expr.slot_true c ci <> want then
          pen := !pen
                 + (match kind with
                    | K_eq (ia, ib) ->
                      max 1
-                       (min (popcount (Int64.logxor v.(ia) v.(ib)))
-                          (log2_dist v.(ia) v.(ib)))
-                   | K_cmp (ia, ib) -> max 1 (log2_dist v.(ia) v.(ib))
+                       (min (Expr.slot_xor_popcount c ia ib)
+                          (Expr.slot_log2_dist c ia ib))
+                   | K_cmp (ia, ib) -> max 1 (Expr.slot_log2_dist c ia ib)
                    | K_flat -> 40))
     q.items;
   (!pen = 0, !pen)
@@ -937,7 +927,8 @@ let pipeline ~stats ~deadline ~rng ?seed ~n_inputs ~max_evals cs q =
    [max_evals] expression evaluations.  [memo] overrides the process-global
    memo installed with [set_memo] (pass [Some m] to force one, or rely on
    the global).  Cached Sat models are re-validated against the original
-   query before being returned. *)
+   query before being returned.  Its four phases are trace spans:
+   solver.canonicalize, solver.digests, solver.compile and solver.search. *)
 let solve_verdict ?(rng = Util.Rng.create 42) ?stats ?(deadline = 0.0)
     ?(mode = Pipeline) ?memo ?seed ~n_inputs ~max_evals cs =
   let stats = match stats with Some s -> s | None -> make_stats () in
@@ -964,7 +955,9 @@ let solve_verdict ?(rng = Util.Rng.create 42) ?stats ?(deadline = 0.0)
     let canon =
       match memo with
       | None -> None
-      | Some _ -> canonicalize ~n_inputs cs
+      | Some _ ->
+        Obs.Trace.with_span "solver.canonicalize" (fun () ->
+            canonicalize ~n_inputs cs)
     in
     let cached_seed = ref None in
     let memo_hit =
@@ -1010,7 +1003,10 @@ let solve_verdict ?(rng = Util.Rng.create 42) ?stats ?(deadline = 0.0)
       (* incremental prefix reuse: a query that grows a proven-unsat set is
          unsat without search *)
       let concrete =
-        match memo with None -> None | Some _ -> concrete_digests cs
+        match memo with
+        | None -> None
+        | Some _ ->
+          Obs.Trace.with_span "solver.digests" (fun () -> concrete_digests cs)
       in
       let prefix_unsat =
         match memo, concrete with
@@ -1027,8 +1023,11 @@ let solve_verdict ?(rng = Util.Rng.create 42) ?stats ?(deadline = 0.0)
           | Some _, _ -> seed
           | None, s -> s
         in
-        let q = compile_query cs in
+        let q =
+          Obs.Trace.with_span "solver.compile" (fun () -> compile_query cs)
+        in
         let v =
+          Obs.Trace.with_span "solver.search" @@ fun () ->
           match mode with
           | Pipeline ->
             pipeline ~stats ~deadline ~rng ?seed ~n_inputs ~max_evals cs q

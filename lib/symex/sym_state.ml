@@ -120,6 +120,17 @@ let cmap_byte m a =
 let sym_write_may_cover m =
   m.sym_writes <> []
 
+(* Every concrete write is at most 8 bytes, so a binding that could cover
+   any of [a .. a+n) starts in [a-7 .. a+n-1]; the window must not wrap. *)
+let cmap_may_cover m a n =
+  let lo = Int64.sub a 7L and hi = Int64.add a (Int64.of_int (n - 1)) in
+  lo > a || hi < a
+  || (match I64Map.find_first_opt (fun k -> k >= lo) m.cmap with
+      | Some (k, _) -> k <= hi
+      | None -> false)
+
+let unmapped a = Sym_fault (Printf.sprintf "read of unmapped 0x%Lx" a)
+
 let read_concrete t a n =
   let m = t.mem in
   if sym_write_may_cover m then
@@ -129,16 +140,20 @@ let read_concrete t a n =
     (* exact-match fast path *)
     match I64Map.find_opt a m.cmap with
     | Some (v, n', _) when n' = n -> v
+    | Some _ | None when not (cmap_may_cover m a n) ->
+      (* no write touches the slot: the bytes are the base image's, and the
+         byte-wise fold below would produce this same single Const *)
+      (match Machine.Memory.read m.base a n with
+       | v -> E.Const v
+       | exception Machine.Memory.Fault _ -> raise (unmapped a))
     | Some _ | None ->
       let r = ref (E.Const 0L) in
-      (try
-         for i = n - 1 downto 0 do
-           match cmap_byte m (Int64.add a (Int64.of_int i)) with
-           | Some b -> r := E.bin E.Or (E.bin E.Shl !r (E.Const 8L)) b
-           | None -> raise (Sym_fault (Printf.sprintf "read of unmapped 0x%Lx" a))
-         done;
-         !r
-       with Sym_fault _ as e -> raise e)
+      for i = n - 1 downto 0 do
+        match cmap_byte m (Int64.add a (Int64.of_int i)) with
+        | Some b -> r := E.bin E.Or (E.bin E.Shl !r (E.Const 8L)) b
+        | None -> raise (unmapped a)
+      done;
+      !r
   end
 
 (* S2E-style store-back: when a register holding exactly the concretized

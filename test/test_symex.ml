@@ -7,6 +7,30 @@ module E = Symex.Expr
 
 (* --- expression evaluation ------------------------------------------------ *)
 
+let all_binops =
+  [ E.Add; E.Sub; E.Mul; E.Udiv; E.Urem; E.Sdiv; E.Srem; E.And; E.Or; E.Xor;
+    E.Shl; E.Shr; E.Sar; E.Eq; E.Ult; E.Slt; E.Ule; E.Sle; E.Mulhi_u;
+    E.Mulhi_s ]
+
+let all_unops =
+  [ E.Not; E.Neg; E.Bool_not ]
+  @ List.concat_map
+      (fun w -> [ E.Low (w, false); E.Low (w, true) ])
+      X86.Isa.[ W8; W16; W32; W64 ]
+
+let edge_consts = [ 0L; 1L; -1L; 0x80L; Int64.min_int; Int64.max_int ]
+
+(* The memory [Load]s read: one mapped page whose last 8 bytes hold a
+   pattern, followed by an unmapped one, so loads near [load_base + 8]
+   straddle the boundary. *)
+let load_base = 0x1FF8L
+
+let load_mem_base =
+  let m = Machine.Memory.create () in
+  Machine.Memory.map m 0x1000L 4096;
+  Machine.Memory.write m load_base 8 0x8877665544332211L;
+  m
+
 let gen_expr_conc =
   (* random expression over 2 input bytes, paired evaluation *)
   let open QCheck.Gen in
@@ -14,33 +38,93 @@ let gen_expr_conc =
     if depth = 0 then
       oneof
         [ map (fun v -> E.Const (Int64.of_int v)) int;
+          map (fun v -> E.Const v) (oneofl edge_consts);
           oneofl [ E.Input 0; E.Input 1 ] ]
     else
       let sub = go (depth - 1) in
-      oneof
-        [ (let* a = sub in
-           let* b = sub in
-           let* op =
-             oneofl
-               [ E.Add; E.Sub; E.Mul; E.And; E.Or; E.Xor; E.Shl; E.Shr;
-                 E.Eq; E.Ult; E.Slt ]
-           in
-           return (E.Raw.bin op a b));
-          (let* a = sub in
-           oneofl [ E.Raw.un E.Not a; E.Raw.un E.Neg a ]) ]
+      (* an address near [load_base]: some bytes mapped, some not *)
+      let addr =
+        map
+          (fun e ->
+             E.Raw.bin E.Add (E.Const load_base)
+               (E.Raw.bin E.And e (E.Const 15L)))
+          sub
+      in
+      frequency
+        [ (6, let* a = sub in
+            let* b = sub in
+            let* op = oneofl all_binops in
+            return (E.Raw.bin op a b));
+          (3, let* a = sub in
+            let* op = oneofl all_unops in
+            return (E.Raw.un op a));
+          (1, let* c = sub in
+            let* t = sub in
+            let* f = sub in
+            return (E.Raw.ite c t f));
+          (1, let* writes =
+                list_size (int_bound 2)
+                  (triple addr sub (oneofl [ 1; 2; 4; 8 ]))
+            in
+            let* a = addr in
+            let* size = oneofl [ 1; 2; 4; 8 ] in
+            return (E.load { E.base = load_mem_base; writes } a size)) ]
   in
   go 4
+
+(* The tree evaluator, the memoized one and the compiled program agree. *)
+let evals_agree e ~input =
+  let tree = E.eval ~input e in
+  let memo = (E.evaluator ~input) e in
+  let comp = E.compile [ e ] in
+  E.run comp ~input;
+  tree = memo && tree = E.slot comp comp.E.roots.(0)
 
 let prop_eval_matches_compiled =
   QCheck.Test.make ~name:"compiled eval = tree eval" ~count:500
     QCheck.(pair (make gen_expr_conc) (pair (int_bound 255) (int_bound 255)))
     (fun (e, (b0, b1)) ->
-       let input i = if i = 0 then b0 else b1 in
-       let tree = E.eval ~input e in
-       let memo = (E.evaluator ~input) e in
-       let comp = E.compile [ e ] in
-       let v = E.run comp ~input in
-       tree = memo && tree = v.(comp.E.roots.(0)))
+       evals_agree e ~input:(fun i -> if i = 0 then b0 else b1))
+
+(* Every operator over every pair of sign-edge constants, fed through
+   inputs so the compiled program cannot see them as constants: this covers
+   the zero divisors and [min_int / -1] that random trees rarely draw. *)
+let test_eval_edges () =
+  let hidden c =
+    E.Raw.bin E.Xor (E.Raw.bin E.Xor (E.Const c) (E.Input 0)) (E.Input 0)
+  in
+  let check e =
+    Alcotest.(check bool) (Format.asprintf "%a" E.pp e) true
+      (evals_agree e ~input:(fun _ -> 0x5A))
+  in
+  List.iter
+    (fun x ->
+       List.iter (fun op -> check (E.Raw.un op (hidden x))) all_unops;
+       List.iter
+         (fun y ->
+            List.iter (fun op -> check (E.Raw.bin op (hidden x) (hidden y)))
+              all_binops)
+         edge_consts)
+    edge_consts
+
+(* The compiled sweep allocates nothing on the common node kinds. *)
+let test_run_allocation_free () =
+  let i0 = E.Input 0 and i1 = E.Input 1 in
+  let b = E.Raw.bin in
+  let x = b E.Xor (b E.Add i0 (E.Const 3L)) (b E.Sub i1 (E.Const (-1L))) in
+  let y = b E.Or (b E.And x (E.Const 0xF0L)) (b E.Shl i1 (E.Const 4L)) in
+  let z = b E.Shr y (E.Const 2L) in
+  let roots =
+    [ E.Raw.ite (b E.Eq z (E.Const 5L)) x y;
+      E.Raw.ite (b E.Ult x z) (b E.Slt y (E.Const (-3L))) z ]
+  in
+  let comp = E.compile roots in
+  let input i = if i = 0 then 0x5A else 0xC3 in
+  E.run comp ~input;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do E.run comp ~input done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 1000 runs" 0.0 words
 
 let prop_solver_sound =
   QCheck.Test.make ~name:"solver models satisfy constraints" ~count:200
@@ -495,6 +579,113 @@ let prop_one_instruction =
            | X86.Isa.Shift (_, _, _, X86.Isa.S_cl) -> agrees true
            | _ -> true))
 
+(* Concrete-address reads against the rule they had before the one-lookup
+   base-image read: a write of exactly this address and size is returned
+   as written; otherwise each byte is the newest write covering it, shifted
+   into place, else the base image's, and an unmapped byte faults with the
+   read's start address. *)
+let model_read (m : Symex.Sym_state.smem) a n =
+  let module M = Symex.Sym_state.I64Map in
+  match M.find_opt a m.cmap with
+  | Some (v, n', _) when n' = n -> v
+  | Some _ | None ->
+    let byte a =
+      let best = ref None in
+      for k = 0 to 7 do
+        match M.find_opt (Int64.sub a (Int64.of_int k)) m.cmap with
+        | Some (v, n, seq) when k < n ->
+          (match !best with
+           | Some (_, bseq) when bseq >= seq -> ()
+           | _ ->
+             best :=
+               Some
+                 ( E.bin E.And
+                     (E.bin E.Shr v (E.Const (Int64.of_int (8 * k))))
+                     (E.Const 0xFFL),
+                   seq ))
+        | Some _ | None -> ()
+      done;
+      match !best with
+      | Some (e, _) -> Some e
+      | None ->
+        Option.map
+          (fun v -> E.Const (Int64.of_int v))
+          (Machine.Memory.read_u8_opt m.base a)
+    in
+    let r = ref (E.Const 0L) in
+    for i = n - 1 downto 0 do
+      match byte (Int64.add a (Int64.of_int i)) with
+      | Some b -> r := E.bin E.Or (E.bin E.Shl !r (E.Const 8L)) b
+      | None ->
+        raise (Symex.Sym_state.Sym_fault (Printf.sprintf "read of unmapped 0x%Lx" a))
+    done;
+    !r
+
+(* one mapped page, [0x10000, 0x11000), unmapped on both sides *)
+let read_page_lo = 0x10000L
+
+let gen_read_case =
+  let open QCheck.Gen in
+  let size = oneofl [ 1; 2; 4; 8 ] in
+  let* centre = oneofl [ read_page_lo; 0x10800L; 0x11000L ] in
+  let* writes =
+    list_size (int_bound 5)
+      (let* off = int_range (-20) 20 in
+       let* n = size in
+       let* v = map Int64.of_int int in
+       let* sym = bool in
+       return (Int64.add centre (Int64.of_int off), n, v, sym))
+  in
+  let* off = int_range (-9) 9 in
+  let* n = size in
+  return (writes, Int64.add centre (Int64.of_int off), n)
+
+let print_read_case (writes, a, n) =
+  String.concat "; "
+    (List.map
+       (fun (wa, wn, v, sym) ->
+          Printf.sprintf "w%d 0x%Lx := %s0x%Lx" wn wa (if sym then "in0^" else "") v)
+       writes)
+  ^ Printf.sprintf " / r%d 0x%Lx" n a
+
+let prop_read_concrete_matches_model =
+  QCheck.Test.make ~name:"concrete read = byte-wise model" ~count:2000
+    (QCheck.make ~print:print_read_case gen_read_case)
+    (fun (writes, a, n) ->
+       let module S = Symex.Sym_state in
+       let mem = Machine.Memory.create () in
+       Machine.Memory.map mem read_page_lo 4096;
+       for i = 0 to 4095 do
+         Machine.Memory.write_u8 mem (Int64.add read_page_lo (Int64.of_int i))
+           ((i * 37) + 11)
+       done;
+       let st = S.create mem 0L in
+       let model =
+         { S.toa = false; concretize = (fun _ _ -> None); on_write = (fun _ _ -> ()) }
+       in
+       List.iter
+         (fun (wa, wn, v, sym) ->
+            let v = if sym then E.bin E.Xor (E.Input 0) (E.Const v) else E.Const v in
+            S.mwrite ~model st (E.Const wa) wn v)
+         writes;
+       let result f =
+         match f () with e -> Ok e | exception S.Sym_fault m -> Error m
+       in
+       match
+         ( result (fun () -> S.read_concrete st a n),
+           result (fun () -> model_read st.S.mem a n) )
+       with
+       | Ok (E.Const x), Ok (E.Const y) -> x = y
+       | Ok got, Ok want ->
+         not (E.is_const got || E.is_const want)
+         && List.for_all
+              (fun b ->
+                 let ev = E.eval ~input:(fun _ -> b) in
+                 ev got = ev want)
+              [ 0; 0x5A; 0xFF ]
+       | Error m1, Error m2 -> m1 = m2
+       | Ok _, Error _ | Error _, Ok _ -> false)
+
 (* --- adversarial inputs: contradictions, faults, budget exhaustion ----------- *)
 
 let test_contradictory_constraints () =
@@ -611,7 +802,11 @@ let () =
   Alcotest.run "symex"
     [ ("expr",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_eval_matches_compiled; prop_solver_sound ]);
+         [ prop_eval_matches_compiled; prop_solver_sound ]
+       @ [ Alcotest.test_case "operators at the sign edges" `Quick
+             test_eval_edges;
+           Alcotest.test_case "compiled run allocates nothing" `Quick
+             test_run_allocation_free ]);
       ("node identity",
        [ Alcotest.test_case "Phys.hash distinct on a DSE DAG" `Quick
            test_phys_hash_quality;
@@ -625,7 +820,7 @@ let () =
       ("stepper",
        List.map QCheck_alcotest.to_alcotest
          [ prop_sym_concrete_native; prop_sym_concrete_rop;
-           prop_one_instruction ]);
+           prop_one_instruction; prop_read_concrete_matches_model ]);
       ("adversarial",
        [ Alcotest.test_case "contradictory constraints" `Quick
            test_contradictory_constraints;

@@ -152,6 +152,31 @@ let test_injected_hidden_caught () =
   Alcotest.(check bool) "transval-mismatch reported" true
     (List.mem "transval-mismatch" tags)
 
+(* Exact Transval totals over base64 x the whole one-shot config matrix at
+   seed 1 (the numbers [roplint --program base64] prints).  Symbolic
+   memory's write log is what Transval compares, so any change to which
+   writes it keeps shows up here as a moved count, not just as a rate. *)
+let test_transval_base64_matrix_pinned () =
+  let orig = Minic.Codegen.compile (Minic.Programs.base64_program ()) in
+  let proven, unproven, skipped =
+    List.fold_left
+      (fun (p, u, s) (_, config) ->
+         let r =
+           Ropc.Rewriter.rewrite orig ~functions:[ "b64_check"; "b64_encode" ]
+             ~config
+         in
+         let tv =
+           TV.run ~orig ~rewritten:r.Ropc.Rewriter.image
+             (Lazy.force r.Ropc.Rewriter.audit)
+         in
+         (p + tv.TV.tv_proven, u + tv.TV.tv_unproven,
+          s + List.length tv.TV.tv_skipped))
+      (0, 0, 0) (Serve.Oneshot.config_matrix 1)
+  in
+  Alcotest.(check int) "proven" 1800 proven;
+  Alcotest.(check int) "unproven" 0 unproven;
+  Alcotest.(check int) "skipped" 3105 skipped
+
 (* --- stealth + pool bloat ------------------------------------------------- *)
 
 let test_stealth_smoke () =
@@ -252,7 +277,9 @@ let () =
          Alcotest.test_case "hidden-payload regions proven" `Quick
            test_transval_proves_hidden;
          Alcotest.test_case "seeded hidden payload caught" `Quick
-           test_injected_hidden_caught ]);
+           test_injected_hidden_caught;
+         Alcotest.test_case "base64 x config matrix totals" `Quick
+           test_transval_base64_matrix_pinned ]);
       ("stealth",
        [ Alcotest.test_case "scores bounded" `Quick test_stealth_smoke;
          Alcotest.test_case "opaque chains score no worse than literal" `Quick

@@ -207,6 +207,35 @@ end
 
 module Phys_tbl = Hashtbl.Make (Phys)
 
+(* The byte walk a [Load] denotes, for the memoized and compiled
+   evaluators: each byte is the newest logged write covering it, shifted
+   into place, else the base image's (0 where unmapped).  [value] gives a
+   log entry's address or value. *)
+let load_bytes value base log addr size =
+  let byte i =
+    let ba = Int64.add addr (Int64.of_int i) in
+    let rec walk = function
+      | [] ->
+        (match Machine.Memory.read_u8_opt base ba with
+         | Some v -> Int64.of_int v
+         | None -> 0L)
+      | (wa, wv, ws) :: rest ->
+        let off = Int64.sub ba (value wa) in
+        if Int64.compare off 0L >= 0 && Int64.compare off (Int64.of_int ws) < 0
+        then
+          Int64.logand
+            (Int64.shift_right_logical (value wv) (8 * Int64.to_int off))
+            0xFFL
+        else walk rest
+    in
+    walk log
+  in
+  let r = ref 0L in
+  for i = size - 1 downto 0 do
+    r := Int64.logor (Int64.shift_left !r 8) (byte i)
+  done;
+  !r
+
 (* Memoized evaluator: expression graphs built by loops share subterms
    heavily (DAGs); evaluation without memoization is exponential.  The cache
    is keyed on physical identity and valid for one input model. *)
@@ -226,36 +255,11 @@ let evaluator ~input =
            | Bin (op, a, b, _) -> eval_bin op (ev a) (ev b)
            | Un (op, a, _) -> eval_un op (ev a)
            | Ite (c, t, f, _) -> if ev c <> 0L then ev t else ev f
-           | Load (m, addr, size, _) -> load_cached ev m (ev addr) size
+           | Load (m, addr, size, _) ->
+             load_bytes ev m.base m.writes (ev addr) size
          in
          Phys_tbl.replace cache e v;
          v)
-  and load_cached ev m addr size =
-    let byte i =
-      let ba = Int64.add addr (Int64.of_int i) in
-      let rec walk = function
-        | [] ->
-          (match Machine.Memory.read_u8_opt m.base ba with
-           | Some v -> Int64.of_int v
-           | None -> 0L)
-        | (waddr, wval, wsize) :: rest ->
-          let wa = ev waddr in
-          let off = Int64.sub ba wa in
-          if Int64.compare off 0L >= 0
-             && Int64.compare off (Int64.of_int wsize) < 0
-          then
-            Int64.logand
-              (Int64.shift_right_logical (ev wval) (8 * Int64.to_int off))
-              0xFFL
-          else walk rest
-      in
-      walk m.writes
-    in
-    let r = ref 0L in
-    for i = size - 1 downto 0 do
-      r := Int64.logor (Int64.shift_left !r 8) (byte i)
-    done;
-    !r
   in
   ev
 
@@ -346,32 +350,6 @@ let compile (exprs : t list) : compiled =
   done;
   { nodes; roots; live = Array.of_list !live; slots }
 
-let run_load s base addr size log =
-  let byte bi =
-    let ba = Int64.add addr (Int64.of_int bi) in
-    let rec walk = function
-      | [] ->
-        (match Machine.Memory.read_u8_opt base ba with
-         | Some x -> Int64.of_int x
-         | None -> 0L)
-      | (iwa, iwv, ws) :: rest ->
-        let off = Int64.sub ba (get_slot s iwa) in
-        if Int64.compare off 0L >= 0 && Int64.compare off (Int64.of_int ws) < 0
-        then
-          Int64.logand
-            (Int64.shift_right_logical (get_slot s iwv)
-               (8 * Int64.to_int off))
-            0xFFL
-        else walk rest
-    in
-    walk log
-  in
-  let r = ref 0L in
-  for k = size - 1 downto 0 do
-    r := Int64.logor (Int64.shift_left !r 8) (byte k)
-  done;
-  !r
-
 (* Evaluate all roots under [input]; read the results with [slot] and the
    helpers below (node ids via [c.roots]).  Comparisons are spelled with
    [<] on int64 operands, which compiles to a machine compare, where
@@ -422,7 +400,7 @@ let run (c : compiled) ~input =
     | C_ite (cc, t, f) ->
       set_slot s i (if get_slot s cc <> 0L then get_slot s t else get_slot s f)
     | C_load (base, ia, size, log) ->
-      set_slot s i (run_load s base (get_slot s ia) size log)
+      set_slot s i (load_bytes (get_slot s) base log (get_slot s ia) size)
   done
 
 let slot c i = get_slot c.slots i

@@ -3,8 +3,9 @@
 
    Control flow stays concrete in RIP; branch and indirect-target decisions
    are surfaced as outcomes for the driving engine (SE forks, DSE follows the
-   concrete witness).  Memory is a concrete base image plus a functional
-   write log; symbolic addresses either produce first-class Load expressions
+   concrete witness).  Memory is a concrete base image under a persistent
+   map from each written byte to its newest concrete write; symbolic
+   addresses either produce first-class Load expressions over a write log
    (per-page theory-of-arrays flavour) or get concretized, depending on the
    engine's memory model (§VII-C3). *)
 
@@ -13,10 +14,16 @@ module E = Expr
 module Sem = Machine.Semantics
 
 module I64Map = Map.Make (Int64)
+module IntMap = Map.Make (Int)
+
+(* A concrete-address write: [size] bytes of [value] at [addr], the
+   [seq]-th write to this memory. *)
+type cwrite = { addr : int64; value : E.t; size : int; seq : int }
 
 type smem = {
   base : Machine.Memory.t;
-  cmap : (E.t * int * int) I64Map.t;    (* addr -> value, size, seq *)
+  cmap : cwrite I64Map.t;               (* byte address -> newest concrete
+                                           write covering it *)
   sym_writes : (E.t * E.t * int) list;  (* newest first; once non-empty, all
                                            writes go here to keep ordering *)
   seq : int;
@@ -81,80 +88,70 @@ let constrain t cond want = t.constraints <- { Solver.cond; want } :: t.constrai
 
 (* --- memory ------------------------------------------------------------------ *)
 
+(* Every write still visible on some byte, newest first. *)
 let full_write_log m =
+  let visible =
+    I64Map.fold (fun _ (w : cwrite) acc -> IntMap.add w.seq w acc) m.cmap
+      IntMap.empty
+  in
   m.sym_writes
-  @ (I64Map.bindings m.cmap
-     |> List.map (fun (a, (v, n, seq)) -> (seq, (E.Const a, v, n)))
-     |> List.sort (fun (s1, _) (s2, _) -> compare s2 s1)
-     |> List.map snd)
+  @ IntMap.fold (fun _ w acc -> (E.Const w.addr, w.value, w.size) :: acc)
+      visible []
 
 let to_expr_mem m : E.mem = { E.base = m.base; writes = full_write_log m }
 
-(* byte expression at concrete address [a] from the concrete-address map or
-   the base image; None when unmapped *)
-let cmap_byte m a =
-  let best = ref None in
-  for k = 0 to 7 do
-    let start = Int64.sub a (Int64.of_int k) in
-    match I64Map.find_opt start m.cmap with
-    | Some (v, n, seq) when k < n ->
-      (match !best with
-       | Some (_, bseq) when bseq >= seq -> ()
-       | _ ->
-         let byte =
-           E.bin E.And
-             (E.bin E.Shr v (E.Const (Int64.of_int (8 * k))))
-             (E.Const 0xFFL)
-         in
-         best := Some (byte, seq))
-    | Some _ | None -> ()
-  done;
-  match !best with
-  | Some (e, _) -> Some e
-  | None ->
-    (match Machine.Memory.read_u8_opt m.base a with
-     | Some v -> Some (E.Const (Int64.of_int v))
-     | None -> None)
-
-(* does any symbolic-addressed write possibly cover [a .. a+n)? *)
-let sym_write_may_cover m =
-  m.sym_writes <> []
-
-(* Every concrete write is at most 8 bytes, so a binding that could cover
-   any of [a .. a+n) starts in [a-7 .. a+n-1]; the window must not wrap. *)
-let cmap_may_cover m a n =
-  let lo = Int64.sub a 7L and hi = Int64.add a (Int64.of_int (n - 1)) in
-  lo > a || hi < a
-  || (match I64Map.find_first_opt (fun k -> k >= lo) m.cmap with
-      | Some (k, _) -> k <= hi
+(* Does every byte of [a+i .. a+n) map to the write [w]? *)
+let rec all_bytes m a n w i =
+  i >= n
+  || (match I64Map.find_opt (Int64.add a (Int64.of_int i)) m.cmap with
+      | Some w' -> w' == w
       | None -> false)
+     && all_bytes m a n w (i + 1)
 
 let unmapped a = Sym_fault (Printf.sprintf "read of unmapped 0x%Lx" a)
 
+let fold_bytes m a n =
+  let r = ref (E.Const 0L) in
+  for i = n - 1 downto 0 do
+    let ba = Int64.add a (Int64.of_int i) in
+    let b =
+      match I64Map.find_opt ba m.cmap with
+      | Some w ->
+        let k = Int64.to_int (Int64.sub ba w.addr) in
+        E.bin E.And
+          (E.bin E.Shr w.value (E.Const (Int64.of_int (8 * k))))
+          (E.Const 0xFFL)
+      | None ->
+        (match Machine.Memory.read_u8_opt m.base ba with
+         | Some v -> E.Const (Int64.of_int v)
+         | None -> raise (unmapped a))
+    in
+    r := E.bin E.Or (E.bin E.Shl !r (E.Const 8L)) b
+  done;
+  !r
+
+(* Each byte is the newest write covering it, else the base image's.  A
+   slot that is exactly one write reads as that write's value (stores are
+   width-truncated), a slot with no written byte (the first one at or above
+   [a] lies past it) as one Const, and any other slot is folded byte by
+   byte, as is a slot that wraps the address space. *)
 let read_concrete t a n =
   let m = t.mem in
-  if sym_write_may_cover m then
+  if m.sym_writes <> [] then
     (* sound fallback: keep the read symbolic over the full log *)
     E.load (to_expr_mem m) (E.Const a) n
-  else begin
-    (* exact-match fast path *)
-    match I64Map.find_opt a m.cmap with
-    | Some (v, n', _) when n' = n -> v
-    | Some _ | None when not (cmap_may_cover m a n) ->
-      (* no write touches the slot: the bytes are the base image's, and the
-         byte-wise fold below would produce this same single Const *)
+  else
+    let last = Int64.add a (Int64.of_int (n - 1)) in
+    match I64Map.find_first_opt (fun k -> k >= a) m.cmap with
+    | Some (k, w)
+      when k = a && w.addr = a && w.size = n && all_bytes m a n w 1 ->
+      w.value
+    | Some (k, _) when k <= last -> fold_bytes m a n
+    | Some _ | None when a <= last ->
       (match Machine.Memory.read m.base a n with
        | v -> E.Const v
        | exception Machine.Memory.Fault _ -> raise (unmapped a))
-    | Some _ | None ->
-      let r = ref (E.Const 0L) in
-      for i = n - 1 downto 0 do
-        match cmap_byte m (Int64.add a (Int64.of_int i)) with
-        | Some b -> r := E.bin E.Or (E.bin E.Shl !r (E.Const 8L)) b
-        | None -> raise (unmapped a)
-      done;
-      !r
-  end
+    | Some _ | None -> fold_bytes m a n
 
 (* S2E-style store-back: when a register holding exactly the concretized
    expression exists, pin it to the constant; keeps state expressions small
@@ -164,44 +161,46 @@ let store_back t addr_e a =
     if t.regs.(i) == addr_e then t.regs.(i) <- E.Const a
   done
 
+(* Concretize a symbolic address under the memory model, recording the
+   choice as a path constraint and a forkable decision. *)
+let pin ~model t addr_e =
+  match model.concretize t addr_e with
+  | Some a ->
+    constrain t (E.bin E.Eq addr_e (E.Const a)) true;
+    t.concretizations <- (addr_e, a) :: t.concretizations;
+    store_back t addr_e a;
+    a
+  | None -> raise (Sym_fault "unresolvable symbolic address")
+
 let mread ~model t addr_e n =
   match addr_e with
   | E.Const a -> read_concrete t a n
-  | _ ->
-    if model.toa then E.load (to_expr_mem t.mem) addr_e n
-    else
-      (match model.concretize t addr_e with
-       | Some a ->
-         constrain t (E.bin E.Eq addr_e (E.Const a)) true;
-         t.concretizations <- (addr_e, a) :: t.concretizations;
-         store_back t addr_e a;
-         read_concrete t a n
-       | None -> raise (Sym_fault "unresolvable symbolic address"))
+  | _ when model.toa -> E.load (to_expr_mem t.mem) addr_e n
+  | _ -> read_concrete t (pin ~model t addr_e) n
 
+let write_logged t addr_e n v =
+  let m = t.mem in
+  t.mem <-
+    { m with sym_writes = (addr_e, v, n) :: m.sym_writes; seq = m.seq + 1 }
+
+let write_concrete t a n v =
+  let m = t.mem in
+  let w = { addr = a; value = v; size = n; seq = m.seq } in
+  let rec cover i cmap =
+    if i = n then cmap
+    else cover (i + 1) (I64Map.add (Int64.add a (Int64.of_int i)) w cmap)
+  in
+  t.mem <- { m with cmap = cover 0 m.cmap; seq = m.seq + 1 }
+
+(* Without [toa] no write is ever logged, so a pinned address always
+   lands in [cmap]. *)
 let mwrite ~model t addr_e n v =
   model.on_write addr_e n;
-  let m = t.mem in
   match addr_e with
-  | E.Const a when m.sym_writes = [] ->
-    t.mem <- { m with cmap = I64Map.add a (v, n, m.seq) m.cmap; seq = m.seq + 1 }
-  | E.Const _ ->
-    t.mem <- { m with sym_writes = (addr_e, v, n) :: m.sym_writes; seq = m.seq + 1 }
-  | _ ->
-    if model.toa then
-      t.mem <- { m with sym_writes = (addr_e, v, n) :: m.sym_writes; seq = m.seq + 1 }
-    else
-      (match model.concretize t addr_e with
-       | Some a ->
-         constrain t (E.bin E.Eq addr_e (E.Const a)) true;
-         t.concretizations <- (addr_e, a) :: t.concretizations;
-         store_back t addr_e a;
-         t.mem <-
-           { m with
-             cmap = I64Map.add a (v, n, m.seq) m.cmap;
-             sym_writes =
-               (if m.sym_writes = [] then [] else (E.Const a, v, n) :: m.sym_writes);
-             seq = m.seq + 1 }
-       | None -> raise (Sym_fault "unresolvable symbolic address"))
+  | E.Const a when t.mem.sym_writes = [] -> write_concrete t a n v
+  | E.Const _ -> write_logged t addr_e n v
+  | _ when model.toa -> write_logged t addr_e n v
+  | _ -> write_concrete t (pin ~model t addr_e) n v
 
 (* The Sdiv/Udiv expression algebra models the faulting cases away (zero
    divisor -> quotient 0, overflowing idiv -> 0), but the concrete machine

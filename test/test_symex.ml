@@ -579,61 +579,40 @@ let prop_one_instruction =
            | X86.Isa.Shift (_, _, _, X86.Isa.S_cl) -> agrees true
            | _ -> true))
 
-(* Concrete-address reads against the rule they had before the one-lookup
-   base-image read: a write of exactly this address and size is returned
-   as written; otherwise each byte is the newest write covering it, shifted
-   into place, else the base image's, and an unmapped byte faults with the
-   read's start address. *)
-let model_read (m : Symex.Sym_state.smem) a n =
-  let module M = Symex.Sym_state.I64Map in
-  match M.find_opt a m.cmap with
-  | Some (v, n', _) when n' = n -> v
-  | Some _ | None ->
-    let byte a =
-      let best = ref None in
-      for k = 0 to 7 do
-        match M.find_opt (Int64.sub a (Int64.of_int k)) m.cmap with
-        | Some (v, n, seq) when k < n ->
-          (match !best with
-           | Some (_, bseq) when bseq >= seq -> ()
-           | _ ->
-             best :=
-               Some
-                 ( E.bin E.And
-                     (E.bin E.Shr v (E.Const (Int64.of_int (8 * k))))
-                     (E.Const 0xFFL),
-                   seq ))
-        | Some _ | None -> ()
-      done;
-      match !best with
-      | Some (e, _) -> Some e
-      | None ->
-        Option.map
-          (fun v -> E.Const (Int64.of_int v))
-          (Machine.Memory.read_u8_opt m.base a)
-    in
-    let r = ref (E.Const 0L) in
-    for i = n - 1 downto 0 do
-      match byte (Int64.add a (Int64.of_int i)) with
-      | Some b -> r := E.bin E.Or (E.bin E.Shl !r (E.Const 8L)) b
-      | None ->
-        raise (Symex.Sym_state.Sym_fault (Printf.sprintf "read of unmapped 0x%Lx" a))
-    done;
-    !r
+(* Concrete-address reads against the byte-wise rule: each byte is the
+   newest write covering it, shifted into place, else the base image's,
+   and an unmapped byte faults with the read's start address.  The model
+   works over the generated write list, not over Sym_state's structures. *)
 
 (* one mapped page, [0x10000, 0x11000), unmapped on both sides *)
 let read_page_lo = 0x10000L
 
+let read_base () =
+  let mem = Machine.Memory.create () in
+  Machine.Memory.map mem read_page_lo 4096;
+  for i = 0 to 4095 do
+    Machine.Memory.write_u8 mem (Int64.add read_page_lo (Int64.of_int i))
+      ((i * 37) + 11)
+  done;
+  mem
+
+(* Values are truncated to their write's width, as every store the
+   stepper makes is; a symbolic write stores [in0 ^ v]. *)
 let gen_read_case =
   let open QCheck.Gen in
   let size = oneofl [ 1; 2; 4; 8 ] in
-  let* centre = oneofl [ read_page_lo; 0x10800L; 0x11000L ] in
+  (* min_int: slots that wrap from max_int in the map's signed order *)
+  let* centre = oneofl [ read_page_lo; 0x10800L; 0x11000L; Int64.min_int ] in
   let* writes =
     list_size (int_bound 5)
       (let* off = int_range (-20) 20 in
        let* n = size in
        let* v = map Int64.of_int int in
        let* sym = bool in
+       let v =
+         if n = 8 then v
+         else Int64.logand v (Int64.pred (Int64.shift_left 1L (8 * n)))
+       in
        return (Int64.add centre (Int64.of_int off), n, v, sym))
   in
   let* off = int_range (-9) 9 in
@@ -648,43 +627,109 @@ let print_read_case (writes, a, n) =
        writes)
   ^ Printf.sprintf " / r%d 0x%Lx" n a
 
-let prop_read_concrete_matches_model =
-  QCheck.Test.make ~name:"concrete read = byte-wise model" ~count:2000
+let write_value (_, _, v, sym) =
+  if sym then E.bin E.Xor (E.Input 0) (E.Const v) else E.Const v
+
+(* [Ok (symbolic, value under input byte b)] or the fault message *)
+let model_read base writes a n =
+  let newest_first = List.rev writes in
+  let byte i =
+    let ba = Int64.add a (Int64.of_int i) in
+    let covers (wa, wn, _, _) =
+      let off = Int64.sub ba wa in
+      off >= 0L && off < Int64.of_int wn
+    in
+    match List.find_opt covers newest_first with
+    | Some ((wa, _, _, sym) as w) ->
+      let shift = 8 * Int64.to_int (Int64.sub ba wa) in
+      Some
+        ( sym,
+          fun b ->
+            Int64.logand
+              (Int64.shift_right_logical
+                 (E.eval ~input:(fun _ -> b) (write_value w)) shift)
+              0xFFL )
+    | None ->
+      Option.map
+        (fun v _ -> Int64.of_int v)
+        (Machine.Memory.read_u8_opt base ba)
+      |> Option.map (fun f -> (false, f))
+  in
+  let bytes = List.init n byte in
+  if List.mem None bytes then Error (Printf.sprintf "read of unmapped 0x%Lx" a)
+  else
+    let bytes = List.filter_map Fun.id bytes in
+    Ok
+      ( List.exists fst bytes,
+        fun b ->
+          List.fold_right
+            (fun (_, f) r -> Int64.logor (Int64.shift_left r 8) (f b))
+            bytes 0L )
+
+(* The read under test against the model, and against two independent
+   oracles: the theory-of-arrays [Load] over [to_expr_mem], and, when every
+   write is constant, a [Machine.Memory] that received the same writes
+   (its neighbour pages mapped so no write faults). *)
+let read_agrees ~read (writes, a, n) =
+  let module S = Symex.Sym_state in
+  let base = read_base () in
+  let st = S.create base 0L in
+  let model =
+    { S.toa = false; concretize = (fun _ _ -> None); on_write = (fun _ _ -> ()) }
+  in
+  List.iter
+    (fun ((wa, wn, _, _) as w) ->
+       S.mwrite ~model st (E.Const wa) wn (write_value w))
+    writes;
+  match
+    ( (match read st a n with e -> Ok e | exception S.Sym_fault m -> Error m),
+      model_read base writes a n )
+  with
+  | Error m1, Error m2 -> m1 = m2
+  | Ok _, Error _ | Error _, Ok _ -> false
+  | Ok got, Ok (sym, want) ->
+    let load = E.load (S.to_expr_mem st.S.mem) (E.Const a) n in
+    let machine () =
+      let mem = Machine.Memory.copy base in
+      Machine.Memory.map mem (Int64.sub read_page_lo 4096L) (3 * 4096);
+      Machine.Memory.map mem (Int64.sub Int64.min_int 4096L) (2 * 4096);
+      List.iter (fun (wa, wn, v, _) -> Machine.Memory.write mem wa wn v) writes;
+      Machine.Memory.read mem a n
+    in
+    E.is_const got = not sym
+    && List.for_all
+         (fun b ->
+            let ev = E.eval ~input:(fun _ -> b) in
+            ev got = want b && ev load = want b)
+         [ 0; 0x5A; 0xFF ]
+    && (List.exists (fun (_, _, _, sym) -> sym) writes
+        || E.eval ~input:(fun _ -> 0) got = machine ())
+
+let prop_read_concrete ?(count = 2000) read =
+  QCheck.Test.make ~name:"concrete read = byte-wise model" ~count
     (QCheck.make ~print:print_read_case gen_read_case)
-    (fun (writes, a, n) ->
-       let module S = Symex.Sym_state in
-       let mem = Machine.Memory.create () in
-       Machine.Memory.map mem read_page_lo 4096;
-       for i = 0 to 4095 do
-         Machine.Memory.write_u8 mem (Int64.add read_page_lo (Int64.of_int i))
-           ((i * 37) + 11)
-       done;
-       let st = S.create mem 0L in
-       let model =
-         { S.toa = false; concretize = (fun _ _ -> None); on_write = (fun _ _ -> ()) }
-       in
-       List.iter
-         (fun (wa, wn, v, sym) ->
-            let v = if sym then E.bin E.Xor (E.Input 0) (E.Const v) else E.Const v in
-            S.mwrite ~model st (E.Const wa) wn v)
-         writes;
-       let result f =
-         match f () with e -> Ok e | exception S.Sym_fault m -> Error m
-       in
-       match
-         ( result (fun () -> S.read_concrete st a n),
-           result (fun () -> model_read st.S.mem a n) )
-       with
-       | Ok (E.Const x), Ok (E.Const y) -> x = y
-       | Ok got, Ok want ->
-         not (E.is_const got || E.is_const want)
-         && List.for_all
-              (fun b ->
-                 let ev = E.eval ~input:(fun _ -> b) in
-                 ev got = ev want)
-              [ 0; 0x5A; 0xFF ]
-       | Error m1, Error m2 -> m1 = m2
-       | Ok _, Error _ | Error _, Ok _ -> false)
+    (read_agrees ~read)
+
+let prop_read_concrete_matches_model =
+  prop_read_concrete Symex.Sym_state.read_concrete
+
+(* Seeded fault: the start-keyed exact-match arm the byte map replaced.  A
+   write of exactly the read's address and size is returned as written
+   even when a newer write covers some of its bytes; the property must
+   find a counterexample. *)
+let test_read_property_catches_exact_arm () =
+  let module S = Symex.Sym_state in
+  let read st a n =
+    match S.I64Map.find_opt a st.S.mem.S.cmap with
+    | Some w when w.S.addr = a && w.S.size = n -> w.S.value
+    | Some _ | None -> S.read_concrete st a n
+  in
+  match
+    QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |])
+      (prop_read_concrete ~count:5000 read)
+  with
+  | () -> Alcotest.fail "the old exact-match arm went unnoticed"
+  | exception QCheck.Test.Test_fail _ -> ()
 
 (* --- adversarial inputs: contradictions, faults, budget exhaustion ----------- *)
 
@@ -820,7 +865,9 @@ let () =
       ("stepper",
        List.map QCheck_alcotest.to_alcotest
          [ prop_sym_concrete_native; prop_sym_concrete_rop;
-           prop_one_instruction; prop_read_concrete_matches_model ]);
+           prop_one_instruction; prop_read_concrete_matches_model ]
+       @ [ Alcotest.test_case "read property catches the exact-match arm" `Quick
+             test_read_property_catches_exact_arm ]);
       ("adversarial",
        [ Alcotest.test_case "contradictory constraints" `Quick
            test_contradictory_constraints;

@@ -297,8 +297,8 @@ let eval_mismatch ~rng a b =
 let max_chain_steps = 4096
 
 (* Once the lowered instruction stores through a symbolic base register,
-   the symbolic store's exact-read fast path shuts off and even the next
-   gadget's ret pops a [Load] instead of a constant.  Chain and pool pages
+   every later concrete-address read goes through the write log, and even
+   the next gadget's ret pops a [Load] instead of a constant.  Chain and pool pages
    are never the target of program stores (the rewriter keeps them
    disjoint from program data; W^X in spirit), so a control-transfer
    target loaded from a concrete chain address can be resolved against the

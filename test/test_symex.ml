@@ -605,7 +605,7 @@ let gen_read_case =
   let* centre = oneofl [ read_page_lo; 0x10800L; 0x11000L; Int64.min_int ] in
   let* writes =
     list_size (int_bound 5)
-      (let* off = int_range (-20) 20 in
+      (let* off = int_range (-12) 12 in
        let* n = size in
        let* v = map Int64.of_int int in
        let* sym = bool in
@@ -651,9 +651,8 @@ let model_read base writes a n =
               0xFFL )
     | None ->
       Option.map
-        (fun v _ -> Int64.of_int v)
+        (fun v -> (false, fun _ -> Int64.of_int v))
         (Machine.Memory.read_u8_opt base ba)
-      |> Option.map (fun f -> (false, f))
   in
   let bytes = List.init n byte in
   if List.mem None bytes then Error (Printf.sprintf "read of unmapped 0x%Lx" a)

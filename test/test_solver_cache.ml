@@ -221,6 +221,26 @@ let test_golden_digests () =
     (Some "aae89380e10ab9e15207adf3665c2a4746")
     (Option.map hex (S.constraint_digest (List.nth golden_dse 2)))
 
+(* Two physically distinct [Input 0] nodes, allocated at run time.  The
+   folds [bin And x x -> x] and [ite c t t -> t] test [==], so
+   canonicalization must hand each leaf back as itself: were the two
+   merged into one node, both queries would fold and their digests change. *)
+let test_golden_identity_folds () =
+  let a = E.Input (Sys.opaque_identity 0) in
+  let b = E.Input (Sys.opaque_identity 0) in
+  Alcotest.(check bool) "two leaves, one value" true (a = b && a != b);
+  List.iter
+    (fun (name, cond, want) ->
+       Alcotest.(check string) name want
+         (digest_of ~n_inputs:1 [ { S.cond; want = true } ]))
+    [ ("And of two Input 0 nodes",
+       E.Raw.bin E.Eq (E.Raw.bin E.And a b) (E.Const 5L),
+       "ef1b41e287e754a7a689b709254b119e");
+      ("Ite over two Input 0 nodes",
+       E.Raw.bin E.Eq
+         (E.Raw.ite (E.Raw.bin E.Ult a (E.Const 9L)) a b) (E.Const 3L),
+       "471642bd553aaaa50e046dbb3c34717c") ]
+
 (* --- memo behavior ----------------------------------------------------------- *)
 
 let q_eq v = [ { S.cond = E.bin E.Eq (E.Input 0) (E.Const v); want = true } ]
@@ -389,7 +409,9 @@ let () =
            test_distinct_semantics_distinct_digests;
          Alcotest.test_case "Load is uncacheable" `Quick
            test_load_uncacheable;
-         Alcotest.test_case "golden digests" `Quick test_golden_digests ]);
+         Alcotest.test_case "golden digests" `Quick test_golden_digests;
+         Alcotest.test_case "golden identity-sensitive folds" `Quick
+           test_golden_identity_folds ]);
       ("memo",
        [ Alcotest.test_case "hit + alpha model transfer" `Quick
            test_memo_hit_and_model_transfer;

@@ -23,10 +23,10 @@ type unop =
   | Bool_not                 (* logical: 0 -> 1, nonzero -> 0 *)
 
 (* Every interior node carries a [stamp]: an identity drawn from a counter
-   when the node is allocated, used only as its hash in physical-identity
-   tables ([Phys]).  Stamps never decide equality (that stays [==]) or a
-   fold, so nothing observable depends on them; see DESIGN.md, "Expr node
-   identity". *)
+   when the node is allocated, used only as its hash in node-identity
+   tables ([Phys]).  Stamps never decide equality (that stays [==] for
+   interior nodes) or a fold, so nothing observable depends on them; see
+   DESIGN.md, "Expr node identity". *)
 type stamp = int
 
 type t =
@@ -193,13 +193,21 @@ and load_mem ~input m addr size =
   done;
   !r
 
-(* Physical-identity keys.  An interior node hashes to its stamp; leaves
-   hash their payload.  Structural [Hashtbl.hash] looks at a bounded prefix
-   of the tree, and the long chains DSE builds differ only deep down, so it
-   put most of a query's nodes in a few buckets. *)
+(* Node-identity keys.  An interior node is its own key and hashes to its
+   stamp; structural [Hashtbl.hash] looks at a bounded prefix of the tree,
+   and the long chains DSE builds differ only deep down, so it put most of
+   a query's nodes in a few buckets.  A leaf is keyed by its payload: DSE
+   allocates leaves at run time, so keyed physically every [Const 0xFF]
+   it ever built would sit in one bucket chain, and no memo pass gives a
+   leaf a meaning beyond its value. *)
 module Phys = struct
   type nonrec t = t
-  let equal = ( == )
+  let equal a b =
+    a == b
+    || (match a, b with
+        | Const x, Const y -> Int64.equal x y
+        | Input i, Input j -> i = j
+        | (Const _ | Input _ | Bin _ | Un _ | Ite _ | Load _), _ -> false)
   let hash = function
     | Bin (_, _, _, s) | Un (_, _, s) | Ite (_, _, _, s) | Load (_, _, _, s) -> s
     | (Const _ | Input _) as e -> Hashtbl.hash e
@@ -238,7 +246,7 @@ let load_bytes value base log addr size =
 
 (* Memoized evaluator: expression graphs built by loops share subterms
    heavily (DAGs); evaluation without memoization is exponential.  The cache
-   is keyed on physical identity and valid for one input model. *)
+   is keyed on node identity ([Phys]) and valid for one input model. *)
 let evaluator ~input =
   let cache = Phys_tbl.create 256 in
   let rec ev e =
@@ -267,7 +275,8 @@ let evaluator ~input =
 
 (* For solver workloads the same expression DAG is evaluated under thousands
    of candidate models.  [compile] flattens the DAG once into an array
-   program in topological order, one 8-byte slot per physical node; [run]
+   program in topological order, one 8-byte slot per interior node and per
+   distinct leaf value (one [Phys] key each); [run]
    then evaluates a model in a single sweep.  Constant slots are written
    once, at [compile], and [run] visits only the other nodes ([live]).  Each
    common arm stores its own result straight into [slots]: an [int64 array]
@@ -285,7 +294,7 @@ type cnode =
       (* base, addr idx, size, write log as (addr idx, value idx, size) *)
 
 type compiled = {
-  nodes : cnode array;            (* one per physical node *)
+  nodes : cnode array;            (* one per [Phys] key *)
   roots : int array;              (* one per source expression *)
   live : int array;               (* ids of the non-constant nodes, in order *)
   slots : Bytes.t;                (* node i's value at byte 8i, reused across runs *)
@@ -431,7 +440,7 @@ let slot_log2_dist c i j =
 
 (* --- inspection ------------------------------------------------------------ *)
 
-(* DAG-aware: visited set on physical identity, or traversal is
+(* DAG-aware: visited set on node identity ([Phys]), or traversal is
    exponential.  The set is shared by all of [es], so a path's constraints,
    which share its prefix, are walked once between them.  Sorted. *)
 let input_bytes es =
@@ -457,7 +466,7 @@ let input_bytes es =
 type inputs = No_input | Sole of int | Several
 
 (* [sole_input ()] classifies expressions by the input bytes they mention:
-   [Sole b] when [b] is the only one.  Memoized on physical identity across
+   [Sole b] when [b] is the only one.  Memoized on node identity across
    all calls of one classifier, so classifying every constraint of a query
    is one walk of their shared DAG. *)
 let sole_input () =

@@ -179,9 +179,10 @@ let check (m : model) cs =
    Queries mentioning symbolic memory ([Load]) close over a concrete memory
    snapshot that has no stable serialization; they are simply uncacheable.
 
-   Shapes and serializations are per-node MD5 digests, memoized on physical
-   identity, so heavily shared DAGs (loop-generated expressions) stay
-   linear — expanding them to strings would be exponential. *)
+   Shapes and serializations are per-node MD5 digests, memoized per node
+   ([Expr.Phys_tbl]: interior nodes by identity, leaves by value), so
+   heavily shared DAGs (loop-generated expressions) stay linear — expanding
+   them to strings would be exponential. *)
 
 exception Uncacheable
 
@@ -225,20 +226,27 @@ let canonicalize ~n_inputs cs =
        input model) to Const 0 so they don't consume canonical names *)
     let rebuild_tbl = Expr.Phys_tbl.create 64 in
     let rec rebuild e =
-      match Expr.Phys_tbl.find_opt rebuild_tbl e with
-      | Some r -> r
-      | None ->
-        let r =
-          match e with
-          | Expr.Const _ -> e
-          | Expr.Input i -> if i >= n_inputs then Expr.Const 0L else e
-          | Expr.Bin (op, a, b, _) -> Expr.bin op (rebuild a) (rebuild b)
-          | Expr.Un (op, a, _) -> Expr.un op (rebuild a)
-          | Expr.Ite (c, t, f, _) -> Expr.ite (rebuild c) (rebuild t) (rebuild f)
-          | Expr.Load _ -> raise Uncacheable
-        in
-        Expr.Phys_tbl.replace rebuild_tbl e r;
-        r
+      match e with
+      (* a leaf is returned as itself, never through [rebuild_tbl], whose
+         keys merge equal leaves: the folds [bin And x x] and [ite c t t]
+         test [==], and two distinct [Input 0] nodes must not fold *)
+      | Expr.Const _ -> e
+      | Expr.Input i -> if i >= n_inputs then Expr.Const 0L else e
+      | Expr.Load _ -> raise Uncacheable
+      | Expr.Bin _ | Expr.Un _ | Expr.Ite _ ->
+        (match Expr.Phys_tbl.find_opt rebuild_tbl e with
+         | Some r -> r
+         | None ->
+           let r =
+             match e with
+             | Expr.Const _ | Expr.Input _ | Expr.Load _ -> assert false
+             | Expr.Bin (op, a, b, _) -> Expr.bin op (rebuild a) (rebuild b)
+             | Expr.Un (op, a, _) -> Expr.un op (rebuild a)
+             | Expr.Ite (c, t, f, _) ->
+               Expr.ite (rebuild c) (rebuild t) (rebuild f)
+           in
+           Expr.Phys_tbl.replace rebuild_tbl e r;
+           r)
     in
     let cs =
       List.map
@@ -348,9 +356,9 @@ let canonicalize ~n_inputs cs =
 (* Concrete (unrenamed, unsorted-set) digest of one constraint: the element
    key for unsat-core subset matching.  Structural, so it matches across
    paths even when the DSE engine rebuilds physically distinct but equal
-   expressions.  [concrete_ser ()] memoizes per-node digests on physical
-   identity; one serializer serves a whole query, whose constraints share
-   the path prefix. *)
+   expressions.  [concrete_ser ()] memoizes per-node digests in an
+   [Expr.Phys_tbl]; one serializer serves a whole query, whose constraints
+   share the path prefix. *)
 let concrete_ser () =
   let tbl = Expr.Phys_tbl.create 64 in
   let rec ser e =

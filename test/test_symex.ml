@@ -184,20 +184,33 @@ let deep_chain () =
   done;
   [ !x ]
 
+(* A leaf allocated here, at run time.  OCaml shares a literal leaf such
+   as [E.Const 3L] statically, so every use of it is one node; DSE builds
+   its leaves as it steps, so equal leaves are distinct nodes. *)
+let fresh_leaf = function
+  | E.Const v -> E.Const (Sys.opaque_identity v)
+  | E.Input i -> E.Input (Sys.opaque_identity i)
+  | (E.Bin _ | E.Un _ | E.Ite _ | E.Load _) as e -> e
+
 (* the shape DSE builds: a loop-carried byte state, and one branch
-   condition per iteration over the shared, growing prefix *)
-let dse_dag () =
-  let x = ref (E.un (E.Low (X86.Isa.W8, false)) (E.Input 0)) in
+   condition per iteration over the shared, growing prefix.  [leaf] is
+   applied to every leaf: [fresh_leaf] gives the engine's run-time
+   leaves. *)
+let dse_dag ?(leaf = Fun.id) () =
+  let x = ref (E.un (E.Low (X86.Isa.W8, false)) (leaf (E.Input 0))) in
   let conds = ref [] in
   for k = 1 to 2_000 do
     let v = !x in
     let stepped =
       E.bin E.Xor
-        (E.bin E.Add (E.bin E.Mul v (E.Const 3L)) (E.Const (Int64.of_int k)))
-        (E.bin E.Shr v (E.Const 2L))
+        (E.bin E.Add (E.bin E.Mul v (leaf (E.Const 3L)))
+           (leaf (E.Const (Int64.of_int k))))
+        (E.bin E.Shr v (leaf (E.Const 2L)))
     in
-    let c = E.bin E.Ult v (E.Const 100L) in
-    x := E.bin E.And (E.ite c stepped (E.bin E.Sub stepped v)) (E.Const 0xFFL);
+    let c = E.bin E.Ult v (leaf (E.Const 100L)) in
+    x :=
+      E.bin E.And (E.ite c stepped (E.bin E.Sub stepped v))
+        (leaf (E.Const 0xFFL));
     conds := c :: !conds
   done;
   !x :: !conds
@@ -213,6 +226,45 @@ let test_phys_hash_quality () =
          (Printf.sprintf "%s: %d distinct hashes over %d nodes" name h n)
          true (100 * h >= 99 * n))
     [ ("20k-deep Add chain", deep_chain ()); ("DSE-shaped DAG", dse_dag ()) ]
+
+(* The keys [Phys] replaced: every node, leaves included, by [==]. *)
+module Old_phys_tbl = Hashtbl.Make (struct
+    type t = E.t
+    let equal = ( == )
+    let hash = E.Phys.hash
+  end)
+
+(* Hash-table chains on the DAG DSE builds, with its run-time leaves.  Keyed
+   physically, every allocation of [Const 3L] is a key of its own with one
+   hash, so they all share one chain; keyed by value they are one key. *)
+let test_phys_tbl_buckets () =
+  let roots = dse_dag ~leaf:fresh_leaf () in
+  let physical = Old_phys_tbl.create 1024 in
+  let rec go e =
+    if not (Old_phys_tbl.mem physical e) then begin
+      Old_phys_tbl.replace physical e ();
+      match e with
+      | E.Const _ | E.Input _ -> ()
+      | E.Bin (_, a, b, _) -> go a; go b
+      | E.Un (_, a, _) -> go a
+      | E.Ite (c, t, f, _) -> go c; go t; go f
+      | E.Load (m, a, _, _) ->
+        go a;
+        List.iter (fun (wa, wv, _) -> go wa; go wv) m.E.writes
+    end
+  in
+  List.iter go roots;
+  let keyed = E.Phys_tbl.create 1024 in
+  Old_phys_tbl.iter (fun e () -> E.Phys_tbl.replace keyed e ()) physical;
+  let bound = 8 in
+  let longest = (E.Phys_tbl.stats keyed).Hashtbl.max_bucket_length in
+  let old_longest = (Old_phys_tbl.stats physical).Hashtbl.max_bucket_length in
+  Alcotest.(check bool)
+    (Printf.sprintf "Phys_tbl: longest chain %d <= %d" longest bound)
+    true (longest <= bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "physical keys: longest chain %d > %d" old_longest bound)
+    true (old_longest > bound)
 
 let test_phys_tbl_is_physical () =
   let in0 = E.Input 0 in
@@ -231,10 +283,16 @@ let test_phys_tbl_is_physical () =
   Alcotest.(check (list (option int))) "each key finds its own binding"
     [ Some 0; Some 1; Some 2 ]
     (List.map (E.Phys_tbl.find_opt tbl) [ a; b; a' ]);
+  (* leaves are keyed by value: [c] and a fresh [Const 7L] are one key *)
+  let c' = E.Const (Sys.opaque_identity 7L) in
+  let leaves = E.Phys_tbl.create 8 in
+  List.iter (fun e -> E.Phys_tbl.replace leaves e ()) [ c; c' ];
+  Alcotest.(check bool) "two payload-equal leaves are one key" true
+    (c != c' && E.Phys_tbl.length leaves = 1);
   let comp = E.compile [ a; b; a' ] in
-  (* in0 and c twice: a' brought its own copies of the leaves *)
-  Alcotest.(check int) "one slot per physical node" 7
-    (Array.length comp.E.nodes)
+  (* a, b, a', and one slot each for in0 and c: a' brought its own copies
+     of the leaves, which share their slots *)
+  Alcotest.(check int) "one slot per key" 5 (Array.length comp.E.nodes)
 
 let test_compile_one_slot_per_node () =
   List.iter
@@ -242,7 +300,117 @@ let test_compile_one_slot_per_node () =
        Alcotest.(check int) name
          (List.length (distinct_nodes roots))
          (Array.length (E.compile roots).E.nodes))
-    [ ("20k-deep Add chain", deep_chain ()); ("DSE-shaped DAG", dse_dag ()) ]
+    [ ("20k-deep Add chain", deep_chain ()); ("DSE-shaped DAG", dse_dag ());
+      ("DSE-shaped DAG, run-time leaves", dse_dag ~leaf:fresh_leaf ()) ]
+
+(* --- leaves keyed by value ------------------------------------------------ *)
+
+(* One node per leaf value; input byte 2 is out of range at [n_inputs:2],
+   so canonicalization pins it. *)
+let shared_leaves =
+  Array.of_list
+    ([ E.Input 0; E.Input 1; E.Input 2 ]
+     @ List.map (fun v -> E.Const v) [ 0L; 1L; 5L; 0xFFL; -1L ])
+
+(* A random DAG over [shared_leaves]: each new node draws its children from
+   the nodes built so far, so subterms are shared.  With [fresh] every
+   leaf is allocated where it is drawn, as DSE does, so equal leaves are
+   distinct nodes; otherwise each value is one node. *)
+let gen_leaf_dag st =
+  let fresh = Random.State.bool st in
+  let n = 4 + Random.State.int st 28 in
+  let nodes = Array.make n E.zero in
+  let pick i = nodes.(Random.State.int st i) in
+  let pick_of l = List.nth l (Random.State.int st (List.length l)) in
+  for i = 0 to n - 1 do
+    nodes.(i) <-
+      (if i < 2 || Random.State.int st 3 = 0 then
+         let l = shared_leaves.(Random.State.int st (Array.length shared_leaves)) in
+         if fresh then fresh_leaf l else l
+       else
+         match Random.State.int st 6 with
+         | 0 -> E.Raw.un (pick_of all_unops) (pick i)
+         | 1 -> E.Raw.ite (pick i) (pick i) (pick i)
+         | _ -> E.Raw.bin (pick_of all_binops) (pick i) (pick i))
+  done;
+  let cs =
+    List.init (1 + Random.State.int st 3) (fun _ ->
+        { Symex.Solver.cond = pick n; want = Random.State.bool st })
+  in
+  let input = Array.init 3 (fun _ -> Random.State.int st 256) in
+  (fresh, Array.to_list nodes, cs, input)
+
+(* A copier: the same DAG node for node, every leaf reallocated.  Each
+   physical node maps to one new node, so sharing, and with it every [==]
+   fold, is kept. *)
+let realloc_leaves () =
+  let interior = E.Phys_tbl.create 64 in
+  let leaves = ref [] in
+  let rec go e =
+    match e with
+    | E.Const _ | E.Input _ ->
+      (match List.assq_opt e !leaves with
+       | Some e' -> e'
+       | None ->
+         let e' = fresh_leaf e in
+         leaves := (e, e') :: !leaves;
+         e')
+    | E.Bin _ | E.Un _ | E.Ite _ | E.Load _ ->
+      (match E.Phys_tbl.find_opt interior e with
+       | Some e' -> e'
+       | None ->
+         let e' =
+           match e with
+           | E.Bin (op, a, b, _) -> E.Raw.bin op (go a) (go b)
+           | E.Un (op, a, _) -> E.Raw.un op (go a)
+           | E.Ite (c, t, f, _) -> E.Raw.ite (go c) (go t) (go f)
+           | E.Const _ | E.Input _ | E.Load _ -> assert false   (* no loads here *)
+         in
+         E.Phys_tbl.replace interior e e';
+         e')
+  in
+  go
+
+let prop_leaf_copies_agree =
+  QCheck.Test.make ~name:"reallocated leaves: same digests and values"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (fresh, _, cs, input) ->
+           Format.asprintf "fresh=%b input=[%d;%d;%d] %a" fresh input.(0)
+             input.(1) input.(2)
+             (Format.pp_print_list (fun f c ->
+                  Format.fprintf f "%a:%b" E.pp c.Symex.Solver.cond
+                    c.Symex.Solver.want))
+             cs)
+       gen_leaf_dag)
+    (fun (_, nodes, cs, input) ->
+       let copy = realloc_leaves () in
+       let nodes' = List.map copy nodes in
+       let cs' =
+         List.map
+           (fun c -> { c with Symex.Solver.cond = copy c.Symex.Solver.cond })
+           cs
+       in
+       let canon cs =
+         Option.map
+           (fun c ->
+              Symex.Solver.(c.cq_digest, List.sort compare c.cq_renaming,
+                            c.cq_n_canon))
+           (Symex.Solver.canonicalize ~n_inputs:2 cs)
+       in
+       let input i = input.(i) in
+       let values nodes =
+         let ev = E.evaluator ~input in
+         let comp = E.compile nodes in
+         E.run comp ~input;
+         ( List.map ev nodes,
+           Array.to_list (Array.map (E.slot comp) comp.E.roots) )
+       in
+       let tree = List.map (E.eval ~input) nodes in
+       let memo, compiled = values nodes and memo', compiled' = values nodes' in
+       canon cs = canon cs'
+       && Symex.Solver.concrete_digests cs = Symex.Solver.concrete_digests cs'
+       && memo = tree && memo' = tree && compiled = tree && compiled' = tree)
 
 (* --- symbolic stepper vs concrete machine ---------------------------------- *)
 
@@ -854,10 +1022,13 @@ let () =
       ("node identity",
        [ Alcotest.test_case "Phys.hash distinct on a DSE DAG" `Quick
            test_phys_hash_quality;
+         Alcotest.test_case "Phys_tbl chains short with run-time leaves"
+           `Quick test_phys_tbl_buckets;
          Alcotest.test_case "Phys_tbl keys are physical" `Quick
            test_phys_tbl_is_physical;
          Alcotest.test_case "compile: one slot per node" `Quick
-           test_compile_one_slot_per_node ]);
+           test_compile_one_slot_per_node;
+         QCheck_alcotest.to_alcotest prop_leaf_copies_agree ]);
       ("solver",
        [ Alcotest.test_case "eq inversion" `Quick test_solver_finds_eq;
          Alcotest.test_case "unsat" `Quick test_solver_unsat ]);

@@ -6,8 +6,11 @@
      dune exec bench/main.exe -- --json-solver [FILE] [--quick]
                                  [--baseline-solver FILE]
 
-   Both legs run under `dune build @bench` (bench/dune).  The quick-scale
-   regeneration of every table and figure is `bin/experiments.exe all`. *)
+   Both legs run under `dune build @bench` (bench/dune).  A report FILE
+   defaults to the committed file's name in the working directory, so a
+   run that would write its report over a baseline it reads exits 2
+   before measuring.  The quick-scale regeneration of every table and
+   figure is `bin/experiments.exe all`. *)
 
 module J = Obs.Json
 
@@ -477,6 +480,12 @@ let run_solver_json ~quick ~baseline ~path =
       end
     end
 
+(* Same device and inode: catches any spelling of one path. *)
+let same_file a b =
+  match Unix.stat a, Unix.stat b with
+  | sa, sb -> sa.Unix.st_dev = sb.Unix.st_dev && sa.Unix.st_ino = sb.Unix.st_ino
+  | exception Unix.Unix_error _ -> false
+
 let () =
   let argv = Array.to_list Sys.argv in
   let quick = List.mem "--quick" argv in
@@ -503,6 +512,20 @@ let () =
     | "--baseline-solver" :: p :: _ -> Some p
     | _ :: rest -> solver_baseline_path rest
   in
+  List.iter
+    (fun report ->
+       List.iter
+         (fun baseline ->
+            if same_file report baseline then begin
+              Printf.eprintf
+                "main.exe: the report %s is the baseline %s; name another \
+                 report FILE after --json/--json-solver\n"
+                report baseline;
+              exit 2
+            end)
+         (List.filter_map Fun.id
+            [ baseline_path argv; solver_baseline_path argv ]))
+    (List.filter_map Fun.id [ json_path argv; solver_json_path argv ]);
   match json_path argv, solver_json_path argv with
   | Some path, solver ->
     run_json ~quick ~baseline:(baseline_path argv) ~path;

@@ -155,13 +155,12 @@ let test_solver_unsat () =
 
 (* --- node identity ----------------------------------------------------------- *)
 
-(* Physically distinct nodes reachable from [roots], each once. *)
-let distinct_nodes roots =
-  let seen = E.Phys_tbl.create 1024 in
+(* The nodes reachable from [roots] that [first] accepts; [first e]
+   records [e] and says whether it is new, so each key is visited once. *)
+let reachable first roots =
   let acc = ref [] in
   let rec go e =
-    if not (E.Phys_tbl.mem seen e) then begin
-      E.Phys_tbl.replace seen e ();
+    if first e then begin
       acc := e :: !acc;
       match e with
       | E.Const _ | E.Input _ -> ()
@@ -175,6 +174,14 @@ let distinct_nodes roots =
   in
   List.iter go roots;
   !acc
+
+(* One node per [Phys] key reachable from [roots]. *)
+let distinct_nodes roots =
+  let seen = E.Phys_tbl.create 1024 in
+  reachable
+    (fun e ->
+       (not (E.Phys_tbl.mem seen e)) && (E.Phys_tbl.replace seen e (); true))
+    roots
 
 (* a 20k-deep chain whose nodes differ only at the bottom *)
 let deep_chain () =
@@ -238,24 +245,16 @@ module Old_phys_tbl = Hashtbl.Make (struct
    physically, every allocation of [Const 3L] is a key of its own with one
    hash, so they all share one chain; keyed by value they are one key. *)
 let test_phys_tbl_buckets () =
-  let roots = dse_dag ~leaf:fresh_leaf () in
   let physical = Old_phys_tbl.create 1024 in
-  let rec go e =
-    if not (Old_phys_tbl.mem physical e) then begin
-      Old_phys_tbl.replace physical e ();
-      match e with
-      | E.Const _ | E.Input _ -> ()
-      | E.Bin (_, a, b, _) -> go a; go b
-      | E.Un (_, a, _) -> go a
-      | E.Ite (c, t, f, _) -> go c; go t; go f
-      | E.Load (m, a, _, _) ->
-        go a;
-        List.iter (fun (wa, wv, _) -> go wa; go wv) m.E.writes
-    end
+  let nodes =
+    reachable
+      (fun e ->
+         (not (Old_phys_tbl.mem physical e))
+         && (Old_phys_tbl.replace physical e (); true))
+      (dse_dag ~leaf:fresh_leaf ())
   in
-  List.iter go roots;
   let keyed = E.Phys_tbl.create 1024 in
-  Old_phys_tbl.iter (fun e () -> E.Phys_tbl.replace keyed e ()) physical;
+  List.iter (fun e -> E.Phys_tbl.replace keyed e ()) nodes;
   let bound = 8 in
   let longest = (E.Phys_tbl.stats keyed).Hashtbl.max_bucket_length in
   let old_longest = (Old_phys_tbl.stats physical).Hashtbl.max_bucket_length in

@@ -238,7 +238,7 @@ let fetch t rip = sync_caches t; decode_at t rip
 (* One step; raises Exec_fault / Memory.Fault on machine exceptions. *)
 let step t =
   let cpu = t.cpu in
-  let rip = (Cpu.rip cpu) in
+  let rip = Cpu.rip cpu in
   match fetch t rip with
   | None -> raise (Exec_fault (Printf.sprintf "invalid instruction at 0x%Lx" rip))
   | Some (i, len) ->
@@ -322,6 +322,14 @@ let write_fn w (o : operand) : Cpu.t -> int64 -> unit =
 
 let rsp_o = reg_index RSP lsl 3
 
+(* [rip] accessors for the compiled closures and [run_fast].  dune's dev
+   profile compiles modules [-opaque], so [Cpu.set_rip] and [Cpu.rip] are
+   calls that take and return a boxed int64: every [ret] would allocate
+   its target.  Inlined here, the value stays unboxed from the stack page
+   to the register buffer. *)
+let[@inline] set_rip cpu v = Bytes.set_int64_le cpu.Cpu.regs Cpu.rip_off v
+let[@inline] rip cpu = Bytes.get_int64_le cpu.Cpu.regs Cpu.rip_off
+
 (* --- the 64-bit ALU kernel --------------------------------------------- *)
 
 (* The fast engine's flag formulas, written once.  At 64 bits
@@ -391,13 +399,13 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
   | Mov (W64, Reg d, Reg s) ->
     let dof = reg_off d and sof = reg_off s in
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       let regs = cpu.Cpu.regs in
       Bytes.set_int64_le regs dof (Bytes.get_int64_le regs sof)
   | Mov (W64, Reg d, Imm v) ->
     let dof = reg_off d in
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       Bytes.set_int64_le cpu.Cpu.regs dof v
   | Mov (W64, Reg d, Mem { base = Some b; index = None; disp }) ->
     (* Full-width loads through [base+disp] (locals, spilled temps) are the
@@ -406,7 +414,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
        into both branches so the hot one makes no calls. *)
     let dof = reg_off d and bo = reg_off b in
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
       let addr = Int64.add (Bytes.get_int64_le regs bo) disp in
@@ -428,7 +436,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
     let idx = Int64.to_int (Int64.shift_right_logical disp Memory.page_bits) in
     if off <= Memory.page_size - 8 then
       fun cpu ->
-        Cpu.set_rip cpu (next);
+        set_rip cpu next;
         let regs = cpu.Cpu.regs in
         let m = cpu.Cpu.mem in
         let p =
@@ -438,7 +446,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
         Bytes.set_int64_le regs dof (Bytes.get_int64_le p.Memory.data off)
     else
       fun cpu ->
-        Cpu.set_rip cpu (next);
+        set_rip cpu next;
         Bytes.set_int64_le cpu.Cpu.regs dof
           (Memory.read_straddle cpu.Cpu.mem idx off 8)
   | Mov (W64, Mem { base = Some b; index = None; disp }, Reg s) ->
@@ -446,7 +454,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
        code-page version bump, so self-modifying stores stay exact. *)
     let sof = reg_off s and bo = reg_off b in
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
       let addr = Int64.add (Bytes.get_int64_le regs bo) disp in
@@ -466,13 +474,13 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
     let rd = read_fn w s in
     let wr = write_fn w d in
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       let v = rd cpu in
       wr cpu v
   | Lea (r, m) ->
     let rof = reg_off r and ea = ea_fn m in
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       Bytes.set_int64_le cpu.Cpu.regs rof (ea cpu)
   | Push (Reg r) ->
     (* The paper's chains live and die on the stack, so push/pop/ret inline
@@ -482,7 +490,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
        lazily), and the RSP update precedes the store as in the reference. *)
     let sof = reg_off r in
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
       (* the value must be read before RSP moves: [push rsp] pushes the
@@ -505,7 +513,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
   | Pop (Reg r) ->
     let dof = reg_off r in
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
       let sp = Bytes.get_int64_le regs rsp_o in
@@ -527,7 +535,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
       end
   | Ret ->
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
       let sp = Bytes.get_int64_le regs rsp_o in
@@ -540,17 +548,17 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
         in
         let v = Bytes.get_int64_le p.Memory.data off in
         Bytes.set_int64_le regs rsp_o (Int64.add sp 8L);
-        Cpu.set_rip cpu (v)
+        set_rip cpu v
       end
       else begin
         let v = Memory.read_straddle m idx off 8 in
         Bytes.set_int64_le regs rsp_o (Int64.add sp 8L);
-        Cpu.set_rip cpu (v)
+        set_rip cpu v
       end
   | Alu (o, W64, Reg d, Reg s) ->
     let dof = reg_off d and sof = reg_off s and wb = alu_writes o in
     fun cpu ->
-      Cpu.set_rip cpu next;
+      set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let r =
         alu64 cpu o (Bytes.get_int64_le regs dof) (Bytes.get_int64_le regs sof)
@@ -559,7 +567,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
   | Alu (o, W64, Reg d, Imm b) ->
     let dof = reg_off d and wb = alu_writes o in
     fun cpu ->
-      Cpu.set_rip cpu next;
+      set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let r = alu64 cpu o (Bytes.get_int64_le regs dof) b in
       if wb then Bytes.set_int64_le regs dof r
@@ -569,7 +577,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
     let ra = read_fn W64 d and rb = read_fn W64 s in
     let wr = write_fn W64 d and wb = alu_writes o in
     fun cpu ->
-      Cpu.set_rip cpu next;
+      set_rip cpu next;
       let a = ra cpu in
       let b = rb cpu in
       let r = alu64 cpu o a b in
@@ -579,12 +587,12 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
     (match o with
      | Not ->
        fun cpu ->
-         Cpu.set_rip cpu next;
+         set_rip cpu next;
          let regs = cpu.Cpu.regs in
          Bytes.set_int64_le regs dof (Int64.lognot (Bytes.get_int64_le regs dof))
      | Neg ->
        fun cpu ->
-         Cpu.set_rip cpu next;
+         set_rip cpu next;
          let regs = cpu.Cpu.regs in
          Bytes.set_int64_le regs dof
            (alu64 cpu Sub 0L (Bytes.get_int64_le regs dof))
@@ -592,7 +600,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
        (* an add or sub of 1 that leaves CF alone *)
        let op = if o = Inc then Add else Sub in
        fun cpu ->
-         Cpu.set_rip cpu next;
+         set_rip cpu next;
          let regs = cpu.Cpu.regs in
          let cf = cpu.Cpu.cf in
          let r = alu64 cpu op (Bytes.get_int64_le regs dof) 1L in
@@ -601,7 +609,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
   | Imul2 (W64, d, Reg s) ->
     let dof = reg_off d and sof = reg_off s in
     fun cpu ->
-      Cpu.set_rip cpu next;
+      set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let a = Bytes.get_int64_le regs dof in
       let b = Bytes.get_int64_le regs sof in
@@ -614,42 +622,42 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
   | Setcc (cc, Reg d) ->
     let dof = reg_off d in
     fun cpu ->
-      Cpu.set_rip cpu next;
+      set_rip cpu next;
       Bytes.unsafe_set cpu.Cpu.regs dof
         (if Cpu.cc_holds cpu cc then '\001' else '\000')
   | Jmp (J_rel d) ->
     let tgt = Int64.add next (Int64.of_int d) in
-    fun cpu -> Cpu.set_rip cpu (tgt)
+    fun cpu -> set_rip cpu tgt
   | Jmp (J_op a) ->
     let rd = read_fn W64 a in
     fun cpu ->
-      Cpu.set_rip cpu (next);
-      Cpu.set_rip cpu (rd cpu)
+      set_rip cpu next;
+      set_rip cpu (rd cpu)
   | Jcc (cc, d) ->
     let tgt = Int64.add next (Int64.of_int d) in
-    fun cpu -> Cpu.set_rip cpu ((if Cpu.cc_holds cpu cc then tgt else next))
+    fun cpu -> set_rip cpu (if Cpu.cc_holds cpu cc then tgt else next)
   | Call (J_rel d) ->
     let tgt = Int64.add next (Int64.of_int d) in
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let sp = Int64.sub (Bytes.get_int64_le regs rsp_o) 8L in
       Bytes.set_int64_le regs rsp_o sp;
       Memory.write_u64 cpu.Cpu.mem sp next;
-      Cpu.set_rip cpu (tgt)
+      set_rip cpu tgt
   | Call (J_op a) ->
     let rd = read_fn W64 a in
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       let tgt = rd cpu in
       let regs = cpu.Cpu.regs in
       let sp = Int64.sub (Bytes.get_int64_le regs rsp_o) 8L in
       Bytes.set_int64_le regs rsp_o sp;
       Memory.write_u64 cpu.Cpu.mem sp next;
-      Cpu.set_rip cpu (tgt)
+      set_rip cpu tgt
   | Hlt ->
     fun cpu ->
-      Cpu.set_rip cpu (next);
+      set_rip cpu next;
       cpu.Cpu.halted <- true
   | Alu _ | Unary _ | Imul2 _ | Cmov _ | Setcc _ | Push _ | Pop _ | Nop
   | Movzx _ | Movsx _ | MulDiv _ | Shift _ | Leave | Xchg _ | Lahf | Sahf ->
@@ -659,7 +667,7 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
        the shapes this arm took over from hand-written arms at most
        0.01%).  The win is skipping fetch/decode. *)
     fun cpu ->
-      Cpu.set_rip cpu next;
+      set_rip cpu next;
       exec_instr cpu i
 
 (* Conservative may-write-memory classification, used to decide whether a
@@ -707,7 +715,7 @@ let fuse_with_ret (i : instr) ~(next1 : int64) ~(next2 : int64) : Cpu.t -> unit 
       if off <= Memory.page_size - 16 then begin
         (* both reads in one page: resolve it once; after the reads nothing
            can fault, so the pop's intermediate state is unobservable *)
-        Cpu.set_rip cpu next1;
+        set_rip cpu next1;
         let idx = Int64.to_int (Int64.shift_right_logical sp Memory.page_bits) in
         let p =
           if m.Memory.last_idx = idx then m.Memory.last_page
@@ -718,7 +726,7 @@ let fuse_with_ret (i : instr) ~(next1 : int64) ~(next2 : int64) : Cpu.t -> unit 
         Bytes.set_int64_le regs rsp_o (Int64.add sp 16L);
         Bytes.set_int64_le regs dof v;
         cpu.Cpu.steps <- cpu.Cpu.steps + 1;
-        Cpu.set_rip cpu ra
+        set_rip cpu ra
       end
       else begin
         cold_pop cpu;
@@ -732,7 +740,7 @@ let fuse_with_ret (i : instr) ~(next1 : int64) ~(next2 : int64) : Cpu.t -> unit 
     fun cpu ->
       op cpu;
       cpu.Cpu.steps <- cpu.Cpu.steps + 1;
-      Cpu.set_rip cpu next2;
+      set_rip cpu next2;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
       let sp = Bytes.get_int64_le regs rsp_o in
@@ -745,12 +753,12 @@ let fuse_with_ret (i : instr) ~(next1 : int64) ~(next2 : int64) : Cpu.t -> unit 
         in
         let v = Bytes.get_int64_le p.Memory.data off in
         Bytes.set_int64_le regs rsp_o (Int64.add sp 8L);
-        Cpu.set_rip cpu v
+        set_rip cpu v
       end
       else begin
         let v = Memory.read_straddle m idx off 8 in
         Bytes.set_int64_le regs rsp_o (Int64.add sp 8L);
-        Cpu.set_rip cpu v
+        set_rip cpu v
       end
 
 (* Decode a straight-line run starting at [rip0] and compile it.  An empty
@@ -848,7 +856,7 @@ let run_fast ~fuel t =
       if mem.Memory.code_version <> t.cache_version then
         flush_caches t mem.Memory.code_version;
       t.n_dispatches <- t.n_dispatches + 1;
-      let key = Int64.to_int (Cpu.rip cpu) in
+      let key = Int64.to_int (rip cpu) in
       let slot = key land dm_mask in
       let block =
         if Array.unsafe_get dm_keys slot = key then
@@ -859,7 +867,7 @@ let run_fast ~fuel t =
             match ITbl.find_opt t.block_cache key with
             | Some b -> b
             | None ->
-              let b = translate t (Cpu.rip cpu) in
+              let b = translate t (rip cpu) in
               if Array.length b.b_ops > 0 then ITbl.replace t.block_cache key b;
               b
           in
@@ -875,7 +883,7 @@ let run_fast ~fuel t =
       if n = 0 then
         raise
           (Exec_fault
-             (Printf.sprintf "invalid instruction at 0x%Lx" (Cpu.rip cpu)));
+             (Printf.sprintf "invalid instruction at 0x%Lx" (rip cpu)));
       if block.b_writes then begin
         (* slots = instructions here, so fuel can stop the loop mid-block *)
         let quota = if remaining < n then remaining else n in

@@ -104,6 +104,15 @@ let make_ctx ?(toa = false) ?(seed = 99) ~goal ~budget tgt =
 
 let out_of_time ctx = Unix.gettimeofday () > ctx.deadline
 
+(* The stepping loops poll the wall clock before a path's first instruction
+   and then every [clock_stride]th, not on every one: a DSE pass steps half
+   a million symbolic instructions, and one [gettimeofday] each cost about
+   4% of it.  [k] counts the instructions this path has already stepped. *)
+let clock_stride = 256
+
+let path_out_of_time ctx k =
+  k land (clock_stride - 1) = 0 && out_of_time ctx
+
 let out_of_budget ctx =
   out_of_time ctx
   || ctx.stats.instrs > ctx.budget.max_instrs
@@ -222,7 +231,8 @@ let concolic_path ctx witness =
   let events = ref [] in
   let fuel = ref ctx.budget.path_fuel in
   let rec go () =
-    if !fuel <= 0 || out_of_time ctx then `Fuel
+    if !fuel <= 0 || path_out_of_time ctx (ctx.budget.path_fuel - !fuel)
+    then `Fuel
     else begin
       decr fuel;
       ctx.stats.instrs <- ctx.stats.instrs + 1;
@@ -385,7 +395,8 @@ let se ?(toa = true) ?(seed = 99) ~goal ~budget tgt =
       let ev = E.evaluator ~input:(Solver.input_of_model witness) in
       let fuel = ref ctx.budget.path_fuel in
       let rec go () =
-        if !fuel <= 0 || out_of_time ctx then ()
+        if !fuel <= 0 || path_out_of_time ctx (ctx.budget.path_fuel - !fuel)
+        then ()
         else begin
           decr fuel;
           ctx.stats.instrs <- ctx.stats.instrs + 1;

@@ -45,9 +45,11 @@ type verdict =
 
 type stats = {
   mutable evals : int;  (* expression-set evaluations spent *)
+  mutable runs : int;   (* of which ran the compiled query: the rest were
+                           models the query had already scored *)
 }
 
-let make_stats () = { evals = 0 }
+let make_stats () = { evals = 0; runs = 0 }
 
 exception Deadline
 
@@ -74,7 +76,15 @@ let input_of_model (m : model) i = if i < Array.length m then m.(i) else 0
 
    A query compiles all constraint conditions (plus comparison operands, for
    the distance function) into one flat Expr program evaluated per candidate
-   model without allocation. *)
+   model without allocation.
+
+   A query also remembers the models it has scored, in a direct-mapped table
+   of [scored_slots] entries: the key packs the model's input bytes into one
+   int, the value is the penalty.  The search proposes the same model many
+   times over a 1-byte input space (local search, then the exhaustive sweep
+   of the same 256 values), and a repeat is answered from the table without
+   running the program.  A model's score is a function of its bytes alone,
+   so a hit returns exactly what a run would. *)
 
 type item_kind =
   | K_flat
@@ -84,7 +94,34 @@ type item_kind =
 type query = {
   comp : Expr.compiled;
   items : (int * bool * item_kind) array;   (* cond node id, want, kind *)
+  scored_keys : int array;    (* [model_key] per slot, -1 when empty *)
+  scored_pens : int array;    (* the penalty that model scored *)
 }
+
+let scored_slots = 256
+
+(* The model's bytes as [Expr.run] reads them ([m.(i) land 0xff]; bytes past
+   the model read as 0), byte [i] at bit [8 i].  Models of up to 7 bytes fit
+   an int; a longer one has no key (-1) and bypasses the table. *)
+let model_key (m : model) =
+  let n = Array.length m in
+  if n > 7 then -1
+  else begin
+    let k = ref 0 in
+    for i = n - 1 downto 0 do
+      k := (!k lsl 8) lor (m.(i) land 0xff)
+    done;
+    !k
+  end
+
+(* A key's bytes folded into one by xor: a 1-byte model's slot is the byte
+   itself, so a 1-byte query never runs twice on one input.  Longer models
+   may share a slot; the slot then holds the newer one, and the older one
+   misses. *)
+let key_slot k =
+  let k = k lxor (k lsr 32) in
+  let k = k lxor (k lsr 16) in
+  (k lxor (k lsr 8)) land (scored_slots - 1)
 
 (* Strip boolean negations so the distance function sees the comparison
    underneath: !(e) wanted true == e wanted false, and the stepper encodes
@@ -143,10 +180,13 @@ let compile_query cs =
             (comp.Expr.roots.(i), c.want, kind))
          cs)
   in
-  { comp; items }
+  { comp; items;
+    scored_keys = Array.make scored_slots (-1);
+    scored_pens = Array.make scored_slots 0 }
 
-(* evaluate the query under [m]; returns (all satisfied, penalty) *)
-let eval_query q (m : model) =
+(* Run the compiled query under [m] and return its penalty: the distance
+   from satisfying every constraint, 0 exactly when [m] is a model. *)
+let score q (m : model) =
   let c = q.comp in
   Expr.run c ~input:(input_of_model m);
   let pen = ref 0 in
@@ -162,7 +202,26 @@ let eval_query q (m : model) =
                    | K_cmp (ia, ib) -> max 1 (Expr.slot_log2_dist c ia ib)
                    | K_flat -> 40))
     q.items;
-  (!pen = 0, !pen)
+  !pen
+
+(* Evaluate the query under [m]; returns (all satisfied, penalty).  A model
+   the table holds is answered without a run; [stats.runs] counts the
+   runs. *)
+let eval_query ~stats q (m : model) =
+  let k = model_key m in
+  let s = key_slot k in
+  if k >= 0 && Array.unsafe_get q.scored_keys s = k then begin
+    let pen = Array.unsafe_get q.scored_pens s in
+    (pen = 0, pen)
+  end else begin
+    stats.runs <- stats.runs + 1;
+    let pen = score q m in
+    if k >= 0 then begin
+      Array.unsafe_set q.scored_keys s k;
+      Array.unsafe_set q.scored_pens s pen
+    end;
+    (pen = 0, pen)
+  end
 
 let check (m : model) cs =
   let ev = Expr.evaluator ~input:(input_of_model m) in
@@ -504,7 +563,7 @@ let exhaustive ~stats ~deadline ~n_inputs ~max_evals q =
         m.(k) <- (i lsr (8 * k)) land 0xff
       done;
       stats.evals <- stats.evals + 1;
-      if fst (eval_query q m) then Ok (Array.copy m) else go (i + 1)
+      if fst (eval_query ~stats q m) then Ok (Array.copy m) else go (i + 1)
     end
   in
   go 0
@@ -519,7 +578,7 @@ let local_search ~stats ~deadline ~rng ~n_inputs ~max_evals ~bytes ?seed q =
   let result = ref None in
   let eval_penalty () =
     stats.evals <- stats.evals + 1;
-    let sat, p = eval_query q m in
+    let sat, p = eval_query ~stats q m in
     if sat && !result = None then result := Some (Array.copy m);
     p
   in
@@ -598,7 +657,7 @@ let strat_enumeration ~stats ~deadline ~n_inputs ~bytes q =
         done;
         incr i;
         stats.evals <- stats.evals + 1;
-        if fst (eval_query q m) then Sr_found (Array.copy m) else go ()
+        if fst (eval_query ~stats q m) then Sr_found (Array.copy m) else go ()
       end
     in
     go ()
@@ -661,7 +720,7 @@ let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
                m.(b) <- v;
                stats.evals <- stats.evals + 1;
                incr spent;
-               if fst (eval_query sq m) then dom := v :: !dom
+               if fst (eval_query ~stats sq m) then dom := v :: !dom
              done;
              m.(b) <- 0);
           domains.(!cursor) <- Array.of_list !dom;
@@ -684,7 +743,7 @@ let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
         incr prod_i;
         incr spent;
         stats.evals <- stats.evals + 1;
-        if fst (eval_query q m) then Sr_found (Array.copy m) else go ()
+        if fst (eval_query ~stats q m) then Sr_found (Array.copy m) else go ()
       end
     in
     if !prod_total = max_int then complete := false;
@@ -720,7 +779,7 @@ let strat_interval ~stats ~deadline ~n_inputs ~bytes ?seed q =
             m.(b) <- v;
             stats.evals <- stats.evals + 1;
             decr budget;
-            let sat, p = eval_query q m in
+            let sat, p = eval_query ~stats q m in
             if sat && !found = None then found := Some (Array.copy m);
             if p < !best then begin
               best := p;
@@ -763,7 +822,7 @@ let strat_local_search ~stats ~deadline ~rng ~n_inputs ~bytes ?seed q =
     let result = ref None in
     let eval_penalty () =
       stats.evals <- stats.evals + 1;
-      let sat, p = eval_query q m in
+      let sat, p = eval_query ~stats q m in
       if sat && !result = None then result := Some (Array.copy m);
       p
     in
@@ -905,13 +964,13 @@ type mode = Pipeline | Portfolio
 let pipeline ~stats ~deadline ~rng ?seed ~n_inputs ~max_evals cs q =
   let zero = Array.make (max n_inputs 1) 0 in
   stats.evals <- stats.evals + 1;
-  if fst (eval_query q zero) then V_sat zero
+  if fst (eval_query ~stats q zero) then V_sat zero
   else
     let seed_hit =
       match seed with
       | Some s ->
         stats.evals <- stats.evals + 1;
-        if fst (eval_query q s) then Some (Array.copy s) else None
+        if fst (eval_query ~stats q s) then Some (Array.copy s) else None
       | None -> None
     in
     match seed_hit with
@@ -1044,13 +1103,13 @@ let solve_verdict ?(rng = Util.Rng.create 42) ?stats ?(deadline = 0.0)
                seed settle most DSE negations without spinning up a race *)
             let zero = Array.make (max n_inputs 1) 0 in
             stats.evals <- stats.evals + 1;
-            if fst (eval_query q zero) then V_sat zero
+            if fst (eval_query ~stats q zero) then V_sat zero
             else
               let seed_hit =
                 match seed with
                 | Some s ->
                   stats.evals <- stats.evals + 1;
-                  if fst (eval_query q s) then Some (Array.copy s) else None
+                  if fst (eval_query ~stats q s) then Some (Array.copy s) else None
                 | None -> None
               in
               (match seed_hit with

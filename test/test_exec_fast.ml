@@ -407,13 +407,13 @@ let test_imul2_overflow_flags () =
          edge_values)
     [ W8; W16; W32; W64 ]
 
-(* Allocation fence: every specialized, non-control closure retires with
-   no minor allocation, run 10,000 times on page-interior addresses (after
-   one warm-up call, which may map a page).  Left out, because they box an
-   int64 at a call boundary by design: [ret], whose target goes through
-   the separately compiled [Cpu.set_rip]; [lea], whose address comes back
-   from the [ea_fn] closure; and the generic [mov] and memory-operand ALU
-   arms, whose values cross the [read_fn]/[write_fn] closures. *)
+(* Allocation fence: every specialized, non-jump closure, [ret] and the
+   fused [pop r; ret] slot included, retires with no minor allocation, run
+   10,000 times on page-interior addresses (after one warm-up call, which
+   may map a page).  Left out, because they box an int64 at a call
+   boundary by design: [lea], whose address comes back from the [ea_fn]
+   closure; and the generic [mov] and memory-operand ALU arms, whose
+   values cross the [read_fn]/[write_fn] closures. *)
 let test_alloc_fence () =
   let data = 0x500000L in
   let b_d = Mem { base = Some RBX; index = None; disp = 8L } in
@@ -421,7 +421,7 @@ let test_alloc_fence () =
   let shapes =
     [ Mov (W64, Reg RAX, Reg RCX); Mov (W64, Reg RAX, Imm 0x123456789L);
       Mov (W64, Reg RAX, b_d); Mov (W64, Reg RAX, abs);
-      Mov (W64, b_d, Reg RCX); Push (Reg RCX); Pop (Reg RCX);
+      Mov (W64, b_d, Reg RCX); Push (Reg RCX); Pop (Reg RCX); Ret;
       Imul2 (W64, RAX, Reg RCX) ]
     @ List.concat_map
       (fun o ->
@@ -433,9 +433,18 @@ let test_alloc_fence () =
   let cpu = machine_of [] () in
   Machine.Memory.map cpu.Machine.Cpu.mem data 4096;
   let sp = Int64.sub stack_top 2048L and rbx = Int64.add data 64L in
+  let slots =
+    List.map
+      (fun i ->
+         (Format.asprintf "%a" X86.Pp.pp_instr i,
+          Machine.Exec.compile_instr i ~next:code_base))
+      shapes
+    @ [ ("pop rax; ret (fused)",
+         Machine.Exec.fuse_with_ret (Pop (Reg RAX)) ~next1:code_base
+           ~next2:code_base) ]
+  in
   List.iter
-    (fun i ->
-       let f = Machine.Exec.compile_instr i ~next:code_base in
+    (fun (name, f) ->
        let run () =
          Machine.Cpu.set cpu RSP sp;
          Machine.Cpu.set cpu RBX rbx;
@@ -445,9 +454,8 @@ let test_alloc_fence () =
        let w0 = Gc.minor_words () in
        for _ = 1 to 10_000 do run () done;
        let words = Gc.minor_words () -. w0 in
-       Alcotest.(check (float 0.0))
-         (Format.asprintf "%a: minor words" X86.Pp.pp_instr i) 0.0 words)
-    shapes
+       Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 words)
+    slots
 
 (* Raw byte soup spanning a page boundary: decode behavior, invalid
    instructions and faults must classify identically. *)

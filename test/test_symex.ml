@@ -153,6 +153,130 @@ let test_solver_unsat () =
        [ { Symex.Solver.cond = e; want = true } ]
      = None)
 
+(* --- scored-model table ------------------------------------------------------- *)
+
+(* A query over [n] input bytes: one to three comparisons of random
+   expressions whose leaves are those bytes and small constants. *)
+let gen_query n =
+  let open QCheck.Gen in
+  let rec go depth =
+    if depth = 0 then
+      oneof
+        [ map (fun i -> E.Input i) (int_bound (n - 1));
+          map (fun v -> E.Const (Int64.of_int v)) (int_bound 300) ]
+    else
+      let* a = go (depth - 1) in
+      let* b = go (depth - 1) in
+      let* op = oneofl [ E.Add; E.Sub; E.Mul; E.Xor; E.And; E.Or; E.Shr ] in
+      return (E.Raw.bin op a b)
+  in
+  list_size (int_range 1 3)
+    (let* a = go 2 in
+     let* b = go 2 in
+     let* op = oneofl [ E.Eq; E.Ult; E.Ule; E.Slt; E.Sle ] in
+     let* want = bool in
+     return { Symex.Solver.cond = E.Raw.bin op a b; want })
+
+(* A sequence of models with many repeats: 48 draws from a pool of 8,
+   whose bytes come from a small alphabet, so 2- and 3-byte models often
+   share a table slot. *)
+let gen_table_case =
+  let open QCheck.Gen in
+  let* n = oneofl [ 1; 2; 3; 8 ] in
+  let* cs = gen_query n in
+  let* pool =
+    array_repeat 8
+      (array_repeat n (oneofl [ 0; 1; 2; 3; 0x80; 0xff ]))
+  in
+  let* picks = list_repeat 48 (int_bound 7) in
+  return (n, cs, List.map (fun i -> pool.(i)) picks)
+
+let print_table_case (n, cs, ms) =
+  Printf.sprintf "%d bytes, %s; models %s" n
+    (String.concat " && "
+       (List.map
+          (fun c ->
+             Format.asprintf "%s(%a)" (if c.Symex.Solver.want then "" else "!")
+               E.pp c.Symex.Solver.cond)
+          cs))
+    (String.concat " "
+       (List.map
+          (fun m ->
+             String.concat "," (Array.to_list (Array.map string_of_int m)))
+          ms))
+
+(* Every [eval] answer equals a table-less score of the same model on a
+   second compile of the query.  A 1-byte query runs once per distinct
+   model; an 8-byte one bypasses the table and runs every time. *)
+let prop_scored_table ?(count = 300) eval =
+  QCheck.Test.make ~name:"scored-model table = fresh score" ~count
+    (QCheck.make ~print:print_table_case gen_table_case)
+    (fun (n, cs, ms) ->
+       let module S = Symex.Solver in
+       let q = S.compile_query cs and fresh = S.compile_query cs in
+       let stats = S.make_stats () in
+       let agree =
+         List.for_all
+           (fun m ->
+              let pen = S.score fresh m in
+              eval ~stats q m = (pen = 0, pen))
+           ms
+       in
+       let distinct = List.length (List.sort_uniq compare ms) in
+       agree
+       && (match n with
+           | 1 -> stats.S.runs = distinct
+           | 8 -> stats.S.runs = List.length ms
+           | _ -> stats.S.runs >= distinct))
+
+let prop_scored_table_matches_score =
+  prop_scored_table Symex.Solver.eval_query
+
+(* Seeded fault: a slot that answers without comparing its stored key, so
+   a model returns the score of whichever model last filled its slot.  The
+   property must find a counterexample. *)
+let test_table_property_catches_keyless_slot () =
+  let module S = Symex.Solver in
+  let eval ~stats q m =
+    let k = S.model_key m in
+    let s = S.key_slot k in
+    if k >= 0 && q.S.scored_keys.(s) >= 0 then
+      let pen = q.S.scored_pens.(s) in
+      (pen = 0, pen)
+    else begin
+      stats.S.runs <- stats.S.runs + 1;
+      let pen = S.score q m in
+      if k >= 0 then begin
+        q.S.scored_keys.(s) <- k;
+        q.S.scored_pens.(s) <- pen
+      end;
+      (pen = 0, pen)
+    end
+  in
+  match
+    QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |])
+      (prop_scored_table ~count:2000 eval)
+  with
+  | () -> Alcotest.fail "a slot that ignores its key went unnoticed"
+  | exception QCheck.Test.Test_fail _ -> ()
+
+(* The serial pipeline spends a quarter of its budget on local search over
+   a 1-byte space, then sweeps all 256 values: the table leaves the
+   evaluation count as it was, but no input byte is run twice. *)
+let test_unsat_byte_runs_once_per_value () =
+  let module S = Symex.Solver in
+  let e = E.bin E.Eq (E.bin E.And (E.Input 0) (E.Const 1L)) (E.Const 7L) in
+  let stats = S.make_stats () in
+  let v =
+    S.solve_verdict ~stats ~mode:S.Pipeline ~n_inputs:1 ~max_evals:2000
+      [ { S.cond = e; want = true } ]
+  in
+  Alcotest.(check bool) "unsat" true (v = S.V_unsat);
+  Alcotest.(check int) "evals" 759 stats.S.evals;
+  Alcotest.(check bool)
+    (Printf.sprintf "runs %d <= 256" stats.S.runs)
+    true (stats.S.runs <= 256)
+
 (* --- node identity ----------------------------------------------------------- *)
 
 (* The nodes reachable from [roots] that [first] accepts; [first e]
@@ -529,8 +653,8 @@ let test_dse_slowed_by_rop () =
    count budgets, a fresh solver memo per cell.  Its totals are
    deterministic, so they are gated exactly: any change to the engine, the
    solver or the expression layer that moves them changes what the attacker
-   does, not just how fast. *)
-let test_attack_dse_exact_counts () =
+   does, not just how fast.  The cell set runs once for both tests below. *)
+let attack_dse_totals = lazy (
   let module E = Symex.Engine in
   let module Sv = Symex.Solver in
   let budget =
@@ -540,7 +664,7 @@ let test_attack_dse_exact_counts () =
       total_solver_evals = 2_000 }
   in
   let states = ref 0 and instrs = ref 0 and secrets = ref 0 in
-  let evals = ref 0 and hits = ref 0 in
+  let evals = ref 0 and runs = ref 0 and hits = ref 0 in
   List.iter
     (fun (ctrl, tseed) ->
        let t =
@@ -571,16 +695,27 @@ let test_attack_dse_exact_counts () =
             instrs := !instrs + r.E.stats.E.instrs;
             if r.E.secret_input <> None then incr secrets;
             evals := !evals + r.E.stats.E.solver.Sv.evals;
+            runs := !runs + r.E.stats.E.solver.Sv.runs;
             hits := !hits + memo.Sv.Memo.hits)
          [ "native"; "rop0.25"; "rop0.5+oc" ])
     [ (0, 1); (0, 2); (0, 3); (1, 1); (1, 2); (1, 3) ];
+  [ ("symex.states", !states); ("symex.instrs", !instrs);
+    ("symex.secrets_found", !secrets); ("solver.evals", !evals);
+    ("solver.memo_hits", !hits); ("solver.runs", !runs) ])
+
+let test_attack_dse_exact_counts () =
+  let totals = Lazy.force attack_dse_totals in
   Alcotest.(check (list (pair string int))) "attack-dse counts"
     [ ("symex.states", 41); ("symex.instrs", 510636);
       ("symex.secrets_found", 4); ("solver.evals", 33503);
       ("solver.memo_hits", 4) ]
-    [ ("symex.states", !states); ("symex.instrs", !instrs);
-      ("symex.secrets_found", !secrets); ("solver.evals", !evals);
-      ("solver.memo_hits", !hits) ]
+    (List.remove_assoc "solver.runs" totals)
+
+(* The compiled runs behind those evaluations: each (query, model) pair is
+   scored once, so a search that proposes a model again costs no run. *)
+let test_attack_dse_exact_runs () =
+  Alcotest.(check int) "attack-dse compiled runs" 15767
+    (List.assoc "solver.runs" (Lazy.force attack_dse_totals))
 
 (* --- one instruction: concrete machine vs symbolic stepper ------------------ *)
 
@@ -984,6 +1119,33 @@ let test_budget_exhaustion_returns_unknown () =
     (Printf.sprintf "returned promptly (%.2fs)" elapsed)
     true (elapsed < 10.0)
 
+(* The stepping loops poll the wall clock on a stride, but the first poll
+   comes before a path's first instruction: a deadline that has already
+   passed stops both engines at once, with [timed_out] set. *)
+let test_expired_deadline_stops_at_once () =
+  let module En = Symex.Engine in
+  let t = scaled_fun ~input_size:1 ~control_index:0 in
+  let tgt =
+    { En.img = Minic.Codegen.compile t.prog; func = "target"; n_inputs = 1 }
+  in
+  List.iter
+    (fun (name, run) ->
+       List.iter
+         (fun wall ->
+            let budget = { En.default_budget with En.wall_seconds = wall } in
+            let r : En.result = run ~goal:En.G_secret ~budget tgt in
+            let what = Printf.sprintf "%s, wall_seconds %g" name wall in
+            Alcotest.(check bool) (what ^ ": timed_out") true
+              r.En.stats.En.timed_out;
+            Alcotest.(check bool) (what ^ ": no secret") true
+              (r.En.secret_input = None);
+            if wall < 0.0 then
+              Alcotest.(check int) (what ^ ": instructions") 0
+                r.En.stats.En.instrs)
+         [ 0.0; -1.0 ])
+    [ ("dse", fun ~goal ~budget tgt -> En.dse ~goal ~budget tgt);
+      ("se", fun ~goal ~budget tgt -> En.se ~goal ~budget tgt) ]
+
 let test_oversized_query_refused () =
   Obs.Metrics.set_enabled true;
   Obs.Metrics.reset ();
@@ -1030,7 +1192,12 @@ let () =
          QCheck_alcotest.to_alcotest prop_leaf_copies_agree ]);
       ("solver",
        [ Alcotest.test_case "eq inversion" `Quick test_solver_finds_eq;
-         Alcotest.test_case "unsat" `Quick test_solver_unsat ]);
+         Alcotest.test_case "unsat" `Quick test_solver_unsat;
+         QCheck_alcotest.to_alcotest prop_scored_table_matches_score;
+         Alcotest.test_case "table property catches a keyless slot" `Quick
+           test_table_property_catches_keyless_slot;
+         Alcotest.test_case "1-byte unsat: one run per value" `Quick
+           test_unsat_byte_runs_once_per_value ]);
       ("stepper",
        List.map QCheck_alcotest.to_alcotest
          [ prop_sym_concrete_native; prop_sym_concrete_rop;
@@ -1045,11 +1212,15 @@ let () =
          Alcotest.test_case "budget exhaustion -> unknown" `Quick
            test_budget_exhaustion_returns_unknown;
          Alcotest.test_case "oversized query refused" `Quick
-           test_oversized_query_refused ]);
+           test_oversized_query_refused;
+         Alcotest.test_case "expired deadline stops at once" `Quick
+           test_expired_deadline_stops_at_once ]);
       ("attacks",
        [ Alcotest.test_case "dse cracks native" `Slow test_dse_cracks_native;
          Alcotest.test_case "se cracks native" `Slow test_se_cracks_native;
          Alcotest.test_case "dse coverage native" `Slow test_dse_coverage_native;
          Alcotest.test_case "rop slows dse" `Slow test_dse_slowed_by_rop;
          Alcotest.test_case "attack-dse exact counts" `Slow
-           test_attack_dse_exact_counts ]) ]
+           test_attack_dse_exact_counts;
+         Alcotest.test_case "attack-dse exact runs" `Slow
+           test_attack_dse_exact_runs ]) ]

@@ -23,8 +23,8 @@ dune build @lint
 echo "== ROPfuscator layers (@layers: full stack ropcheck + opaque/hidden fault legs) =="
 dune build @layers
 
-echo "== layered difftest smoke (30 cases, strongest layer stack, verifier on) =="
-dune exec bin/difftest.exe -- --cases 30 --seed 42 --config rop-layered-verified
+echo "== layered difftest smoke (30 cases, strongest layer stack, verifier on, cross-engine oracle) =="
+dune exec bin/difftest.exe -- --cases 30 --seed 42 --config rop-layered-verified --engine both
 
 echo "== observability (@obs: lib/obs suite + schema-validated --trace smoke) =="
 dune build @obs

@@ -107,6 +107,46 @@ module Ref_semantics = Semantics.Make (Concrete)
 (* Execute [i]; [cpu.rip] has already been advanced past the instruction. *)
 let exec_instr = Ref_semantics.exec
 
+(* --- layout constants and unchecked accessors -------------------------- *)
+
+(* dune's dev profile compiles every module [-opaque], so a constant of
+   another module is a load from that module's block at every use: a page
+   shift by [Memory.page_bits] becomes a shift by a register, and an offset
+   like [Cpu.rip_off] a load before every store.  The fast engine's hot
+   paths use these literals instead, checked against the originals once,
+   when the module initialises. *)
+let page_bits = 12
+let page_size = 4096
+let rip_off = 128
+let rsp_o = 32
+let regs_len = rip_off + 8       (* 16 registers and rip, 8 bytes each *)
+
+let () =
+  if page_bits <> Memory.page_bits || page_size <> Memory.page_size
+     || rip_off <> Cpu.rip_off || rsp_o <> reg_index RSP lsl 3
+     || Sys.big_endian
+  then failwith "Exec: layout constants disagree with Memory and Cpu"
+
+(* Native-endian 8-byte accesses with no bounds check: little-endian, as
+   checked above.  [Bytes.get_int64_le] re-derives the buffer's length from
+   its header and last byte on every call; these skip that, so they are used
+   only where the offset is in bounds by construction:
+   - a register slot, through [get_reg]/[set_reg] below;
+   - a page offset the caller has range-checked against [page_size - 8]
+     (or [- 16] for two reads), in a page reached through a cache-key hit
+     or a table probe, which always has [page_size] data bytes
+     (memory.ml, [dummy_page]).
+   Every other access keeps the checked accessors. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* A register slot: [o] is [reg_index r lsl 3] or [rip_off], so [o + 8 <=
+   regs_len], and [make] refuses a CPU whose buffer is shorter (the field is
+   immutable and bytes never shrink).  The closures compiled below assume
+   a CPU that [make] accepts, as it accepts every [Cpu.create]. *)
+let[@inline] get_reg regs o = get64u regs o
+let[@inline] set_reg regs o v = set64u regs o v
+
 (* --- fetch/decode with cache ------------------------------------------ *)
 
 module ITbl = Util.Itbl
@@ -140,7 +180,13 @@ let empty_block = { b_ops = [||]; b_writes = false; b_len = 0 }
    retired instructions on gadget-dense chains, so even the specialized
    hashtable probe shows up.  A key/value array pair indexed by the low rip
    bits turns the common re-dispatch into two array loads and a compare;
-   collisions simply fall through to the hashtable. *)
+   collisions simply fall through to the hashtable.
+
+   The front is also flat for the commonest block, one non-writing slot (a
+   fused [op; ret] gadget or a bare [ret]): [dm_op] holds that slot's
+   closure and [dm_len] the block's [b_len], so a hit calls the closure
+   without the [dm_blocks -> block -> b_ops -> ops.(0)] chase.  Any other
+   block stores [no_op] there, which sends the hit through [dm_blocks]. *)
 let dm_bits = 11
 let dm_size = 1 lsl dm_bits
 let dm_mask = dm_size - 1
@@ -151,6 +197,8 @@ type t = {
   block_cache : block ITbl.t;
   dm_keys : int array;           (* min_int = empty slot *)
   dm_blocks : block array;
+  dm_op : (Cpu.t -> unit) array; (* the one slot, or [no_op] *)
+  dm_len : int array;            (* [b_len] of the slot's block *)
   mutable cache_version : int;   (* Memory.code_version the caches match *)
   mutable engine : engine;
   mutable on_step : (Cpu.t -> int64 -> X86.Isa.instr -> unit) option;
@@ -165,12 +213,23 @@ type t = {
   mutable n_decode_misses : int; (* ref-engine decode-cache fills *)
 }
 
+(* Compared by address only; never run. *)
+let no_op : Cpu.t -> unit = fun _ -> ()
+
+(* Raises [Invalid_argument] on a register buffer too short for the
+   unchecked register accesses ([get_reg]): [Cpu.t] is a public record. *)
 let make ?(engine = Fast) cpu =
+  if Bytes.length cpu.Cpu.regs < regs_len then
+    invalid_arg
+      (Printf.sprintf "Exec.make: register buffer of %d bytes, need %d"
+         (Bytes.length cpu.Cpu.regs) regs_len);
   { cpu;
     decode_cache = ITbl.create 1024;
     block_cache = ITbl.create 256;
     dm_keys = Array.make dm_size min_int;
     dm_blocks = Array.make dm_size empty_block;
+    dm_op = Array.make dm_size no_op;
+    dm_len = Array.make dm_size 0;
     cache_version = Memory.code_version cpu.Cpu.mem;
     engine;
     on_step = None;
@@ -186,6 +245,7 @@ let flush_caches t v =
   ITbl.reset t.decode_cache;
   ITbl.reset t.block_cache;
   Array.fill t.dm_keys 0 dm_size min_int;
+  Array.fill t.dm_op 0 dm_size no_op;
   t.n_flushes <- t.n_flushes + 1;
   t.cache_version <- v
 
@@ -202,7 +262,7 @@ let decode_raw t rip =
     (* When the whole 16-byte fetch window sits inside one page, decode
        straight out of the page bytes; only page-straddling windows pay for
        the copying fetch. *)
-    if off + X86.Encode.max_instr_len <= Memory.page_size then
+    if off + X86.Encode.max_instr_len <= page_size then
       match Memory.get_page_opt mem rip with
       | Some p -> X86.Decode.decode p.Memory.data off
       | None -> None
@@ -261,18 +321,18 @@ let ea_fn (m : mem) : Cpu.t -> int64 =
   | None, None -> let d = m.disp in fun _ -> d
   | Some b, None ->
     let bo = reg_off b and d = m.disp in
-    if d = 0L then (fun cpu -> Bytes.get_int64_le cpu.Cpu.regs bo)
-    else fun cpu -> Int64.add (Bytes.get_int64_le cpu.Cpu.regs bo) d
+    if d = 0L then (fun cpu -> get_reg cpu.Cpu.regs bo)
+    else fun cpu -> Int64.add (get_reg cpu.Cpu.regs bo) d
   | None, Some (r, sc) ->
     let ro = reg_off r and sc = Int64.of_int sc and d = m.disp in
-    fun cpu -> Int64.add (Int64.mul (Bytes.get_int64_le cpu.Cpu.regs ro) sc) d
+    fun cpu -> Int64.add (Int64.mul (get_reg cpu.Cpu.regs ro) sc) d
   | Some b, Some (r, sc) ->
     let bo = reg_off b and ro = reg_off r
     and sc = Int64.of_int sc and d = m.disp in
     fun cpu ->
       Int64.add
-        (Int64.add (Bytes.get_int64_le cpu.Cpu.regs bo)
-           (Int64.mul (Bytes.get_int64_le cpu.Cpu.regs ro) sc))
+        (Int64.add (get_reg cpu.Cpu.regs bo)
+           (Int64.mul (get_reg cpu.Cpu.regs ro) sc))
         d
 
 (* Sub-width register reads load just the low bytes (little-endian layout),
@@ -283,7 +343,7 @@ let read_fn w (o : operand) : Cpu.t -> int64 =
   | Reg r ->
     let i = reg_off r in
     (match w with
-     | W64 -> fun cpu -> Bytes.get_int64_le cpu.Cpu.regs i
+     | W64 -> fun cpu -> get_reg cpu.Cpu.regs i
      | W32 ->
        fun cpu ->
          Int64.logand
@@ -305,8 +365,8 @@ let write_fn w (o : operand) : Cpu.t -> int64 -> unit =
   | Reg r ->
     let i = reg_off r in
     (match w with
-     | W64 -> fun cpu v -> Bytes.set_int64_le cpu.Cpu.regs i v
-     | W32 -> fun cpu v -> Bytes.set_int64_le cpu.Cpu.regs i (Int64.logand v 0xFFFFFFFFL)
+     | W64 -> fun cpu v -> set_reg cpu.Cpu.regs i v
+     | W32 -> fun cpu v -> set_reg cpu.Cpu.regs i (Int64.logand v 0xFFFFFFFFL)
      | W16 -> fun cpu v -> Bytes.set_uint16_le cpu.Cpu.regs i (Int64.to_int v land 0xFFFF)
      | W8 ->
        fun cpu v ->
@@ -320,15 +380,12 @@ let write_fn w (o : operand) : Cpu.t -> int64 -> unit =
        fun cpu v -> Memory.write cpu.Cpu.mem (ea cpu) n v)
   | Imm _ -> fun _ _ -> raise (Exec_fault "write to immediate")
 
-let rsp_o = reg_index RSP lsl 3
-
-(* [rip] accessors for the compiled closures and [run_fast].  dune's dev
-   profile compiles modules [-opaque], so [Cpu.set_rip] and [Cpu.rip] are
-   calls that take and return a boxed int64: every [ret] would allocate
-   its target.  Inlined here, the value stays unboxed from the stack page
-   to the register buffer. *)
-let[@inline] set_rip cpu v = Bytes.set_int64_le cpu.Cpu.regs Cpu.rip_off v
-let[@inline] rip cpu = Bytes.get_int64_le cpu.Cpu.regs Cpu.rip_off
+(* [rip] accessors for the compiled closures and [run_fast].  Under
+   [-opaque], [Cpu.set_rip] and [Cpu.rip] are calls that take and return a
+   boxed int64: every [ret] would allocate its target.  Inlined here, the
+   value stays unboxed from the stack page to the register buffer. *)
+let[@inline] set_rip cpu v = set_reg cpu.Cpu.regs rip_off v
+let[@inline] rip cpu = get_reg cpu.Cpu.regs rip_off
 
 (* --- the 64-bit ALU kernel --------------------------------------------- *)
 
@@ -401,12 +458,12 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
     fun cpu ->
       set_rip cpu next;
       let regs = cpu.Cpu.regs in
-      Bytes.set_int64_le regs dof (Bytes.get_int64_le regs sof)
+      set_reg regs dof (get_reg regs sof)
   | Mov (W64, Reg d, Imm v) ->
     let dof = reg_off d in
     fun cpu ->
       set_rip cpu next;
-      Bytes.set_int64_le cpu.Cpu.regs dof v
+      set_reg cpu.Cpu.regs dof v
   | Mov (W64, Reg d, Mem { base = Some b; index = None; disp }) ->
     (* Full-width loads through [base+disp] (locals, spilled temps) are the
        most retired memory shape after the stack ops; the page-local path is
@@ -417,24 +474,24 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
       set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
-      let addr = Int64.add (Bytes.get_int64_le regs bo) disp in
-      let off = Int64.to_int addr land (Memory.page_size - 1) in
-      let idx = Int64.to_int (Int64.shift_right_logical addr Memory.page_bits) in
-      if off <= Memory.page_size - 8 then begin
+      let addr = Int64.add (get_reg regs bo) disp in
+      let off = Int64.to_int addr land (page_size - 1) in
+      let idx = Int64.to_int (Int64.shift_right_logical addr page_bits) in
+      if off <= page_size - 8 then begin
         let p =
           if m.Memory.last_idx = idx then m.Memory.last_page
           else Memory.read_page_cold m idx off
         in
-        Bytes.set_int64_le regs dof (Bytes.get_int64_le p.Memory.data off)
+        set_reg regs dof (get64u p.Memory.data off)  (* off <= page_size - 8 *)
       end
-      else Bytes.set_int64_le regs dof (Memory.read_straddle m idx off 8)
+      else set_reg regs dof (Memory.read_straddle m idx off 8)
   | Mov (W64, Reg d, Mem { base = None; index = None; disp }) ->
     (* Absolute loads (globals): page index and offset are compile-time
        constants, so the hot path is a compare and two byte-buffer reads. *)
     let dof = reg_off d in
-    let off = Int64.to_int disp land (Memory.page_size - 1) in
-    let idx = Int64.to_int (Int64.shift_right_logical disp Memory.page_bits) in
-    if off <= Memory.page_size - 8 then
+    let off = Int64.to_int disp land (page_size - 1) in
+    let idx = Int64.to_int (Int64.shift_right_logical disp page_bits) in
+    if off <= page_size - 8 then
       fun cpu ->
         set_rip cpu next;
         let regs = cpu.Cpu.regs in
@@ -443,11 +500,11 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
           if m.Memory.last_idx = idx then m.Memory.last_page
           else Memory.read_page_cold m idx off
         in
-        Bytes.set_int64_le regs dof (Bytes.get_int64_le p.Memory.data off)
+        set_reg regs dof (get64u p.Memory.data off)  (* off <= page_size - 8 *)
     else
       fun cpu ->
         set_rip cpu next;
-        Bytes.set_int64_le cpu.Cpu.regs dof
+        set_reg cpu.Cpu.regs dof
           (Memory.read_straddle cpu.Cpu.mem idx off 8)
   | Mov (W64, Mem { base = Some b; index = None; disp }, Reg s) ->
     (* The matching store shape; mirrors [write_u64] including the sticky
@@ -457,19 +514,19 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
       set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
-      let addr = Int64.add (Bytes.get_int64_le regs bo) disp in
-      let off = Int64.to_int addr land (Memory.page_size - 1) in
-      let idx = Int64.to_int (Int64.shift_right_logical addr Memory.page_bits) in
-      if off <= Memory.page_size - 8 then begin
+      let addr = Int64.add (get_reg regs bo) disp in
+      let off = Int64.to_int addr land (page_size - 1) in
+      let idx = Int64.to_int (Int64.shift_right_logical addr page_bits) in
+      if off <= page_size - 8 then begin
         let p =
           if m.Memory.last_idx = idx then m.Memory.last_page
           else Memory.write_page_slow m idx
         in
         if p.Memory.is_code then
           m.Memory.code_version <- m.Memory.code_version + 1;
-        Bytes.set_int64_le p.Memory.data off (Bytes.get_int64_le regs sof)
+        set64u p.Memory.data off (get_reg regs sof)  (* off <= page_size - 8 *)
       end
-      else Memory.write_straddle m idx off 8 (Bytes.get_int64_le regs sof)
+      else Memory.write_straddle m idx off 8 (get_reg regs sof)
   | Mov (w, d, s) ->
     let rd = read_fn w s in
     let wr = write_fn w d in
@@ -481,13 +538,16 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
     let rof = reg_off r and ea = ea_fn m in
     fun cpu ->
       set_rip cpu next;
-      Bytes.set_int64_le cpu.Cpu.regs rof (ea cpu)
+      set_reg cpu.Cpu.regs rof (ea cpu)
   | Push (Reg r) ->
     (* The paper's chains live and die on the stack, so push/pop/ret inline
        the page-local memory fast path: with the address and value flowing
        unboxed from the register bytes into the page bytes, the hot branch
        performs no calls and no allocation.  Writes cannot fault (pages map
-       lazily), and the RSP update precedes the store as in the reference. *)
+       lazily), and the RSP update precedes the store as in the reference.
+       They resolve the page through the memory's stack entry ([sp_idx]),
+       which data loads and stores leave alone: a gadget body that touches
+       a global between two rets does not evict the chain's page. *)
     let sof = reg_off r in
     fun cpu ->
       set_rip cpu next;
@@ -495,19 +555,19 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
       let m = cpu.Cpu.mem in
       (* the value must be read before RSP moves: [push rsp] pushes the
          pre-decrement value (caught by the cross-engine random fuzzer) *)
-      let v = Bytes.get_int64_le regs sof in
-      let sp = Int64.sub (Bytes.get_int64_le regs rsp_o) 8L in
-      let off = Int64.to_int sp land (Memory.page_size - 1) in
-      let idx = Int64.to_int (Int64.shift_right_logical sp Memory.page_bits) in
-      Bytes.set_int64_le regs rsp_o sp;
-      if off <= Memory.page_size - 8 then begin
+      let v = get_reg regs sof in
+      let sp = Int64.sub (get_reg regs rsp_o) 8L in
+      let off = Int64.to_int sp land (page_size - 1) in
+      let idx = Int64.to_int (Int64.shift_right_logical sp page_bits) in
+      set_reg regs rsp_o sp;
+      if off <= page_size - 8 then begin
         let p =
-          if m.Memory.last_idx = idx then m.Memory.last_page
-          else Memory.write_page_slow m idx
+          if m.Memory.sp_idx = idx then m.Memory.sp_page
+          else Memory.stack_write_cold m idx
         in
         if p.Memory.is_code then
           m.Memory.code_version <- m.Memory.code_version + 1;
-        Bytes.set_int64_le p.Memory.data off v
+        set64u p.Memory.data off v  (* off <= page_size - 8 *)
       end
       else Memory.write_straddle m idx off 8 v
   | Pop (Reg r) ->
@@ -516,43 +576,43 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
       set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
-      let sp = Bytes.get_int64_le regs rsp_o in
-      let off = Int64.to_int sp land (Memory.page_size - 1) in
-      let idx = Int64.to_int (Int64.shift_right_logical sp Memory.page_bits) in
-      if off <= Memory.page_size - 8 then begin
+      let sp = get_reg regs rsp_o in
+      let off = Int64.to_int sp land (page_size - 1) in
+      let idx = Int64.to_int (Int64.shift_right_logical sp page_bits) in
+      if off <= page_size - 8 then begin
         let p =
-          if m.Memory.last_idx = idx then m.Memory.last_page
-          else Memory.read_page_cold m idx off
+          if m.Memory.sp_idx = idx then m.Memory.sp_page
+          else Memory.stack_read_cold m idx off
         in
-        let v = Bytes.get_int64_le p.Memory.data off in
-        Bytes.set_int64_le regs rsp_o (Int64.add sp 8L);
-        Bytes.set_int64_le regs dof v
+        let v = get64u p.Memory.data off in  (* off <= page_size - 8 *)
+        set_reg regs rsp_o (Int64.add sp 8L);
+        set_reg regs dof v
       end
       else begin
         let v = Memory.read_straddle m idx off 8 in
-        Bytes.set_int64_le regs rsp_o (Int64.add sp 8L);
-        Bytes.set_int64_le regs dof v
+        set_reg regs rsp_o (Int64.add sp 8L);
+        set_reg regs dof v
       end
   | Ret ->
     fun cpu ->
       set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
-      let sp = Bytes.get_int64_le regs rsp_o in
-      let off = Int64.to_int sp land (Memory.page_size - 1) in
-      let idx = Int64.to_int (Int64.shift_right_logical sp Memory.page_bits) in
-      if off <= Memory.page_size - 8 then begin
+      let sp = get_reg regs rsp_o in
+      let off = Int64.to_int sp land (page_size - 1) in
+      let idx = Int64.to_int (Int64.shift_right_logical sp page_bits) in
+      if off <= page_size - 8 then begin
         let p =
-          if m.Memory.last_idx = idx then m.Memory.last_page
-          else Memory.read_page_cold m idx off
+          if m.Memory.sp_idx = idx then m.Memory.sp_page
+          else Memory.stack_read_cold m idx off
         in
-        let v = Bytes.get_int64_le p.Memory.data off in
-        Bytes.set_int64_le regs rsp_o (Int64.add sp 8L);
+        let v = get64u p.Memory.data off in  (* off <= page_size - 8 *)
+        set_reg regs rsp_o (Int64.add sp 8L);
         set_rip cpu v
       end
       else begin
         let v = Memory.read_straddle m idx off 8 in
-        Bytes.set_int64_le regs rsp_o (Int64.add sp 8L);
+        set_reg regs rsp_o (Int64.add sp 8L);
         set_rip cpu v
       end
   | Alu (o, W64, Reg d, Reg s) ->
@@ -561,16 +621,16 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
       set_rip cpu next;
       let regs = cpu.Cpu.regs in
       let r =
-        alu64 cpu o (Bytes.get_int64_le regs dof) (Bytes.get_int64_le regs sof)
+        alu64 cpu o (get_reg regs dof) (get_reg regs sof)
       in
-      if wb then Bytes.set_int64_le regs dof r
+      if wb then set_reg regs dof r
   | Alu (o, W64, Reg d, Imm b) ->
     let dof = reg_off d and wb = alu_writes o in
     fun cpu ->
       set_rip cpu next;
       let regs = cpu.Cpu.regs in
-      let r = alu64 cpu o (Bytes.get_int64_le regs dof) b in
-      if wb then Bytes.set_int64_le regs dof r
+      let r = alu64 cpu o (get_reg regs dof) b in
+      if wb then set_reg regs dof r
   | Alu (o, W64, d, s) ->
     (* A memory operand: the reads keep the reference order, destination
        first, so a faulting access is the same one under either engine. *)
@@ -589,13 +649,12 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
        fun cpu ->
          set_rip cpu next;
          let regs = cpu.Cpu.regs in
-         Bytes.set_int64_le regs dof (Int64.lognot (Bytes.get_int64_le regs dof))
+         set_reg regs dof (Int64.lognot (get_reg regs dof))
      | Neg ->
        fun cpu ->
          set_rip cpu next;
          let regs = cpu.Cpu.regs in
-         Bytes.set_int64_le regs dof
-           (alu64 cpu Sub 0L (Bytes.get_int64_le regs dof))
+         set_reg regs dof (alu64 cpu Sub 0L (get_reg regs dof))
      | Inc | Dec ->
        (* an add or sub of 1 that leaves CF alone *)
        let op = if o = Inc then Add else Sub in
@@ -603,22 +662,22 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
          set_rip cpu next;
          let regs = cpu.Cpu.regs in
          let cf = cpu.Cpu.cf in
-         let r = alu64 cpu op (Bytes.get_int64_le regs dof) 1L in
+         let r = alu64 cpu op (get_reg regs dof) 1L in
          cpu.Cpu.cf <- cf;
-         Bytes.set_int64_le regs dof r)
+         set_reg regs dof r)
   | Imul2 (W64, d, Reg s) ->
     let dof = reg_off d and sof = reg_off s in
     fun cpu ->
       set_rip cpu next;
       let regs = cpu.Cpu.regs in
-      let a = Bytes.get_int64_le regs dof in
-      let b = Bytes.get_int64_le regs sof in
+      let a = get_reg regs dof in
+      let b = get_reg regs sof in
       let r = Int64.mul a b in
       let c = imul_overflows64 a b r in
       cpu.Cpu.cf <- c;
       cpu.Cpu.o_f <- c;
       set_zsp64 cpu r;
-      Bytes.set_int64_le regs dof r
+      set_reg regs dof r
   | Setcc (cc, Reg d) ->
     let dof = reg_off d in
     fun cpu ->
@@ -641,8 +700,8 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
     fun cpu ->
       set_rip cpu next;
       let regs = cpu.Cpu.regs in
-      let sp = Int64.sub (Bytes.get_int64_le regs rsp_o) 8L in
-      Bytes.set_int64_le regs rsp_o sp;
+      let sp = Int64.sub (get_reg regs rsp_o) 8L in
+      set_reg regs rsp_o sp;
       Memory.write_u64 cpu.Cpu.mem sp next;
       set_rip cpu tgt
   | Call (J_op a) ->
@@ -651,8 +710,8 @@ let compile_instr (i : instr) ~(next : int64) : Cpu.t -> unit =
       set_rip cpu next;
       let tgt = rd cpu in
       let regs = cpu.Cpu.regs in
-      let sp = Int64.sub (Bytes.get_int64_le regs rsp_o) 8L in
-      Bytes.set_int64_le regs rsp_o sp;
+      let sp = Int64.sub (get_reg regs rsp_o) 8L in
+      set_reg regs rsp_o sp;
       Memory.write_u64 cpu.Cpu.mem sp next;
       set_rip cpu tgt
   | Hlt ->
@@ -710,21 +769,22 @@ let fuse_with_ret (i : instr) ~(next1 : int64) ~(next2 : int64) : Cpu.t -> unit 
     fun cpu ->
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
-      let sp = Bytes.get_int64_le regs rsp_o in
-      let off = Int64.to_int sp land (Memory.page_size - 1) in
-      if off <= Memory.page_size - 16 then begin
+      let sp = get_reg regs rsp_o in
+      let off = Int64.to_int sp land (page_size - 1) in
+      if off <= page_size - 16 then begin
         (* both reads in one page: resolve it once; after the reads nothing
            can fault, so the pop's intermediate state is unobservable *)
         set_rip cpu next1;
-        let idx = Int64.to_int (Int64.shift_right_logical sp Memory.page_bits) in
+        let idx = Int64.to_int (Int64.shift_right_logical sp page_bits) in
         let p =
-          if m.Memory.last_idx = idx then m.Memory.last_page
-          else Memory.read_page_cold m idx off
+          if m.Memory.sp_idx = idx then m.Memory.sp_page
+          else Memory.stack_read_cold m idx off
         in
-        let v = Bytes.get_int64_le p.Memory.data off in
-        let ra = Bytes.get_int64_le p.Memory.data (off + 8) in
-        Bytes.set_int64_le regs rsp_o (Int64.add sp 16L);
-        Bytes.set_int64_le regs dof v;
+        (* off <= page_size - 16: both reads in bounds *)
+        let v = get64u p.Memory.data off in
+        let ra = get64u p.Memory.data (off + 8) in
+        set_reg regs rsp_o (Int64.add sp 16L);
+        set_reg regs dof v;
         cpu.Cpu.steps <- cpu.Cpu.steps + 1;
         set_rip cpu ra
       end
@@ -743,21 +803,21 @@ let fuse_with_ret (i : instr) ~(next1 : int64) ~(next2 : int64) : Cpu.t -> unit 
       set_rip cpu next2;
       let regs = cpu.Cpu.regs in
       let m = cpu.Cpu.mem in
-      let sp = Bytes.get_int64_le regs rsp_o in
-      let off = Int64.to_int sp land (Memory.page_size - 1) in
-      let idx = Int64.to_int (Int64.shift_right_logical sp Memory.page_bits) in
-      if off <= Memory.page_size - 8 then begin
+      let sp = get_reg regs rsp_o in
+      let off = Int64.to_int sp land (page_size - 1) in
+      let idx = Int64.to_int (Int64.shift_right_logical sp page_bits) in
+      if off <= page_size - 8 then begin
         let p =
-          if m.Memory.last_idx = idx then m.Memory.last_page
-          else Memory.read_page_cold m idx off
+          if m.Memory.sp_idx = idx then m.Memory.sp_page
+          else Memory.stack_read_cold m idx off
         in
-        let v = Bytes.get_int64_le p.Memory.data off in
-        Bytes.set_int64_le regs rsp_o (Int64.add sp 8L);
+        let v = get64u p.Memory.data off in  (* off <= page_size - 8 *)
+        set_reg regs rsp_o (Int64.add sp 8L);
         set_rip cpu v
       end
       else begin
         let v = Memory.read_straddle m idx off 8 in
-        Bytes.set_int64_le regs rsp_o (Int64.add sp 8L);
+        set_reg regs rsp_o (Int64.add sp 8L);
         set_rip cpu v
       end
 
@@ -818,104 +878,116 @@ let run_ref ~fuel t =
    code exact: a store into a code page aborts the rest of the block (each
    op already left [rip] correct), and the next dispatch re-translates from
    the new bytes — observably identical to the reference stepper re-fetching
-   every instruction. *)
-let run_fast ~fuel t =
-  let cpu = t.cpu in
-  let mem = cpu.Cpu.mem in
-  let dm_keys = t.dm_keys in
-  let dm_blocks = t.dm_blocks in
-  (* Retire ops [i, quota); returns the count retired.  Stops early when a
-     retired op bumped the memory's code version (a store hit a code page):
-     the rest of the block may be stale, so control returns to dispatch,
-     which flushes and re-translates.  Tail-recursive with immediate
-     arguments — the loop allocates nothing. *)
-  let rec exec_ops ops quota i v =
-    if i >= quota then i
-    else begin
-      (Array.unsafe_get ops i) cpu;
-      cpu.Cpu.steps <- cpu.Cpu.steps + 1;
-      let i = i + 1 in
-      if mem.Memory.code_version <> v then i else exec_ops ops quota i v
+   every instruction.
+
+   The loops are top-level functions with their state in arguments, not
+   closures over it, so a warm [run] allocates nothing at all
+   (test/test_exec_fast.ml, "dispatch fence"). *)
+
+(* Retire ops [i, quota); returns the count retired.  Stops early when a
+   retired op bumped the memory's code version (a store hit a code page):
+   the rest of the block may be stale, so control returns to dispatch,
+   which flushes and re-translates. *)
+let rec exec_ops cpu ops quota i v =
+  if i >= quota then i
+  else begin
+    (Array.unsafe_get ops i) cpu;
+    cpu.Cpu.steps <- cpu.Cpu.steps + 1;
+    let i = i + 1 in
+    if cpu.Cpu.mem.Memory.code_version <> v then i
+    else exec_ops cpu ops quota i v
+  end
+
+(* Loop for blocks with no memory-writing op: nothing in them can move the
+   code version, so the staleness compare is dropped and every slot runs.
+   Fused slots retire two instructions, counting the extra one themselves;
+   the caller charges the block's [b_len] against the fuel in one go. *)
+let rec exec_ops_nw cpu ops n i =
+  if i < n then begin
+    (Array.unsafe_get ops i) cpu;
+    cpu.Cpu.steps <- cpu.Cpu.steps + 1;
+    exec_ops_nw cpu ops n (i + 1)
+  end
+
+let rec go t cpu remaining =
+  if cpu.Cpu.halted then Halted
+  else if remaining <= 0 then Out_of_fuel
+  else begin
+    let mem = cpu.Cpu.mem in
+    if mem.Memory.code_version <> t.cache_version then
+      flush_caches t mem.Memory.code_version;
+    t.n_dispatches <- t.n_dispatches + 1;
+    let key = Int64.to_int (rip cpu) in
+    let slot = key land dm_mask in
+    if Array.unsafe_get t.dm_keys slot = key then begin
+      let op = Array.unsafe_get t.dm_op slot in
+      let len = Array.unsafe_get t.dm_len slot in
+      if op != no_op && remaining >= len then begin
+        (* the flat front: what [run_block] does for a one-slot
+           non-writing block, whose slot retires [len] instructions *)
+        t.n_fused <- t.n_fused + (len - 1);
+        op cpu;
+        cpu.Cpu.steps <- cpu.Cpu.steps + 1;
+        go t cpu (remaining - len)
+      end
+      else run_block t cpu remaining (Array.unsafe_get t.dm_blocks slot)
     end
-  in
-  (* Loop for blocks with no memory-writing op: nothing in them can move the
-     code version, so the staleness compare is dropped and every slot runs.
-     Fused slots retire two instructions, counting the extra one themselves;
-     the caller charges the block's [b_len] against the fuel in one go. *)
-  let rec exec_ops_nw ops n i =
-    if i < n then begin
-      (Array.unsafe_get ops i) cpu;
-      cpu.Cpu.steps <- cpu.Cpu.steps + 1;
-      exec_ops_nw ops n (i + 1)
-    end
-  in
-  let rec go remaining =
-    if cpu.Cpu.halted then Halted
-    else if remaining <= 0 then Out_of_fuel
     else begin
-      if mem.Memory.code_version <> t.cache_version then
-        flush_caches t mem.Memory.code_version;
-      t.n_dispatches <- t.n_dispatches + 1;
-      let key = Int64.to_int (rip cpu) in
-      let slot = key land dm_mask in
-      let block =
-        if Array.unsafe_get dm_keys slot = key then
-          Array.unsafe_get dm_blocks slot
-        else begin
-          t.n_dm_misses <- t.n_dm_misses + 1;
-          let b =
-            match ITbl.find_opt t.block_cache key with
-            | Some b -> b
-            | None ->
-              let b = translate t (rip cpu) in
-              if Array.length b.b_ops > 0 then ITbl.replace t.block_cache key b;
-              b
-          in
-          if Array.length b.b_ops > 0 then begin
-            Array.unsafe_set dm_keys slot key;
-            Array.unsafe_set dm_blocks slot b
-          end;
+      t.n_dm_misses <- t.n_dm_misses + 1;
+      let b =
+        match ITbl.find t.block_cache key with
+        | b -> b
+        | exception Not_found ->
+          let b = translate t (rip cpu) in
+          if Array.length b.b_ops > 0 then ITbl.replace t.block_cache key b;
           b
-        end
       in
-      let ops = block.b_ops in
-      let n = Array.length ops in
-      if n = 0 then
-        raise
-          (Exec_fault
-             (Printf.sprintf "invalid instruction at 0x%Lx" (rip cpu)));
-      if block.b_writes then begin
-        (* slots = instructions here, so fuel can stop the loop mid-block *)
-        let quota = if remaining < n then remaining else n in
-        let retired = exec_ops ops quota 0 t.cache_version in
-        go (remaining - retired)
-      end
-      else if remaining >= block.b_len then begin
-        (* b_len > n exactly when a fused slot retires two instructions *)
-        t.n_fused <- t.n_fused + (block.b_len - n);
-        (* fused gadgets and bare rets are single-slot: skip the loop *)
-        if n = 1 then begin
-          (Array.unsafe_get ops 0) cpu;
-          cpu.Cpu.steps <- cpu.Cpu.steps + 1
-        end
-        else exec_ops_nw ops n 0;
-        go (remaining - block.b_len)
-      end
-      else begin
-        (* Fuel expires inside this block.  Fused slots retire two
-           instructions at once, so retire the last [remaining] one at a
-           time through the reference fetch path instead — observationally
-           identical, and only ever runs in the turn fuel hits zero. *)
-        let k = ref remaining in
-        while !k > 0 && not cpu.Cpu.halted do
-          step t;
-          decr k
-        done;
-        go !k
-      end
+      let n = Array.length b.b_ops in
+      if n > 0 then begin
+        t.dm_keys.(slot) <- key;
+        t.dm_blocks.(slot) <- b;
+        t.dm_op.(slot) <- (if n = 1 && not b.b_writes then b.b_ops.(0) else no_op);
+        t.dm_len.(slot) <- b.b_len
+      end;
+      run_block t cpu remaining b
     end
-  in
-  try go fuel with
+  end
+
+and run_block t cpu remaining block =
+  let ops = block.b_ops in
+  let n = Array.length ops in
+  if n = 0 then
+    raise
+      (Exec_fault
+         (Printf.sprintf "invalid instruction at 0x%Lx" (rip cpu)));
+  if block.b_writes then begin
+    (* slots = instructions here, so fuel can stop the loop mid-block *)
+    let quota = if remaining < n then remaining else n in
+    let retired = exec_ops cpu ops quota 0 t.cache_version in
+    go t cpu (remaining - retired)
+  end
+  else if remaining >= block.b_len then begin
+    (* b_len > n exactly when a fused slot retires two instructions; warm
+       one-slot blocks take the flat front instead *)
+    t.n_fused <- t.n_fused + (block.b_len - n);
+    exec_ops_nw cpu ops n 0;
+    go t cpu (remaining - block.b_len)
+  end
+  else begin
+    (* Fuel expires inside this block.  Fused slots retire two
+       instructions at once, so retire the last [remaining] one at a
+       time through the reference fetch path instead — observationally
+       identical, and only ever runs in the turn fuel hits zero. *)
+    let k = ref remaining in
+    while !k > 0 && not cpu.Cpu.halted do
+      step t;
+      decr k
+    done;
+    go t cpu !k
+  end
+
+let run_fast ~fuel t =
+  try go t t.cpu fuel with
   | Exec_fault m -> Fault m
   | Memory.Fault (addr, m) -> Fault (Printf.sprintf "%s (0x%Lx)" m addr)
 

@@ -12,6 +12,8 @@
      one-entry last-page cache, then a specialized int-keyed table — and use
      the [Bytes] little-endian accessors instead of a byte-at-a-time loop.
      Page-straddling and odd-sized accesses fall back to the byte loop.
+     Exec's push/pop/ret closures keep a second entry, for the stack page
+     alone, so a gadget body's data access does not evict the chain's page.
    - [code_version] counts writes into pages the executor has decoded
      instructions from ([note_code]).  {!Exec} snapshots the counter when it
      fills its decode/translation caches and flushes them when it moves, so
@@ -38,13 +40,20 @@ type t = {
   mutable code_version : int;   (* bumped on every write into a code page *)
   mutable last_idx : int;       (* one-entry page cache; min_int = empty *)
   mutable last_page : page;
+  mutable sp_idx : int;         (* stack entry, filled only by [stack_*_cold] *)
+  mutable sp_page : page;
 }
 
+(* Both cache entries hold [dummy_page] only under the key [min_int], which
+   no page index equals (indices are the top 52 bits of an address), so a
+   page reached through a key hit always has [page_size] data bytes: every
+   other page is made by [map], [new_page] or [copy]. *)
 let dummy_page = { data = Bytes.create 0; is_code = false }
 
 let create () =
   { pages = Itbl.create 64; mapped_ranges = [];
-    code_version = 0; last_idx = min_int; last_page = dummy_page }
+    code_version = 0; last_idx = min_int; last_page = dummy_page;
+    sp_idx = min_int; sp_page = dummy_page }
 
 let copy t =
   let pages = Itbl.create (Itbl.length t.pages) in
@@ -52,7 +61,8 @@ let copy t =
     (fun k p -> Itbl.replace pages k { data = Bytes.copy p.data; is_code = p.is_code })
     t.pages;
   { pages; mapped_ranges = t.mapped_ranges; code_version = t.code_version;
-    last_idx = min_int; last_page = dummy_page }
+    last_idx = min_int; last_page = dummy_page;
+    sp_idx = min_int; sp_page = dummy_page }
 
 (* The page index is the address's top 52 bits: exact as an OCaml int even
    for addresses with the sign bit set, and injective over all of them. *)
@@ -76,15 +86,24 @@ let read_page t addr =
   let idx = page_idx addr in
   if t.last_idx = idx then t.last_page else read_page_slow t idx addr
 
-(* Same, but allocate a fresh zero page when unmapped (writes map lazily). *)
-let write_page_slow t idx =
-  match Itbl.find_opt t.pages idx with
-  | Some p -> t.last_idx <- idx; t.last_page <- p; p
-  | None ->
+(* The page at [idx], allocated zero-filled when unmapped (writes map
+   lazily).  Fills no cache entry.  This probe and [find_page]'s use
+   [Itbl.find], not [find_opt], so the fast engine's cold paths allocate
+   nothing: a chain that walks its stack across pages stays at 0 minor
+   words. *)
+let new_page t idx =
+  match Itbl.find t.pages idx with
+  | p -> p
+  | exception Not_found ->
     let p = { data = Bytes.make page_size '\000'; is_code = false } in
     Itbl.replace t.pages idx p;
-    t.last_idx <- idx; t.last_page <- p;
     p
+
+(* Same, filling the one-entry cache. *)
+let write_page_slow t idx =
+  let p = new_page t idx in
+  t.last_idx <- idx; t.last_page <- p;
+  p
 
 let write_page t addr =
   let idx = page_idx addr in
@@ -186,10 +205,30 @@ let write t addr n v =
 let join_addr idx off =
   Int64.logor (Int64.shift_left (Int64.of_int idx) page_bits) (Int64.of_int off)
 
+let find_page t idx off =
+  match Itbl.find t.pages idx with
+  | p -> p
+  | exception Not_found ->
+    raise (Fault (join_addr idx off, "read of unmapped address"))
+
 let read_page_cold t idx off =
-  match Itbl.find_opt t.pages idx with
-  | Some p -> t.last_idx <- idx; t.last_page <- p; p
-  | None -> raise (Fault (join_addr idx off, "read of unmapped address"))
+  let p = find_page t idx off in
+  t.last_idx <- idx; t.last_page <- p;
+  p
+
+(* The stack entry's fills: the same probes, but they leave the last-page
+   entry to the data accesses.  Pages are never replaced or unmapped, so an
+   entry stays valid for the memory's lifetime, and [is_code] lives on the
+   page itself: a push through either entry sees the same code mark. *)
+let stack_read_cold t idx off =
+  let p = find_page t idx off in
+  t.sp_idx <- idx; t.sp_page <- p;
+  p
+
+let stack_write_cold t idx =
+  let p = new_page t idx in
+  t.sp_idx <- idx; t.sp_page <- p;
+  p
 
 let read_straddle t idx off n = read_slow t (join_addr idx off) n
 let write_straddle t idx off n v = write_slow t (join_addr idx off) n v

@@ -12,7 +12,13 @@
      (exercises the fast engine's partial-block fallback),
    - the decode-cache staleness regressions: an in-block store overwriting
      a later instruction of the same block, and an external patch between
-     two runs of the same executor. *)
+     two runs of the same executor,
+   - the stack page entry of [Memory] (random chains of push, pop, ret and
+     fused [pop r; ret] mixed with loads and stores on the stack page, a
+     data page and a code page) and the flat direct-mapped front (a cached
+     one-slot gadget patched between two dispatches),
+   - the unchecked-access guard of [Exec.make] and a whole-dispatch
+     allocation fence. *)
 
 open X86.Isa
 module R = Util.Rng
@@ -34,13 +40,15 @@ let mem_digest (m : Machine.Memory.t) =
 (* Run the same machine construction under both engines and insist on
    identical observable state.  [mk] must build a fresh, identical machine
    on every call.  Returns the fast-engine run for extra assertions. *)
-let compare_engines ?(fuel = 200_000) name (mk : unit -> Machine.Cpu.t) =
+let compare_engines ?(fuel = 200_000) ?(on_fast = ignore) name
+    (mk : unit -> Machine.Cpu.t) =
   let exec eng =
     let t = Machine.Exec.make ~engine:eng (mk ()) in
     let status = Machine.Exec.run ~fuel t in
     (t, status)
   in
   let tf, sf = exec Machine.Exec.Fast in
+  on_fast tf;
   let tr, sr = exec Machine.Exec.Ref in
   let cf = tf.Machine.Exec.cpu and cr = tr.Machine.Exec.cpu in
   Alcotest.(check string) (name ^ ": exit status")
@@ -126,6 +134,50 @@ let machine_of ?(regs = []) instrs () =
   let cpu = Machine.Cpu.create mem in
   Machine.Cpu.set_rip cpu code_base;
   Machine.Cpu.set cpu RSP stack_top;
+  List.iter (fun (r, v) -> Machine.Cpu.set cpu r v) regs;
+  cpu
+
+(* Where a program's or chain's final [ret] lands: a lone hlt, past any
+   code the generators can emit. *)
+let hlt_stub = Int64.add code_base 0x800L
+
+(* [gadgets] laid out back to back from [code_base]: the code bytes and
+   each gadget's address. *)
+let layout gadgets =
+  let codes = List.map (fun g -> X86.Encode.encode_list g) gadgets in
+  let off = ref 0 in
+  let addrs =
+    List.map
+      (fun b ->
+         let a = Int64.add code_base (Int64.of_int !off) in
+         off := !off + Bytes.length b;
+         a)
+      codes
+  in
+  (Bytes.concat Bytes.empty codes, Array.of_list addrs)
+
+(* A ROP chain machine.  [chain] lists [(g, data)]: gadget [g] runs and pops
+   the words [data] before its [ret], which takes the next entry's gadget,
+   the last one's [hlt_stub].  rip starts at the first gadget, rsp at [sp]
+   on the first entry's words. *)
+let chain_machine ?(regs = []) ?(sp = Int64.sub stack_top 2048L) gadgets chain
+    () =
+  let code, addrs = layout gadgets in
+  let mem = Machine.Memory.create () in
+  Machine.Memory.store_bytes mem code_base code;
+  Machine.Memory.store_bytes mem hlt_stub (X86.Encode.encode Hlt);
+  Machine.Memory.map mem (Int64.sub stack_top 65536L) 65536;
+  let entry = function (g, _) :: _ -> addrs.(g) | [] -> hlt_stub in
+  let rec slots = function
+    | [] -> []
+    | (_, data) :: rest -> data @ (entry rest :: slots rest)
+  in
+  List.iteri
+    (fun k v -> Machine.Memory.write_u64 mem (Int64.add sp (Int64.of_int (8 * k))) v)
+    (slots chain);
+  let cpu = Machine.Cpu.create mem in
+  Machine.Cpu.set_rip cpu (entry chain);
+  Machine.Cpu.set cpu RSP sp;
   List.iter (fun (r, v) -> Machine.Cpu.set cpu r v) regs;
   cpu
 
@@ -235,18 +287,25 @@ let test_fuel_parity () =
   in
   let img = r.Ropc.Rewriter.image in
   let mem0 = Image.load img in
-  for fuel = 1 to 60 do
-    let cf, sf =
-      compare_engines ~fuel
-        (Printf.sprintf "fuel %d" fuel)
-        (call_setup img mem0 "gcd_" [ 54L; 24L ])
-    in
+  let check_fuel name fuel mk =
+    let cf, sf = compare_engines ~fuel (Printf.sprintf "%s %d" name fuel) mk in
     match sf with
     | Machine.Exec.Out_of_fuel ->
       Alcotest.(check int)
-        (Printf.sprintf "fuel %d: steps == fuel" fuel)
+        (Printf.sprintf "%s %d: steps == fuel" name fuel)
         fuel cf.Machine.Cpu.steps
     | _ -> ()
+  in
+  for fuel = 1 to 60 do
+    check_fuel "fuel" fuel (call_setup img mem0 "gcd_" [ 54L; 24L ])
+  done;
+  (* Fuel that runs out on a one-slot fused block in the flat front: from
+     its second dispatch on, [pop rax; ret] is a direct-mapped key hit, and
+     every odd fuel leaves one instruction for its two-instruction slot. *)
+  let chain = List.init 8 (fun k -> (0, [ Int64.of_int (k + 1) ])) in
+  for fuel = 1 to 18 do
+    check_fuel "fused front fuel" fuel
+      (chain_machine [ [ Pop (Reg RAX); Ret ] ] chain)
   done
 
 (* --- Rng-driven random programs ------------------------------------------ *)
@@ -316,10 +375,6 @@ let gen_instr rng =
   | _ -> R.choose rng [ Lahf; Sahf; Nop ]
 
 let data_base = 0x500000L
-
-(* Where a program's final [ret] lands: a lone hlt, past any code the
-   generator can emit. *)
-let hlt_stub = Int64.add code_base 0x800L
 
 (* A program is a random body and one of three tails: [hlt]; [op; ret]
    straight after the body; or [jmp +0; op; ret], which puts the pair in a
@@ -457,6 +512,219 @@ let test_alloc_fence () =
        Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 words)
     slots
 
+(* Dispatch fence: a warm [Exec.run] over 10,000 dispatches of one-slot
+   gadgets (the specialized fused [pop r; ret], a generic fused pair, a
+   bare [ret]) allocates nothing: not in the flat front, the dispatch loop
+   or the run's set-up. *)
+let test_dispatch_fence () =
+  let gadgets =
+    [ [ Pop (Reg RAX); Ret ]; [ Alu (Add, W64, Reg RAX, Reg RCX); Ret ]; [ Ret ] ]
+  in
+  let chain =
+    List.init 10_000 (fun k ->
+        match k mod 3 with 0 -> (0, [ Int64.of_int k ]) | g -> (g, []))
+  in
+  let sp = Int64.sub stack_top 0x20000L in
+  let cpu = chain_machine ~sp ~regs:[ (RCX, 3L) ] gadgets chain () in
+  let rip0 = Machine.Cpu.rip cpu in
+  let t = Machine.Exec.make cpu in
+  let run () =
+    cpu.Machine.Cpu.halted <- false;
+    Machine.Cpu.set_rip cpu rip0;
+    Machine.Cpu.set cpu RSP sp;
+    Machine.Exec.run t
+  in
+  ignore (run ());
+  let d0 = t.Machine.Exec.n_dispatches and x0 = t.Machine.Exec.n_translated in
+  let w0 = Gc.minor_words () in
+  let st = run () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "halted" true (st = Machine.Exec.Halted);
+  Alcotest.(check int) "dispatches: the chain and its hlt" 10_001
+    (t.Machine.Exec.n_dispatches - d0);
+  Alcotest.(check int) "warm: nothing translated" 0
+    (t.Machine.Exec.n_translated - x0);
+  Alcotest.(check (float 0.0)) "minor words per warm run" 0.0 words
+
+(* [Exec.make] refuses a CPU whose register buffer is too short for the
+   fast engine's unchecked register accesses. *)
+let test_short_regs_refused () =
+  let cpu = Machine.Cpu.create (Machine.Memory.create ()) in
+  ignore (Machine.Exec.make cpu);
+  let short = { cpu with Machine.Cpu.regs = Bytes.make 128 '\000' } in
+  match Machine.Exec.make short with
+  | _ -> Alcotest.fail "a 128-byte register buffer was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* --- the stack page entry and the flat front ------------------------------ *)
+
+(* Base registers of the coherence chains, never written by them: [rbp]
+   points into the stack page below the chain, [rdx] into a data page and
+   [rbx] into the code page, past the code. *)
+let base_regs = [ RBP; RDX; RBX ]
+let dst_regs = [ RAX; RCX; RSI; RDI; R8; R9; R10; R11; R12; R13; R14; R15 ]
+
+let gen_slot rng =
+  { base = Some (R.choose rng base_regs); index = None;
+    disp = Int64.of_int (R.range rng (-32) 24) }
+
+let gen_load rng = Mov (W64, Reg (R.choose rng dst_regs), Mem (gen_slot rng))
+
+(* One gadget and the data words its [ret] consumes first: a bare [ret]; a
+   fused [pop r; ret] after some loads; or loads, stores and balanced
+   push/pop pairs before a [ret] (a lone load fuses with it). *)
+let gen_gadget rng =
+  match R.int rng 4 with
+  | 0 -> ([ Ret ], 0)
+  | 1 ->
+    (List.init (R.int rng 3) (fun _ -> gen_load rng)
+     @ [ Pop (Reg (R.choose rng dst_regs)); Ret ], 1)
+  | _ ->
+    let acc = ref [] and depth = ref 0 in
+    for _ = 0 to R.int rng 6 do
+      let i =
+        match R.int rng 4 with
+        | 0 -> gen_load rng
+        | 1 -> Mov (W64, Mem (gen_slot rng), Reg (gen_reg rng))
+        | 2 -> incr depth; Push (Reg (gen_reg rng))
+        | _ when !depth > 0 -> decr depth; Pop (Reg (R.choose rng dst_regs))
+        | _ -> gen_load rng
+      in
+      acc := i :: !acc
+    done;
+    for _ = 1 to !depth do acc := Pop (Reg (R.choose rng dst_regs)) :: !acc done;
+    (List.rev (Ret :: !acc), 0)
+
+(* A random chain over six random gadgets.  Its words start a few slots
+   below a page edge, at times 4 bytes off alignment (so some slots
+   straddle it): the stack page's edge, or in one case of four the code
+   page's top, so that pushes and rets use a code page. *)
+let stack_mix_machine rng () =
+  let gadgets = List.init 6 (fun _ -> gen_gadget rng) in
+  let edge =
+    if R.int rng 4 = 0 then Int64.add code_base 4096L
+    else Int64.sub stack_top 4096L
+  in
+  let sp =
+    Int64.sub edge (Int64.of_int (8 * R.int rng 12 + if R.bool rng then 4 else 0))
+  in
+  let chain =
+    List.init (8 + R.int rng 24) (fun _ ->
+        let g = R.int rng 6 in
+        (g, List.init (snd (List.nth gadgets g)) (fun _ -> R.next64 rng)))
+  in
+  let regs =
+    [ (RBP, Int64.sub sp 64L);
+      (RDX, Int64.add data_base (Int64.of_int (R.int rng 4000)));
+      (RBX, Int64.add code_base (Int64.of_int (0xC00 + R.int rng 256))) ]
+  in
+  let cpu = chain_machine ~sp ~regs (List.map fst gadgets) chain () in
+  Machine.Memory.map cpu.Machine.Cpu.mem data_base 8192;
+  cpu
+
+let test_stack_entry_coherence () =
+  let flushes = ref 0 and fused = ref 0 and crossed = ref 0 and halted = ref 0 in
+  let page a = Int64.shift_right_logical a 12 in
+  for i = 1 to 300 do
+    let cpu0 = stack_mix_machine (R.create (0x57ac + i)) () in
+    let sp0 = Machine.Cpu.get cpu0 RSP in
+    let on_fast t =
+      let cpu = t.Machine.Exec.cpu in
+      flushes := !flushes + t.Machine.Exec.n_flushes;
+      fused := !fused + t.Machine.Exec.n_fused;
+      if page (Machine.Cpu.get cpu RSP) <> page sp0 then incr crossed;
+      if cpu.Machine.Cpu.halted then incr halted
+    in
+    ignore
+      (compare_engines ~fuel:5_000 ~on_fast
+         (Printf.sprintf "stack chain %d" i)
+         (fun () -> Machine.Cpu.copy cpu0))
+  done;
+  (* the mix must reach what it is meant to test *)
+  Alcotest.(check int) "every chain halts" 300 !halted;
+  Alcotest.(check bool) "code-page stores retranslated" true (!flushes > 0);
+  Alcotest.(check bool) "fused slots retired" true (!fused > 0);
+  Alcotest.(check bool) "rsp crossed a page edge" true (!crossed > 0)
+
+(* A push into a code page bumps the code version: [push rax] overwrites
+   the imm64 of the next instruction of its own block, which both engines
+   must then run with the pushed value.  A copy of the memory starts with
+   an empty stack entry. *)
+let test_push_into_code () =
+  let mov v = Mov (W64, Reg RCX, Imm v) in
+  let old_v = 0x1111111111111111L and new_v = 0x2222222222222222L in
+  let e1 = X86.Encode.encode (mov old_v) and e2 = X86.Encode.encode (mov new_v) in
+  let imm = ref (-1) in
+  Bytes.iteri (fun i c -> if c <> Bytes.get e2 i && !imm < 0 then imm := i) e1;
+  Alcotest.(check int) "imm64 ends the mov" (Bytes.length e1) (!imm + 8);
+  let push_len = Bytes.length (X86.Encode.encode (Push (Reg RAX))) in
+  let sp = Int64.add code_base (Int64.of_int (push_len + !imm + 8)) in
+  let mk = machine_of ~regs:[ (RAX, new_v); (RSP, sp) ] [ Push (Reg RAX); mov old_v; Hlt ] in
+  let on_fast t =
+    Alcotest.(check bool) "retranslated" true (t.Machine.Exec.n_flushes > 0)
+  in
+  let cf, _ = compare_engines ~on_fast "push into code" mk in
+  Alcotest.(check int64) "pushed immediate ran" new_v (Machine.Cpu.get cf RCX);
+  let m = cf.Machine.Cpu.mem in
+  Alcotest.(check bool) "the run used the stack entry" true
+    (m.Machine.Memory.sp_idx <> min_int);
+  let c = Machine.Memory.copy m in
+  Alcotest.(check int) "copy: empty stack entry" min_int c.Machine.Memory.sp_idx;
+  Alcotest.(check int) "copy: no page behind it" 0
+    (Bytes.length c.Machine.Memory.sp_page.Machine.Memory.data)
+
+(* A cached one-slot fused [pop rax; ret] is patched into [pop rcx; ret]
+   between two dispatches, by a store in the chain and by an external
+   [Memory.write_u8] between two runs.  Its second dispatch went through
+   the flat front; the dispatch after the patch must run the new bytes. *)
+let test_flat_front_patch () =
+  let e_old = X86.Encode.encode_list [ Pop (Reg RAX); Ret ] in
+  let e_new = X86.Encode.encode_list [ Pop (Reg RCX); Ret ] in
+  Alcotest.(check int) "same length" (Bytes.length e_old) (Bytes.length e_new);
+  let diffs = ref [] in
+  Bytes.iteri (fun i c -> if c <> Bytes.get e_new i then diffs := i :: !diffs) e_old;
+  let pos = match !diffs with [ i ] -> i | _ -> Alcotest.fail "one byte apart" in
+  let patch_at = Int64.add code_base (Int64.of_int pos) in
+  let new_byte = Char.code (Bytes.get e_new pos) in
+  let check_regs name cpu =
+    Alcotest.(check int64) (name ^ ": rax from the old gadget") 2L
+      (Machine.Cpu.get cpu RAX);
+    Alcotest.(check int64) (name ^ ": rcx from the new gadget") 3L
+      (Machine.Cpu.get cpu RCX)
+  in
+  let front_hit t =
+    Alcotest.(check bool) "flat front hit" true
+      (t.Machine.Exec.n_dispatches - t.Machine.Exec.n_dm_misses > 0)
+  in
+  (* in-chain: gadget 1 stores the byte, then gadget 0 runs again *)
+  let store = [ Mov (W8, Mem { base = Some RBX; index = None; disp = 0L }, Reg RCX); Ret ] in
+  let cf, _ =
+    compare_engines ~on_fast:front_hit "in-chain patch"
+      (chain_machine
+         ~regs:[ (RBX, patch_at); (RCX, Int64.of_int new_byte) ]
+         [ [ Pop (Reg RAX); Ret ]; store ]
+         [ (0, [ 1L ]); (0, [ 2L ]); (1, []); (0, [ 3L ]) ])
+  in
+  check_regs "in-chain patch" cf;
+  (* external: stop after two dispatches of gadget 0, patch, resume *)
+  let run_patched eng =
+    let cpu =
+      chain_machine [ [ Pop (Reg RAX); Ret ] ] [ (0, [ 1L ]); (0, [ 2L ]); (0, [ 3L ]) ] ()
+    in
+    let t = Machine.Exec.make ~engine:eng cpu in
+    (match Machine.Exec.run ~fuel:4 t with
+     | Machine.Exec.Out_of_fuel -> ()
+     | st -> Alcotest.failf "first run: %a" Machine.Exec.pp_exit st);
+    if eng = Machine.Exec.Fast then front_hit t;
+    Machine.Memory.write_u8 cpu.Machine.Cpu.mem patch_at new_byte;
+    (match Machine.Exec.run ~fuel:100 t with
+     | Machine.Exec.Halted -> ()
+     | st -> Alcotest.failf "second run: %a" Machine.Exec.pp_exit st);
+    check_regs "external patch" cpu
+  in
+  run_patched Machine.Exec.Fast;
+  run_patched Machine.Exec.Ref
+
 (* Raw byte soup spanning a page boundary: decode behavior, invalid
    instructions and faults must classify identically. *)
 let test_random_bytes () =
@@ -491,10 +759,17 @@ let () =
        [ Alcotest.test_case "page straddles" `Quick test_page_straddle;
          Alcotest.test_case "imul2 overflow flags" `Quick
            test_imul2_overflow_flags;
-         Alcotest.test_case "allocation fence" `Quick test_alloc_fence ]);
+         Alcotest.test_case "allocation fence" `Quick test_alloc_fence;
+         Alcotest.test_case "dispatch fence" `Quick test_dispatch_fence;
+         Alcotest.test_case "short register buffer refused" `Quick
+           test_short_regs_refused ]);
+      ("stack entry",
+       [ Alcotest.test_case "chain coherence" `Quick test_stack_entry_coherence;
+         Alcotest.test_case "push into code" `Quick test_push_into_code ]);
       ("selfmod",
        [ Alcotest.test_case "in-block patch" `Quick test_selfmod_in_block;
-         Alcotest.test_case "patch between runs" `Quick test_patch_between_runs ]);
+         Alcotest.test_case "patch between runs" `Quick test_patch_between_runs;
+         Alcotest.test_case "flat front patch" `Quick test_flat_front_patch ]);
       ("fuel", [ Alcotest.test_case "parity" `Quick test_fuel_parity ]);
       ("random",
        [ Alcotest.test_case "instruction programs" `Quick test_random_programs;

@@ -271,8 +271,8 @@ let run_json ~quick ~baseline ~path =
 
 (* --- solver portfolio/memo benchmark (--json-solver) ----------------------
 
-   Repeated-query throughput: a seeded corpus of symbolic-path queries is
-   solved [rounds] times over, the way a DSE sweep re-queries the same
+   Repeated-query throughput: a seeded corpus of symbolic-path queries
+   (solver_corpus.ml) is solved [rounds] times over, the way a DSE sweep re-queries the same
    normalized constraints along neighboring paths.  Three modes:
 
      serial     — the pipeline solver, no memo (every round pays full price)
@@ -283,31 +283,6 @@ let run_json ~quick ~baseline ~path =
    throughput each at least 2x serial on this workload. *)
 
 module Sv = Symex.Solver
-module Ex = Symex.Expr
-
-let solver_corpus n =
-  let r = Util.Rng.create 4242 in
-  let byte () = Int64.of_int (Util.Rng.int r 256) in
-  List.init n (fun i ->
-      let h a b c1 c2 =
-        Ex.bin Ex.Xor (Ex.bin Ex.Mul a (Ex.Const c1))
-          (Ex.bin Ex.Mul b (Ex.Const c2))
-      in
-      if i mod 3 = 0 then
-        (* shallow query: a concrete branch flip, cheap in every mode *)
-        [ { Sv.cond = Ex.bin Ex.Eq (Ex.Input 0) (Ex.Const (byte ()));
-            want = true } ]
-      else begin
-        (* mixing query: the solver earns its keep (or burns its budget) *)
-        let c1 = Int64.of_int (131 + Util.Rng.int r 1000) in
-        let c2 = Int64.of_int (77 + Util.Rng.int r 1000) in
-        let target = h (Ex.Const (byte ())) (Ex.Const (byte ())) c1 c2 in
-        [ { Sv.cond =
-              Ex.bin Ex.Eq (h (Ex.Input 0) (Ex.Input 1) c1 c2) target;
-            want = true };
-          { Sv.cond = Ex.bin Ex.Ult (Ex.Input 0) (Ex.Const 251L);
-            want = true } ]
-      end)
 
 type solver_mode_result = {
   sm_name : string;
@@ -346,7 +321,7 @@ let solver_speedup (rs : solver_mode_result list) name =
   (find name).sm_qps /. (find "serial").sm_qps
 
 let run_solver_bench ~reps ~rounds =
-  let corpus = solver_corpus 42 in
+  let corpus = Solver_corpus.queries 42 in
   let rs =
     [ bench_solver_mode ~reps ~rounds ~corpus "serial" Sv.Pipeline
         ~with_memo:false;

@@ -225,6 +225,136 @@ let test_enumerate_deadline () =
   in
   Alcotest.(check bool) "enumerate stops at the deadline" true (dt < 0.6)
 
+(* --- Pipeline mode, pinned ---------------------------------------------------
+
+   Pipeline's (verdict, model, evals, runs) on a fixed query set, recorded
+   from the seed solver's own search loops: any change to the schedule, the
+   budgets or the order of rng draws moves a row.  Rows cover 0..3 input
+   bytes (0 leaves one phantom byte the search may still set), budgets of 0,
+   1 and 4000 evaluations, and runs with and without a caller seed. *)
+
+let eq_in i v =
+  { S.cond = E.bin E.Eq (E.Input i) (E.Const (Int64.of_int v)); want = true }
+
+let pipeline_queries =
+  let mix =
+    let h a b = E.bin E.Xor (E.bin E.Mul a (E.Const 131L)) (E.bin E.Mul b (E.Const 77L)) in
+    [ { S.cond = E.bin E.Eq (h (E.Input 0) (E.Input 1)) (h (E.Const 0x3AL) (E.Const 0xC5L));
+        want = true };
+      { S.cond = E.bin E.Ult (E.Input 0) (E.Const 251L); want = true } ]
+  in
+  let wide =
+    [ { S.cond =
+          E.bin E.Eq
+            (E.bin E.Add (E.Input 0) (E.bin E.Mul (E.Input 1) (E.Const 256L)))
+            (E.Const 70000L);
+        want = true } ]
+  in
+  [ ("true", 0, [ { S.cond = E.Const 1L; want = true } ], None);
+    ("in0=5", 0, [ eq_in 0 5 ], None);
+    ("in0=77", 1, [ eq_in 0 77 ], None);
+    ("in0=77 seed 77", 1, [ eq_in 0 77 ], Some [| 77 |]);
+    ("in0=77 seed 76", 1, [ eq_in 0 77 ], Some [| 76 |]);
+    ("in0&1=7", 1,
+     [ { S.cond = E.bin E.Eq (E.bin E.And (E.Input 0) (E.Const 1L)) (E.Const 7L);
+         want = true } ], None);
+    ("mix", 2, mix, None);
+    ("mix seed", 2, mix, Some [| 1; 2 |]);
+    ("in0=3,in1=200", 2, [ eq_in 0 3; eq_in 1 200 ], None);
+    ("wide", 2, wide, None);
+    ("hash", 3, hard_query (), None);
+    ("in2=9", 3, [ eq_in 2 9 ], None);
+    ("in2=9 seed", 3, [ eq_in 2 9 ], Some [| 0; 0; 9 |]) ]
+
+let pipeline_rows () =
+  List.concat_map
+    (fun max_evals ->
+       List.mapi
+         (fun i (name, n_inputs, cs, seed) ->
+            let stats = S.make_stats () in
+            let v =
+              S.solve_verdict ~rng:(Util.Rng.create (100 + i)) ~stats
+                ~mode:S.Pipeline ?seed ~n_inputs ~max_evals cs
+            in
+            Printf.sprintf "%s/%d: %s evals=%d runs=%d" name max_evals
+              (model_str v) stats.S.evals stats.S.runs)
+         pipeline_queries)
+    [ 0; 1; 4000 ]
+
+let test_pipeline_pinned () =
+  Alcotest.(check (list string)) "pipeline rows"
+    [
+      "true/0: sat:0 evals=1 runs=1";
+      "in0=5/0: unknown evals=2 runs=1";
+      "in0=77/0: unknown evals=2 runs=1";
+      "in0=77 seed 77/0: sat:77 evals=2 runs=2";
+      "in0=77 seed 76/0: unknown evals=3 runs=2";
+      "in0&1=7/0: unknown evals=2 runs=1";
+      "mix/0: unknown evals=2 runs=1";
+      "mix seed/0: unknown evals=3 runs=2";
+      "in0=3,in1=200/0: unknown evals=2 runs=1";
+      "wide/0: unknown evals=2 runs=1";
+      "hash/0: unknown evals=2 runs=1";
+      "in2=9/0: unknown evals=2 runs=1";
+      "in2=9 seed/0: sat:0,0,9 evals=2 runs=2";
+      "true/1: sat:0 evals=1 runs=1";
+      "in0=5/1: unsat evals=3 runs=1";
+      "in0=77/1: unknown evals=3 runs=1";
+      "in0=77 seed 77/1: sat:77 evals=2 runs=2";
+      "in0=77 seed 76/1: unknown evals=4 runs=2";
+      "in0&1=7/1: unknown evals=3 runs=1";
+      "mix/1: unknown evals=3 runs=1";
+      "mix seed/1: unknown evals=4 runs=2";
+      "in0=3,in1=200/1: unknown evals=3 runs=1";
+      "wide/1: unknown evals=3 runs=1";
+      "hash/1: unknown evals=3 runs=2";
+      "in2=9/1: unknown evals=3 runs=2";
+      "in2=9 seed/1: sat:0,0,9 evals=2 runs=2";
+      "true/4000: sat:0 evals=1 runs=1";
+      "in0=5/4000: sat:5 evals=7 runs=6";
+      "in0=77/4000: sat:77 evals=104 runs=40";
+      "in0=77 seed 77/4000: sat:77 evals=2 runs=2";
+      "in0=77 seed 76/4000: sat:77 evals=7 runs=6";
+      "in0&1=7/4000: unsat evals=1260 runs=256";
+      "mix/4000: unknown evals=5004 runs=4574";
+      "mix seed/4000: unknown evals=5005 runs=4583";
+      "in0=3,in1=200/4000: sat:3,200 evals=135 runs=83";
+      "wide/4000: unknown evals=5003 runs=4505";
+      "hash/4000: unknown evals=4009 runs=2657";
+      "in2=9/4000: sat:0,0,9 evals=15 runs=10";
+      "in2=9 seed/4000: sat:0,0,9 evals=2 runs=2"
+    ]
+    (pipeline_rows ())
+
+(* --- strategy ledger ---------------------------------------------------------
+
+   Which strategy settles each race, on the solver benchmark's corpus
+   (bench/solver_corpus.ml) run the way the benchmark runs it, minus the
+   memo: Portfolio mode, 10 rounds, rng (round * 7919) + i.  Races the
+   zero model or the seed settle never start; races no strategy settles
+   within the budget have no winner. *)
+
+let win_counts () = List.map (fun (n, c) -> (n, !c)) S.m_wins
+
+let test_bench_corpus_ledger () =
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+  let races0 = !S.m_races and wins0 = win_counts () in
+  let corpus = Solver_corpus.queries 42 in
+  for round = 1 to 10 do
+    List.iteri
+      (fun i cs ->
+         ignore
+           (S.solve_verdict ~rng:(Util.Rng.create ((round * 7919) + i))
+              ~mode:S.Portfolio ~n_inputs:2 ~max_evals:4_000 cs))
+      corpus
+  done;
+  Alcotest.(check (list (pair string int))) "wins per strategy"
+    [ ("races", 420); ("inversion", 150); ("interval", 10);
+      ("enumeration", 0); ("local_search", 4) ]
+    (("races", !S.m_races - races0)
+     :: List.map2 (fun (n, w) (_, w0) -> (n, w - w0)) (win_counts ()) wins0)
+
 let () =
   Alcotest.run "portfolio"
     [ ("verdicts",
@@ -242,4 +372,10 @@ let () =
        [ Alcotest.test_case "solve_verdict honors wall deadline" `Quick
            test_deadline_respected;
          Alcotest.test_case "enumerate honors wall deadline" `Quick
-           test_enumerate_deadline ]) ]
+           test_enumerate_deadline ]);
+      ("pipeline",
+       [ Alcotest.test_case "pinned verdicts and counts" `Quick
+           test_pipeline_pinned ]);
+      ("ledger",
+       [ Alcotest.test_case "wins on the bench corpus" `Quick
+           test_bench_corpus_ledger ]) ]

@@ -653,15 +653,17 @@ let test_dse_slowed_by_rop () =
    count budgets, a fresh solver memo per cell.  Its totals are
    deterministic, so they are gated exactly: any change to the engine, the
    solver or the expression layer that moves them changes what the attacker
-   does, not just how fast.  The cell set runs once for both tests below. *)
-let attack_dse_totals = lazy (
+   does, not just how fast.  The cell set runs once for both tests below;
+   [portfolio] runs it with the solver's Portfolio mode instead. *)
+let attack_dse_cells ~portfolio =
   let module E = Symex.Engine in
   let module Sv = Symex.Solver in
   let budget =
     { E.default_budget with
       E.wall_seconds = 600.0;
       max_states = 8;
-      total_solver_evals = 2_000 }
+      total_solver_evals = 2_000;
+      portfolio }
   in
   let states = ref 0 and instrs = ref 0 and secrets = ref 0 in
   let evals = ref 0 and runs = ref 0 and hits = ref 0 in
@@ -701,7 +703,9 @@ let attack_dse_totals = lazy (
     [ (0, 1); (0, 2); (0, 3); (1, 1); (1, 2); (1, 3) ];
   [ ("symex.states", !states); ("symex.instrs", !instrs);
     ("symex.secrets_found", !secrets); ("solver.evals", !evals);
-    ("solver.memo_hits", !hits); ("solver.runs", !runs) ])
+    ("solver.memo_hits", !hits); ("solver.runs", !runs) ]
+
+let attack_dse_totals = lazy (attack_dse_cells ~portfolio:false)
 
 let test_attack_dse_exact_counts () =
   let totals = Lazy.force attack_dse_totals in
@@ -716,6 +720,21 @@ let test_attack_dse_exact_counts () =
 let test_attack_dse_exact_runs () =
   Alcotest.(check int) "attack-dse compiled runs" 15767
     (List.assoc "solver.runs" (Lazy.force attack_dse_totals))
+
+(* The strategy ledger of the same cells in Portfolio mode: on these
+   1-byte targets, domain inversion settles every race they start. *)
+let test_attack_dse_portfolio_ledger () =
+  let module Sv = Symex.Solver in
+  let win_counts () = List.map (fun (n, c) -> (n, !c)) Sv.m_wins in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+  let races0 = !Sv.m_races and wins0 = win_counts () in
+  ignore (attack_dse_cells ~portfolio:true);
+  Alcotest.(check (list (pair string int))) "attack-dse portfolio wins"
+    [ ("races", 117); ("inversion", 117); ("interval", 0);
+      ("enumeration", 0); ("local_search", 0) ]
+    (("races", !Sv.m_races - races0)
+     :: List.map2 (fun (n, w) (_, w0) -> (n, w - w0)) (win_counts ()) wins0)
 
 (* --- one instruction: concrete machine vs symbolic stepper ------------------ *)
 
@@ -1223,4 +1242,6 @@ let () =
          Alcotest.test_case "attack-dse exact counts" `Slow
            test_attack_dse_exact_counts;
          Alcotest.test_case "attack-dse exact runs" `Slow
-           test_attack_dse_exact_runs ]) ]
+           test_attack_dse_exact_runs;
+         Alcotest.test_case "attack-dse portfolio ledger" `Slow
+           test_attack_dse_portfolio_ledger ]) ]

@@ -272,8 +272,9 @@ let run_json ~quick ~baseline ~path =
 (* --- solver portfolio/memo benchmark (--json-solver) ----------------------
 
    Repeated-query throughput: a seeded corpus of symbolic-path queries
-   (solver_corpus.ml) is solved [rounds] times over, the way a DSE sweep re-queries the same
-   normalized constraints along neighboring paths.  Three modes:
+   (solver_corpus.ml) is solved [rounds] times over, the way a DSE sweep
+   re-queries the same normalized constraints along neighboring paths.
+   Three modes:
 
      serial     — the pipeline solver, no memo (every round pays full price)
      memoized   — pipeline + content-addressed memo (round 2+ are hits)

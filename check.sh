@@ -1,7 +1,13 @@
 #!/usr/bin/env bash
-# CI entry point: build, fast test tier, then a 200-case differential-fuzzing
-# smoke across all four oracles.  The deep tier (dune build @fuzz) is not run
-# here; see EXPERIMENTS.md, "Differential testing".
+# CI entry point: twelve tiers, in order -- build; the fast test tier
+# (@runtest); static chain verification (@check); the parallel smoke (@jobs);
+# the roplint matrix (@lint); the ROPfuscator layer tier (@layers); a 30-case
+# layered difftest smoke; observability (@obs); a 200-case differential-
+# fuzzing smoke across all four oracles; the campaign smoke (@campaign); the
+# serving tier (@serve); and the benchmark gates (@bench), which hold the
+# emulator's and the solver's exact counts and speed baselines.  The deep
+# tier (dune build @fuzz) is not run here; see EXPERIMENTS.md, "Differential
+# testing".
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -38,7 +44,7 @@ dune build @campaign
 echo "== serving tier (@serve: daemon selftest, byte-identity + warm >=3x serial + baseline gate) =="
 dune build @serve
 
-echo "== emulator bench smoke (fast vs reference stepper, @bench) =="
+echo "== benchmark gates (@bench: emulator steps + fast/ref equality + speed baseline; solver exact evals/memo hits + speedup baseline) =="
 dune build @bench
 
 echo "== OK =="

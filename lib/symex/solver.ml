@@ -2,11 +2,13 @@
 
    Evaluation-based: a candidate model is a byte assignment to the Input
    variables; constraints are checked by evaluating their expressions.  The
-   serial pipeline is (1) exhaustive enumeration for tiny input spaces, (2)
+   serial pipeline tries (1) the zero model, (2) the caller's seed, (3)
    multi-restart stochastic local search guided by a structural distance
-   function (SAGE-style fitness).  This is deliberately not an industrial
-   SMT solver: paper inputs are 1-8 bytes and the obfuscations under study
-   attack path explosion and aliasing, not solver algebra (DESIGN.md).
+   function (SAGE-style fitness), then (4) enumeration of the whole input
+   space when it is at most 2 bytes.  This is deliberately not an
+   industrial SMT solver: paper inputs are 1-8 bytes and the obfuscations
+   under study attack path explosion and aliasing, not solver algebra
+   (DESIGN.md).
 
    On top of the seed pipeline this module adds the attacker-at-scale
    machinery (EXPERIMENTS.md, "Attack campaigns & solver portfolio"):
@@ -204,10 +206,11 @@ let score q (m : model) =
     q.items;
   !pen
 
-(* Evaluate the query under [m]; returns (all satisfied, penalty).  A model
-   the table holds is answered without a run; [stats.runs] counts the
-   runs. *)
+(* Evaluate the query under [m]; returns (all satisfied, penalty).  This is
+   the one place an evaluation is counted ([stats.evals]).  A model the
+   table holds is answered without a run; [stats.runs] counts the runs. *)
 let eval_query ~stats q (m : model) =
+  stats.evals <- stats.evals + 1;
   let k = model_key m in
   let s = key_slot k in
   if k >= 0 && Array.unsafe_get q.scored_keys s = k then begin
@@ -541,90 +544,19 @@ end
 let global_memo : Memo.t option ref = ref None
 let set_memo m = global_memo := m
 
-(* --- search ----------------------------------------------------------------- *)
+(* --- search strategies -------------------------------------------------------
+
+   Each strategy is a resumable closure advanced in eval-bounded steps:
+   Portfolio mode races all four in slices, Pipeline mode runs local search
+   and then enumeration, each once.  [Sr_exhausted true] is a completeness
+   claim: the strategy enumerated every assignment the constraints can
+   distinguish and found nothing, which proves unsat. *)
 
 (* Input indices the constraints actually mention (restricted to the live
    input window; out-of-range bytes are identically 0). *)
 let relevant_bytes ~n_inputs cs =
   List.filter (fun b -> b < max n_inputs 1)
     (Expr.input_bytes (List.map (fun c -> c.cond) cs))
-
-(* Exhaustive sweep of the full [n_inputs] byte space (seed pipeline).
-   Returns a model, or the completeness of the failed sweep. *)
-let exhaustive ~stats ~deadline ~n_inputs ~max_evals q =
-  let m = Array.make (max n_inputs 1) 0 in
-  let space = 1 lsl (8 * n_inputs) in
-  let total = min space max_evals in
-  let rec go i =
-    if i >= total then Error (total >= space)
-    else begin
-      check_deadline deadline;
-      for k = 0 to n_inputs - 1 do
-        m.(k) <- (i lsr (8 * k)) land 0xff
-      done;
-      stats.evals <- stats.evals + 1;
-      if fst (eval_query ~stats q m) then Ok (Array.copy m) else go (i + 1)
-    end
-  in
-  go 0
-
-let local_search ~stats ~deadline ~rng ~n_inputs ~max_evals ~bytes ?seed q =
-  let bytes = if bytes = [] then [ 0 ] else bytes in
-  let m = Array.make (max n_inputs 1) 0 in
-  (match seed with
-   | Some s -> Array.blit s 0 m 0 (min (Array.length s) (Array.length m))
-   | None -> ());
-  let best = ref max_int in
-  let result = ref None in
-  let eval_penalty () =
-    stats.evals <- stats.evals + 1;
-    let sat, p = eval_query ~stats q m in
-    if sat && !result = None then result := Some (Array.copy m);
-    p
-  in
-  let restart () =
-    (* a restart is a full re-evaluation too: without this check a search
-       thrashing through restarts only polls the deadline every stride *)
-    check_deadline deadline;
-    Array.iteri (fun i _ -> m.(i) <- Util.Rng.int rng 256) m;
-    best := eval_penalty ()
-  in
-  best := eval_penalty ();
-  let budget = ref max_evals in
-  let stagnation = ref 0 in
-  while !result = None && !budget > 0 do
-    decr budget;
-    check_deadline deadline;
-    let b = List.nth bytes (Util.Rng.int rng (List.length bytes)) in
-    if b < Array.length m then begin
-      let old = m.(b) in
-      (match Util.Rng.int rng 4 with
-       | 0 -> m.(b) <- Util.Rng.int rng 256
-       | 1 -> m.(b) <- old lxor (1 lsl Util.Rng.int rng 8)
-       | 2 -> m.(b) <- (old + 1) land 0xff
-       | _ -> m.(b) <- (old - 1) land 0xff);
-      let p = eval_penalty () in
-      if p < !best then begin
-        best := p;
-        stagnation := 0
-      end else begin
-        m.(b) <- old;
-        incr stagnation;
-        if !stagnation > 400 then begin
-          restart ();
-          stagnation := 0
-        end
-      end
-    end
-  done;
-  !result
-
-(* --- portfolio strategies ----------------------------------------------------
-
-   Each strategy is a resumable closure advanced in eval-bounded slices by
-   the race driver.  [Sr_exhausted true] is a completeness claim: the
-   strategy enumerated every assignment the constraints can distinguish and
-   found nothing, which proves unsat. *)
 
 type step_result =
   | Sr_found of model
@@ -656,7 +588,6 @@ let strat_enumeration ~stats ~deadline ~n_inputs ~bytes q =
           m.(bytes.(b)) <- (!i lsr (8 * b)) land 0xff
         done;
         incr i;
-        stats.evals <- stats.evals + 1;
         if fst (eval_query ~stats q m) then Sr_found (Array.copy m) else go ()
       end
     in
@@ -668,7 +599,10 @@ let strat_enumeration ~stats ~deadline ~n_inputs ~bytes q =
    that byte's domain by direct scan; the query then reduces to the
    cartesian product of the restricted domains.  An empty domain — or a
    fully scanned product — is a completeness proof, because any model must
-   lie inside the product. *)
+   lie inside the product.  A product of more than [max_product]
+   assignments is scanned only that far, which proves nothing. *)
+let max_product = 1 lsl 22
+
 let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
   let m = Array.make (max n_inputs 1) 0 in
   let bytes = Array.of_list bytes in
@@ -692,7 +626,7 @@ let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
   let cursor = ref 0 in
   let prod_i = ref 0 in
   let prod_total = ref 1 in
-  let complete = ref true in
+  let complete = ref true in     (* [prod_total] is the whole product *)
   let step k =
     let spent = ref 0 in
     let rec go () =
@@ -701,13 +635,13 @@ let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
         if !cursor >= nb then begin
           (* move to enumeration of the product *)
           phase := 1;
-          prod_total :=
+          let product =
             Array.fold_left
-              (fun acc d ->
-                 if acc >= 1 lsl 22 then max_int
-                 else min (1 lsl 22) (acc * Array.length d))
-              1 (Array.sub domains 0 nb);
-          if nb = 0 then prod_total := 1;
+              (fun acc d -> min (max_product + 1) (acc * Array.length d))
+              1 (Array.sub domains 0 nb)
+          in
+          prod_total := min max_product product;
+          complete := product <= max_product;
           go ()
         end else begin
           let b = bytes.(!cursor) in
@@ -718,7 +652,6 @@ let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
              for v = 255 downto 0 do
                check_deadline deadline;
                m.(b) <- v;
-               stats.evals <- stats.evals + 1;
                incr spent;
                if fst (eval_query ~stats sq m) then dom := v :: !dom
              done;
@@ -728,8 +661,7 @@ let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
           if !dom = [] then Sr_exhausted true   (* empty domain: proven unsat *)
           else go ()
         end
-      end else if !prod_i >= !prod_total then
-        Sr_exhausted (!prod_total < max_int && !complete)
+      end else if !prod_i >= !prod_total then Sr_exhausted !complete
       else begin
         check_deadline deadline;
         (* decode mixed-radix index into the restricted domains *)
@@ -742,11 +674,9 @@ let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
         done;
         incr prod_i;
         incr spent;
-        stats.evals <- stats.evals + 1;
         if fst (eval_query ~stats q m) then Sr_found (Array.copy m) else go ()
       end
     in
-    if !prod_total = max_int then complete := false;
     go ()
   in
   { st_name = "inversion"; st_step = step }
@@ -777,7 +707,6 @@ let strat_interval ~stats ~deadline ~n_inputs ~bytes ?seed q =
           for v = 0 to 255 do
             check_deadline deadline;
             m.(b) <- v;
-            stats.evals <- stats.evals + 1;
             decr budget;
             let sat, p = eval_query ~stats q m in
             if sat && !found = None then found := Some (Array.copy m);
@@ -807,8 +736,10 @@ let strat_interval ~stats ~deadline ~n_inputs ~bytes ?seed q =
   in
   { st_name = "interval"; st_step = step }
 
-(* Stochastic local search as a resumable strategy (same move set as the
-   serial pipeline's [local_search]). *)
+(* Multi-restart stochastic local search guided by the query's penalty, a
+   structural distance function (SAGE-style fitness): mutate one relevant
+   byte, keep the move if the penalty drops, restart from a random model
+   after 400 moves without progress. *)
 let strat_local_search ~stats ~deadline ~rng ~n_inputs ~bytes ?seed q =
   let bytes = if bytes = [] then [ 0 ] else bytes in
   let m = Array.make (max n_inputs 1) 0 in
@@ -821,7 +752,6 @@ let strat_local_search ~stats ~deadline ~rng ~n_inputs ~bytes ?seed q =
   let step k =
     let result = ref None in
     let eval_penalty () =
-      stats.evals <- stats.evals + 1;
       let sat, p = eval_query ~stats q m in
       if sat && !result = None then result := Some (Array.copy m);
       p
@@ -850,6 +780,9 @@ let strat_local_search ~stats ~deadline ~rng ~n_inputs ~bytes ?seed q =
           m.(b) <- old;
           incr stagnation;
           if !stagnation > 400 then begin
+            (* a restart is a full re-evaluation too: without this check a
+               search thrashing through restarts only polls the deadline
+               every stride *)
             check_deadline deadline;
             Array.iteri (fun i _ -> m.(i) <- Util.Rng.int rng 256) m;
             best := eval_penalty ();
@@ -957,38 +890,38 @@ let max_constraints = 4000
 
 type mode = Pipeline | Portfolio
 
-(* The seed pipeline, upgraded to report completeness: zero model, caller
-   seed, stochastic local search, then exhaustive enumeration for tiny
-   input spaces.  [V_unsat] only when the exhaustive sweep covered the
-   whole space. *)
-let pipeline ~stats ~deadline ~rng ?seed ~n_inputs ~max_evals cs q =
+(* The cheap entry probes of both modes: the zero model, then the caller's
+   seed.  They settle most DSE negations without a search. *)
+let entry_probe ~stats ?seed ~n_inputs q =
   let zero = Array.make (max n_inputs 1) 0 in
-  stats.evals <- stats.evals + 1;
-  if fst (eval_query ~stats q zero) then V_sat zero
+  if fst (eval_query ~stats q zero) then Some zero
   else
-    let seed_hit =
-      match seed with
-      | Some s ->
-        stats.evals <- stats.evals + 1;
-        if fst (eval_query ~stats q s) then Some (Array.copy s) else None
-      | None -> None
-    in
-    match seed_hit with
-    | Some m -> V_sat m
-    | None ->
-      let bytes = relevant_bytes ~n_inputs cs in
-      let ls_budget = if n_inputs <= 2 then max_evals / 4 else max_evals in
-      (match
-         local_search ~stats ~deadline ~rng ~n_inputs ~max_evals:ls_budget
-           ~bytes ?seed q
-       with
-       | Some m -> V_sat m
-       | None ->
-         if n_inputs <= 2 then
-           match exhaustive ~stats ~deadline ~n_inputs ~max_evals q with
-           | Ok m -> V_sat m
-           | Error complete -> if complete then V_unsat else V_unknown
-         else V_unknown)
+    match seed with
+    | Some s when fst (eval_query ~stats q s) -> Some (Array.copy s)
+    | _ -> None
+
+(* Pipeline mode after the entry probes: local search on a quarter of the
+   budget, then (for at most 2 input bytes) enumeration of the whole input
+   space on the full budget.  [V_unsat] only when the enumeration covered
+   the space.  Local search draws from [rng] itself, not a split, so the
+   draws are the caller's. *)
+let pipeline ~stats ~deadline ~rng ?seed ~n_inputs ~max_evals cs q =
+  let bytes = relevant_bytes ~n_inputs cs in
+  let ls_budget = if n_inputs <= 2 then max_evals / 4 else max_evals in
+  match
+    (strat_local_search ~stats ~deadline ~rng ~n_inputs ~bytes ?seed q).st_step
+      ls_budget
+  with
+  | Sr_found m -> V_sat m
+  | Sr_exhausted _ | Sr_running when n_inputs > 2 -> V_unknown
+  | Sr_exhausted _ | Sr_running ->
+    let bytes = List.init n_inputs Fun.id in
+    (match
+       (strat_enumeration ~stats ~deadline ~n_inputs ~bytes q).st_step max_evals
+     with
+     | Sr_found m -> V_sat m
+     | Sr_exhausted true -> V_unsat
+     | Sr_exhausted false | Sr_running -> V_unknown)
 
 (* Solve for a verdict on [cs] over [n_inputs] input bytes within
    [max_evals] expression evaluations.  [memo] overrides the process-global
@@ -1095,28 +1028,12 @@ let solve_verdict ?(rng = Util.Rng.create 42) ?stats ?(deadline = 0.0)
         in
         let v =
           Obs.Trace.with_span "solver.search" @@ fun () ->
-          match mode with
-          | Pipeline ->
+          match entry_probe ~stats ?seed ~n_inputs q, mode with
+          | Some m, _ -> V_sat m
+          | None, Pipeline ->
             pipeline ~stats ~deadline ~rng ?seed ~n_inputs ~max_evals cs q
-          | Portfolio ->
-            (* the cheap entry probes first: the zero model and the caller
-               seed settle most DSE negations without spinning up a race *)
-            let zero = Array.make (max n_inputs 1) 0 in
-            stats.evals <- stats.evals + 1;
-            if fst (eval_query ~stats q zero) then V_sat zero
-            else
-              let seed_hit =
-                match seed with
-                | Some s ->
-                  stats.evals <- stats.evals + 1;
-                  if fst (eval_query ~stats q s) then Some (Array.copy s) else None
-                | None -> None
-              in
-              (match seed_hit with
-               | Some m -> V_sat m
-               | None ->
-                 portfolio ~stats ~deadline ~rng ?seed ~n_inputs ~max_evals
-                   cs q)
+          | None, Portfolio ->
+            portfolio ~stats ~deadline ~rng ?seed ~n_inputs ~max_evals cs q
         in
         (* store the conclusion; Unknown is only cacheable when it exhausted
            the eval budget rather than the wall clock *)

@@ -149,6 +149,25 @@ let test_unknown_only_when_all_fail () =
            st.S.st_name)
     strategies
 
+let test_inversion_complete_only_on_full_product () =
+  (* no single-byte constraint, so every domain keeps all 256 values and
+     the product is 2^24: more than inversion enumerates (2^22), so running
+     out of product is no proof, and (250, 250, 200) is a model *)
+  let sum = E.bin E.Add (E.bin E.Add (E.Input 0) (E.Input 1)) (E.Input 2) in
+  let cs = [ { S.cond = E.bin E.Eq sum (E.Const 700L); want = true } ] in
+  Alcotest.(check bool) "the query is satisfiable" true
+    (S.check [| 250; 250; 200 |] cs);
+  let st =
+    S.strat_inversion ~stats:(S.make_stats ()) ~deadline:0.0 ~n_inputs:3
+      ~bytes:[ 0; 1; 2 ] (S.compile_query cs) cs
+  in
+  match st.S.st_step max_int with
+  | S.Sr_exhausted true ->
+    Alcotest.fail "inversion proved unsat from a partial product"
+  | S.Sr_found m ->
+    Alcotest.(check bool) "model satisfies" true (S.check m cs)
+  | S.Sr_exhausted false | S.Sr_running -> ()
+
 let model_str = function
   | S.V_sat m ->
     "sat:" ^ String.concat "," (List.map string_of_int (Array.to_list m))
@@ -227,19 +246,23 @@ let test_enumerate_deadline () =
 
 (* --- Pipeline mode, pinned ---------------------------------------------------
 
-   Pipeline's (verdict, model, evals, runs) on a fixed query set, recorded
-   from the seed solver's own search loops: any change to the schedule, the
-   budgets or the order of rng draws moves a row.  Rows cover 0..3 input
-   bytes (0 leaves one phantom byte the search may still set), budgets of 0,
-   1 and 4000 evaluations, and runs with and without a caller seed. *)
+   Pipeline's (verdict, model, evals, runs) on a fixed query set: any change
+   to its schedule, its budgets or the order of its rng draws moves a row.
+   Rows cover 0..3 input bytes (0 leaves one phantom byte the search may
+   still set), budgets of 0, 1 and 4000 evaluations, and runs with and
+   without a caller seed. *)
 
 let eq_in i v =
   { S.cond = E.bin E.Eq (E.Input i) (E.Const (Int64.of_int v)); want = true }
 
 let pipeline_queries =
   let mix =
-    let h a b = E.bin E.Xor (E.bin E.Mul a (E.Const 131L)) (E.bin E.Mul b (E.Const 77L)) in
-    [ { S.cond = E.bin E.Eq (h (E.Input 0) (E.Input 1)) (h (E.Const 0x3AL) (E.Const 0xC5L));
+    let h a b =
+      E.bin E.Xor (E.bin E.Mul a (E.Const 131L)) (E.bin E.Mul b (E.Const 77L))
+    in
+    [ { S.cond =
+          E.bin E.Eq (h (E.Input 0) (E.Input 1))
+            (h (E.Const 0x3AL) (E.Const 0xC5L));
         want = true };
       { S.cond = E.bin E.Ult (E.Input 0) (E.Const 251L); want = true } ]
   in
@@ -256,8 +279,10 @@ let pipeline_queries =
     ("in0=77 seed 77", 1, [ eq_in 0 77 ], Some [| 77 |]);
     ("in0=77 seed 76", 1, [ eq_in 0 77 ], Some [| 76 |]);
     ("in0&1=7", 1,
-     [ { S.cond = E.bin E.Eq (E.bin E.And (E.Input 0) (E.Const 1L)) (E.Const 7L);
-         want = true } ], None);
+     [ { S.cond =
+           E.bin E.Eq (E.bin E.And (E.Input 0) (E.Const 1L)) (E.Const 7L);
+         want = true } ],
+     None);
     ("mix", 2, mix, None);
     ("mix seed", 2, mix, Some [| 1; 2 |]);
     ("in0=3,in1=200", 2, [ eq_in 0 3; eq_in 1 200 ], None);
@@ -266,65 +291,100 @@ let pipeline_queries =
     ("in2=9", 3, [ eq_in 2 9 ], None);
     ("in2=9 seed", 3, [ eq_in 2 9 ], Some [| 0; 0; 9 |]) ]
 
-let pipeline_rows () =
+let pipeline_rows solve =
   List.concat_map
     (fun max_evals ->
        List.mapi
          (fun i (name, n_inputs, cs, seed) ->
             let stats = S.make_stats () in
             let v =
-              S.solve_verdict ~rng:(Util.Rng.create (100 + i)) ~stats
-                ~mode:S.Pipeline ?seed ~n_inputs ~max_evals cs
+              solve ~rng:(Util.Rng.create (100 + i)) ~stats ?seed ~n_inputs
+                ~max_evals cs
             in
             Printf.sprintf "%s/%d: %s evals=%d runs=%d" name max_evals
               (model_str v) stats.S.evals stats.S.runs)
          pipeline_queries)
     [ 0; 1; 4000 ]
 
+let pipeline_pinned =
+  [ "true/0: sat:0 evals=1 runs=1";
+    "in0=5/0: unknown evals=2 runs=1";
+    "in0=77/0: unknown evals=2 runs=1";
+    "in0=77 seed 77/0: sat:77 evals=2 runs=2";
+    "in0=77 seed 76/0: unknown evals=3 runs=2";
+    "in0&1=7/0: unknown evals=2 runs=1";
+    "mix/0: unknown evals=2 runs=1";
+    "mix seed/0: unknown evals=3 runs=2";
+    "in0=3,in1=200/0: unknown evals=2 runs=1";
+    "wide/0: unknown evals=2 runs=1";
+    "hash/0: unknown evals=2 runs=1";
+    "in2=9/0: unknown evals=2 runs=1";
+    "in2=9 seed/0: sat:0,0,9 evals=2 runs=2";
+    "true/1: sat:0 evals=1 runs=1";
+    "in0=5/1: unsat evals=3 runs=1";
+    "in0=77/1: unknown evals=3 runs=1";
+    "in0=77 seed 77/1: sat:77 evals=2 runs=2";
+    "in0=77 seed 76/1: unknown evals=4 runs=2";
+    "in0&1=7/1: unknown evals=3 runs=1";
+    "mix/1: unknown evals=3 runs=1";
+    "mix seed/1: unknown evals=4 runs=2";
+    "in0=3,in1=200/1: unknown evals=3 runs=1";
+    "wide/1: unknown evals=3 runs=1";
+    "hash/1: unknown evals=3 runs=2";
+    "in2=9/1: unknown evals=3 runs=2";
+    "in2=9 seed/1: sat:0,0,9 evals=2 runs=2";
+    "true/4000: sat:0 evals=1 runs=1";
+    "in0=5/4000: sat:5 evals=7 runs=6";
+    "in0=77/4000: sat:77 evals=104 runs=40";
+    "in0=77 seed 77/4000: sat:77 evals=2 runs=2";
+    "in0=77 seed 76/4000: sat:77 evals=7 runs=6";
+    "in0&1=7/4000: unsat evals=1260 runs=256";
+    "mix/4000: unknown evals=5004 runs=4574";
+    "mix seed/4000: unknown evals=5005 runs=4583";
+    "in0=3,in1=200/4000: sat:3,200 evals=135 runs=83";
+    "wide/4000: unknown evals=5003 runs=4505";
+    "hash/4000: unknown evals=4009 runs=2657";
+    "in2=9/4000: sat:0,0,9 evals=15 runs=10";
+    "in2=9 seed/4000: sat:0,0,9 evals=2 runs=2" ]
+
 let test_pipeline_pinned () =
-  Alcotest.(check (list string)) "pipeline rows"
-    [
-      "true/0: sat:0 evals=1 runs=1";
-      "in0=5/0: unknown evals=2 runs=1";
-      "in0=77/0: unknown evals=2 runs=1";
-      "in0=77 seed 77/0: sat:77 evals=2 runs=2";
-      "in0=77 seed 76/0: unknown evals=3 runs=2";
-      "in0&1=7/0: unknown evals=2 runs=1";
-      "mix/0: unknown evals=2 runs=1";
-      "mix seed/0: unknown evals=3 runs=2";
-      "in0=3,in1=200/0: unknown evals=2 runs=1";
-      "wide/0: unknown evals=2 runs=1";
-      "hash/0: unknown evals=2 runs=1";
-      "in2=9/0: unknown evals=2 runs=1";
-      "in2=9 seed/0: sat:0,0,9 evals=2 runs=2";
-      "true/1: sat:0 evals=1 runs=1";
-      "in0=5/1: unsat evals=3 runs=1";
-      "in0=77/1: unknown evals=3 runs=1";
-      "in0=77 seed 77/1: sat:77 evals=2 runs=2";
-      "in0=77 seed 76/1: unknown evals=4 runs=2";
-      "in0&1=7/1: unknown evals=3 runs=1";
-      "mix/1: unknown evals=3 runs=1";
-      "mix seed/1: unknown evals=4 runs=2";
-      "in0=3,in1=200/1: unknown evals=3 runs=1";
-      "wide/1: unknown evals=3 runs=1";
-      "hash/1: unknown evals=3 runs=2";
-      "in2=9/1: unknown evals=3 runs=2";
-      "in2=9 seed/1: sat:0,0,9 evals=2 runs=2";
-      "true/4000: sat:0 evals=1 runs=1";
-      "in0=5/4000: sat:5 evals=7 runs=6";
-      "in0=77/4000: sat:77 evals=104 runs=40";
-      "in0=77 seed 77/4000: sat:77 evals=2 runs=2";
-      "in0=77 seed 76/4000: sat:77 evals=7 runs=6";
-      "in0&1=7/4000: unsat evals=1260 runs=256";
-      "mix/4000: unknown evals=5004 runs=4574";
-      "mix seed/4000: unknown evals=5005 runs=4583";
-      "in0=3,in1=200/4000: sat:3,200 evals=135 runs=83";
-      "wide/4000: unknown evals=5003 runs=4505";
-      "hash/4000: unknown evals=4009 runs=2657";
-      "in2=9/4000: sat:0,0,9 evals=15 runs=10";
-      "in2=9 seed/4000: sat:0,0,9 evals=2 runs=2"
-    ]
-    (pipeline_rows ())
+  Alcotest.(check (list string)) "pipeline rows" pipeline_pinned
+    (pipeline_rows (fun ~rng ~stats ?seed ~n_inputs ~max_evals cs ->
+         S.solve_verdict ~rng ~stats ~mode:S.Pipeline ?seed ~n_inputs
+           ~max_evals cs))
+
+(* Pipeline's schedule spelled out over the public strategies, with local
+   search given [ls_extra] evaluations beyond its quarter of the budget.
+   At 0 it must reproduce the pins; one evaluation more is a seeded fault
+   the pins must catch. *)
+let pipeline_schedule ~ls_extra ~rng ~stats ?seed ~n_inputs ~max_evals cs =
+  let q = S.compile_query cs in
+  match S.entry_probe ~stats ?seed ~n_inputs q with
+  | Some m -> S.V_sat m
+  | None ->
+    let bytes = S.relevant_bytes ~n_inputs cs in
+    let ls_budget = if n_inputs <= 2 then max_evals / 4 else max_evals in
+    let ls =
+      S.strat_local_search ~stats ~deadline:0.0 ~rng ~n_inputs ~bytes ?seed q
+    in
+    match ls.S.st_step (ls_budget + ls_extra) with
+    | S.Sr_found m -> S.V_sat m
+    | _ when n_inputs > 2 -> S.V_unknown
+    | _ ->
+      let bytes = List.init n_inputs Fun.id in
+      (match
+         (S.strat_enumeration ~stats ~deadline:0.0 ~n_inputs ~bytes q).S.st_step
+           max_evals
+       with
+       | S.Sr_found m -> S.V_sat m
+       | S.Sr_exhausted true -> S.V_unsat
+       | S.Sr_exhausted false | S.Sr_running -> S.V_unknown)
+
+let test_pipeline_pin_catches_ls_budget () =
+  Alcotest.(check (list string)) "the spelled-out schedule" pipeline_pinned
+    (pipeline_rows (pipeline_schedule ~ls_extra:0));
+  if pipeline_rows (pipeline_schedule ~ls_extra:1) = pipeline_pinned then
+    Alcotest.fail "local search one evaluation over budget went unnoticed"
 
 (* --- strategy ledger ---------------------------------------------------------
 
@@ -363,7 +423,9 @@ let () =
          Alcotest.test_case "unsat requires completeness" `Quick
            test_unsat_needs_completeness;
          Alcotest.test_case "unknown means all strategies fail" `Quick
-           test_unknown_only_when_all_fail ]);
+           test_unknown_only_when_all_fail;
+         Alcotest.test_case "inversion unsat needs the whole product" `Quick
+           test_inversion_complete_only_on_full_product ]);
       ("determinism",
        [ Alcotest.test_case "seeded race is reproducible" `Quick
            test_deterministic_given_seed;
@@ -375,7 +437,9 @@ let () =
            test_enumerate_deadline ]);
       ("pipeline",
        [ Alcotest.test_case "pinned verdicts and counts" `Quick
-           test_pipeline_pinned ]);
+           test_pipeline_pinned;
+         Alcotest.test_case "pins catch a local-search budget off by one"
+           `Quick test_pipeline_pin_catches_ls_budget ]);
       ("ledger",
        [ Alcotest.test_case "wins on the bench corpus" `Quick
            test_bench_corpus_ledger ]) ]

@@ -1,9 +1,15 @@
 (* Sparse paged byte-addressable memory.
 
-   Pages are allocated on first write (or on explicit [map]).  Reading an
-   unmapped byte raises {!Fault}: wild chain executions (e.g. the intentional
-   RSP corruption of predicate P2 under blind branch flipping) must terminate
-   the enclosing exploration rather than silently read zeros.
+   Pages are allocated on first write, or on the first touch of a page that
+   [map] covers: [map] records the range only, so a 1 MiB stack costs the
+   pages a run touches, not 256 zero-filled ones up front.  Each such page
+   is a private zero page, never one shared zero page: the cache entries
+   below are written through, so a page first reached by a read may be
+   written through the same entry.  Reading a byte no [map]ped range covers
+   and no write created raises {!Fault}: wild chain executions (e.g. the
+   intentional RSP corruption of predicate P2 under blind branch flipping)
+   must terminate the enclosing exploration rather than silently read
+   zeros.
 
    Two execution-speed mechanisms live here because every consumer of the
    machine benefits from them:
@@ -35,8 +41,10 @@ type page = {
 module Itbl = Util.Itbl
 
 type t = {
-  pages : page Itbl.t;                           (* keyed by page index *)
-  mutable mapped_ranges : (int64 * int64) list;  (* inclusive start, exclusive end *)
+  pages : page Itbl.t;          (* keyed by page index *)
+  mutable mapped : (int * int) list;
+    (* page-index spans [first, last] of the [map]ped ranges; their pages
+       join [pages] on first touch *)
   mutable code_version : int;   (* bumped on every write into a code page *)
   mutable last_idx : int;       (* one-entry page cache; min_int = empty *)
   mutable last_page : page;
@@ -47,11 +55,11 @@ type t = {
 (* Both cache entries hold [dummy_page] only under the key [min_int], which
    no page index equals (indices are the top 52 bits of an address), so a
    page reached through a key hit always has [page_size] data bytes: every
-   other page is made by [map], [new_page] or [copy]. *)
+   other page is made by [new_page], [find_mapped] or [copy]. *)
 let dummy_page = { data = Bytes.create 0; is_code = false }
 
 let create () =
-  { pages = Itbl.create 64; mapped_ranges = [];
+  { pages = Itbl.create 64; mapped = [];
     code_version = 0; last_idx = min_int; last_page = dummy_page;
     sp_idx = min_int; sp_page = dummy_page }
 
@@ -60,7 +68,7 @@ let copy t =
   Itbl.iter
     (fun k p -> Itbl.replace pages k { data = Bytes.copy p.data; is_code = p.is_code })
     t.pages;
-  { pages; mapped_ranges = t.mapped_ranges; code_version = t.code_version;
+  { pages; mapped = t.mapped; code_version = t.code_version;
     last_idx = min_int; last_page = dummy_page;
     sp_idx = min_int; sp_page = dummy_page }
 
@@ -71,16 +79,37 @@ let offset_of addr = Int64.to_int (Int64.logand addr (Int64.of_int (page_size - 
 
 let code_version t = t.code_version
 
-(* Pages ever touched (loaded, mapped, or lazily created by a write) — the
-   working-set figure Exec.publish_metrics exports. *)
+(* Pages ever touched (loaded, written, or read inside a [map]ped range) —
+   the working-set figure Exec.publish_metrics exports. *)
 let page_count t = Itbl.length t.pages
+
+let zero_page () = { data = Bytes.make page_size '\000'; is_code = false }
+
+let rec covered idx = function
+  | [] -> false
+  | (first, last) :: rest -> (first <= idx && idx <= last) || covered idx rest
+
+(* The page at [idx] for a read: the stored page, else a fresh zero page
+   when a [map]ped range covers [idx] (stored, so later probes and writes
+   find the same page), else [Not_found].  Every read miss path comes
+   through here. *)
+let find_mapped t idx =
+  match Itbl.find t.pages idx with
+  | p -> p
+  | exception Not_found ->
+    if covered idx t.mapped then begin
+      let p = zero_page () in
+      Itbl.replace t.pages idx p;
+      p
+    end
+    else raise Not_found
 
 (* Resolve the page of [addr] for reading; fills the one-entry cache.
    Kept out of the fast paths so they inline to a compare plus field load. *)
 let read_page_slow t idx addr =
-  match Itbl.find_opt t.pages idx with
-  | Some p -> t.last_idx <- idx; t.last_page <- p; p
-  | None -> raise (Fault (addr, "read of unmapped address"))
+  match find_mapped t idx with
+  | p -> t.last_idx <- idx; t.last_page <- p; p
+  | exception Not_found -> raise (Fault (addr, "read of unmapped address"))
 
 let read_page t addr =
   let idx = page_idx addr in
@@ -95,7 +124,7 @@ let new_page t idx =
   match Itbl.find t.pages idx with
   | p -> p
   | exception Not_found ->
-    let p = { data = Bytes.make page_size '\000'; is_code = false } in
+    let p = zero_page () in
     Itbl.replace t.pages idx p;
     p
 
@@ -111,18 +140,22 @@ let write_page t addr =
 
 let get_page_opt t addr =
   let idx = page_idx addr in
-  if t.last_idx = idx then Some t.last_page else Itbl.find_opt t.pages idx
+  if t.last_idx = idx then Some t.last_page
+  else match find_mapped t idx with p -> Some p | exception Not_found -> None
 
-(* Pre-map [len] bytes starting at [addr] as zero-filled readable memory. *)
+(* Map [len] bytes starting at [addr] as zero-filled readable memory, at
+   page granularity.  Only the span is recorded; a span that touches or
+   overlaps the last one recorded extends it, so a bump allocator that
+   maps block after block keeps one span. *)
 let map t addr len =
   if len > 0 then begin
     let first = page_idx addr in
     let last = page_idx (Int64.add addr (Int64.of_int (len - 1))) in
-    for p = first to last do
-      if not (Itbl.mem t.pages p) then
-        Itbl.replace t.pages p { data = Bytes.make page_size '\000'; is_code = false }
-    done;
-    t.mapped_ranges <- (addr, Int64.add addr (Int64.of_int len)) :: t.mapped_ranges
+    t.mapped <-
+      (match t.mapped with
+       | (f, l) :: rest when first <= l + 1 && f <= last + 1 ->
+         (min f first, max l last) :: rest
+       | spans -> (first, last) :: spans)
   end
 
 let is_mapped t addr = get_page_opt t addr <> None
@@ -206,7 +239,7 @@ let join_addr idx off =
   Int64.logor (Int64.shift_left (Int64.of_int idx) page_bits) (Int64.of_int off)
 
 let find_page t idx off =
-  match Itbl.find t.pages idx with
+  match find_mapped t idx with
   | p -> p
   | exception Not_found ->
     raise (Fault (join_addr idx off, "read of unmapped address"))

@@ -26,20 +26,32 @@ let max_frame = 8 * 1024 * 1024
 
 (* --- framing ---------------------------------------------------------------- *)
 
-let be32 s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
+let be32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
+
+(* The frame writer: the 4-byte length, then [parts] end to end, written
+   into one buffer of the exact frame length, so each part is copied once.
+   [Error n] refuses an [n]-byte payload past [max_frame] before anything
+   is allocated. *)
+let frame_parts (parts : string list) : (string, int) result =
+  let n = List.fold_left (fun acc s -> acc + String.length s) 0 parts in
+  if n > max_frame then Error n
+  else begin
+    let b = Bytes.create (4 + n) in
+    Bytes.set_int32_be b 0 (Int32.of_int n);
+    ignore
+      (List.fold_left
+         (fun off s ->
+            Bytes.blit_string s 0 b off (String.length s);
+            off + String.length s)
+         4 parts);
+    Ok (Bytes.unsafe_to_string b)
+  end
 
 let frame payload =
-  let n = String.length payload in
-  if n > max_frame then
-    invalid_arg (Printf.sprintf "Serve.Protocol.frame: %d bytes > max_frame" n);
-  let b = Buffer.create (4 + n) in
-  Buffer.add_int32_be b (Int32.of_int n);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  match frame_parts [ payload ] with
+  | Ok fr -> fr
+  | Error n ->
+    invalid_arg (Printf.sprintf "Serve.Protocol.frame: %d bytes > max_frame" n)
 
 let rec retry_read fd b off len =
   try Unix.read fd b off len
@@ -57,7 +69,8 @@ let write_all fd s =
 let write_frame fd payload = write_all fd (frame payload)
 
 (* [`Eof] is a clean close at a frame boundary; [`Truncated] is a close
-   mid-frame (header or body cut short) and means data was lost. *)
+   mid-frame (header or body cut short) and means data was lost.  The
+   filled buffer is returned as is: nothing else holds it. *)
 let read_exact fd n : (string, [ `Eof | `Truncated ]) result =
   let b = Bytes.create n in
   let off = ref 0 in
@@ -68,7 +81,7 @@ let read_exact fd n : (string, [ `Eof | `Truncated ]) result =
     | r -> off := !off + r
     | exception Unix.Unix_error _ -> eof := true
   done;
-  if !off = n then Ok (Bytes.to_string b)
+  if !off = n then Ok (Bytes.unsafe_to_string b)
   else if !off = 0 then Error `Eof
   else Error `Truncated
 
@@ -77,7 +90,7 @@ let read_frame fd : (string, [ `Eof | `Truncated | `Oversized of int ]) result =
   | Error `Eof -> Error `Eof
   | Error `Truncated -> Error `Truncated
   | Ok hdr ->
-    let len = be32 hdr 0 in
+    let len = be32 (Bytes.unsafe_of_string hdr) 0 in
     if len > max_frame then Error (`Oversized len)
     else (
       match read_exact fd len with
@@ -87,44 +100,102 @@ let read_frame fd : (string, [ `Eof | `Truncated | `Oversized of int ]) result =
 (* Incremental deframer for non-blocking reads.  [feed] returns every frame
    completed by the new chunk, in arrival order; an oversized length field
    is an unrecoverable protocol error (the stream can no longer be framed).
-   Only complete frames are sliced out of the pending buffer, so a frame
-   that arrives in k chunks costs O(size) copying, not O(k * size). *)
-type deframer = { d_buf : Buffer.t }
+   A frame that lies whole in the chunk is sliced straight out of it.  The
+   body of a frame cut by a chunk boundary goes into a buffer that becomes
+   the frame when its last byte arrives: sized exactly when the frame is at
+   most [body_room] bytes, so its bytes are copied once; past that it
+   grows, doubling, with what arrives, so a peer that announces a long
+   frame and stalls makes the reader hold [body_room] bytes or twice what
+   it sent, not the announced length. *)
+type deframer = {
+  d_hdr : Bytes.t;              (* a length field cut by a chunk boundary *)
+  mutable d_hlen : int;         (* its bytes so far; 4 while a body is pending *)
+  mutable d_len : int;          (* the pending body's length *)
+  mutable d_body : Bytes.t;     (* its buffer, never longer than [d_len] *)
+  mutable d_blen : int;         (* its bytes so far *)
+}
 
-let deframer () = { d_buf = Buffer.create 4096 }
+let deframer () =
+  { d_hdr = Bytes.create 4; d_hlen = 0; d_len = 0; d_body = Bytes.empty;
+    d_blen = 0 }
 
-let feed (d : deframer) (chunk : string) : (string list, string) result =
-  let b = d.d_buf in
-  Buffer.add_string b chunk;
-  let n = Buffer.length b in
-  let rec go acc off =
-    let len = if n - off < 4 then -1 else be32 (Buffer.sub b off 4) 0 in
+let body_room = 65536
+
+(* The one scan loop, over the source view [src.[pos..stop)]: finish the
+   pending length field or body from the head of the view, then slice
+   every whole frame out of it, then keep the incomplete tail as pending.
+   [src] is only read. *)
+let feed_view (d : deframer) (src : Bytes.t) pos stop :
+  (string list, string) result =
+  let rec go pos acc =
+    if d.d_hlen = 4 then begin                   (* a pending body *)
+      let k = min (d.d_len - d.d_blen) (stop - pos) in
+      if d.d_blen + k > Bytes.length d.d_body then begin
+        let b =
+          Bytes.create
+            (min d.d_len (max (d.d_blen + k) (2 * Bytes.length d.d_body)))
+        in
+        Bytes.blit d.d_body 0 b 0 d.d_blen;
+        d.d_body <- b
+      end;
+      Bytes.blit src pos d.d_body d.d_blen k;
+      d.d_blen <- d.d_blen + k;
+      if d.d_blen < d.d_len then Ok acc
+      else begin
+        let fr = Bytes.unsafe_to_string d.d_body in
+        d.d_hlen <- 0; d.d_body <- Bytes.empty; d.d_blen <- 0;
+        go (pos + k) (fr :: acc)
+      end
+    end
+    else if d.d_hlen = 0 && stop - pos >= 4 then
+      body (be32 src pos) (pos + 4) acc
+    else if pos = stop then Ok acc
+    else begin                                   (* a cut length field *)
+      let k = min (4 - d.d_hlen) (stop - pos) in
+      Bytes.blit src pos d.d_hdr d.d_hlen k;
+      d.d_hlen <- d.d_hlen + k;
+      if d.d_hlen < 4 then Ok acc
+      else body (be32 d.d_hdr 0) (pos + k) acc
+    end
+  (* a length field was just read; its body starts at [pos] *)
+  and body len pos acc =
     if len > max_frame then
       Error (Printf.sprintf "oversized frame: %d bytes (max %d)" len max_frame)
-    else if len >= 0 && n - off - 4 >= len then
-      go (Buffer.sub b (off + 4) len :: acc) (off + 4 + len)
+    else if stop - pos >= len then begin
+      d.d_hlen <- 0;
+      go (pos + len) (Bytes.sub_string src pos len :: acc)
+    end
     else begin
-      if off > 0 then begin                (* drop the consumed prefix *)
-        let rest = Buffer.sub b off (n - off) in
-        Buffer.clear b;
-        Buffer.add_string b rest
-      end;
-      Ok (List.rev acc)
+      d.d_hlen <- 4;
+      d.d_len <- len;
+      d.d_body <- Bytes.create (if len <= body_room then len else body_room);
+      d.d_blen <- 0;
+      go pos acc
     end
   in
-  go [] 0
+  Result.map List.rev (go pos [])
+
+let feed (d : deframer) (chunk : string) : (string list, string) result =
+  feed_view d (Bytes.unsafe_of_string chunk) 0 (String.length chunk)
+
+(* [read_ready]'s one read buffer, shared by every deframer of the process:
+   [feed_view] copies out all it keeps before [on_frame] runs, so no frame
+   or pending state points into it, and a readable event allocates nothing.
+   A buffer per connection would cost 64 KiB for each open one.  The event
+   loops that call [read_ready] run on one domain. *)
+let read_buf = Bytes.create 65536
 
 (* Read a non-blocking fd until it would block, handing each completed frame
    to [on_frame].  [`Eof] is a closed or failed fd, [`Bad] an unframeable
    stream. *)
 let read_ready (d : deframer) fd ~on_frame :
   (unit, [ `Eof | `Bad of string ]) result =
-  let buf = Bytes.create 65536 in
+  let buf = read_buf in
   let rec go () =
     match Unix.read fd buf 0 (Bytes.length buf) with
     | 0 -> Error `Eof
     | n ->
-      (match feed d (Bytes.sub_string buf 0 n) with
+      (match feed_view d buf 0 n with
        | Error m -> Error (`Bad m)
        | Ok frames -> List.iter on_frame frames; go ())
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Ok ()
@@ -259,7 +330,10 @@ let encode_request (r : request) : string =
      | Ping -> op "ping" []
      | Shutdown -> op "shutdown" [])
 
-let encode_response (r : response) : string =
+(* A response as the pieces of its payload: the JSON header, then for an
+   image-carrying reply 0x00 and the image.  [encode_response] and
+   [frame_response] lay them end to end, so the image is copied once. *)
+let response_parts (r : response) : string list =
   let attachment =
     match r.rs_body with R_rewrite rr -> rr.rr_image | _ -> None
   in
@@ -302,12 +376,17 @@ let encode_response (r : response) : string =
     | R_error e ->
       op ~ok:false "error" [ ("code", J.int e.code); ("error", J.Str e.msg) ]
   in
-  let b = Buffer.create (256 + Option.fold ~none:0 ~some:String.length attachment) in
-  J.to_buffer b header;
-  Option.iter
-    (fun img -> Buffer.add_char b '\000'; Buffer.add_string b img)
-    attachment;
-  Buffer.contents b
+  let header = J.to_string header in
+  match attachment with
+  | Some img -> [ header; "\000"; img ]
+  | None -> [ header ]
+
+let encode_response (r : response) : string = String.concat "" (response_parts r)
+
+(* [frame (encode_response r)] in one buffer; [Error n] is an [n]-byte
+   payload past [max_frame]. *)
+let frame_response (r : response) : (string, int) result =
+  frame_parts (response_parts r)
 
 (* --- decoding (Obs.Json) ---------------------------------------------------- *)
 

@@ -173,11 +173,11 @@ let observe_latency st enq now =
    500 to that waiter; the daemon keeps serving. *)
 let rec respond st (c : conn) (rs : Protocol.response) =
   if not c.c_dead then begin
-    let payload = Protocol.encode_response rs in
-    if String.length payload > Protocol.max_frame then
+    match Protocol.frame_response rs with
+    | Ok fr -> Protocol.enqueue c.c_out fr
+    | Error _ ->
       reply_error st c rs.Protocol.rs_id 500
         "image too large for one frame; request without image"
-    else Protocol.enqueue c.c_out (Protocol.frame payload)
   end
 
 and reply_error st c id code msg =

@@ -552,11 +552,20 @@ let set_memo m = global_memo := m
    claim: the strategy enumerated every assignment the constraints can
    distinguish and found nothing, which proves unsat. *)
 
-(* Input indices the constraints actually mention (restricted to the live
-   input window; out-of-range bytes are identically 0). *)
+(* Input indices the constraints actually mention, restricted to the live
+   input window [0, n_inputs).  Bytes past it read as 0, as in the engine
+   and in [canonicalize], so no strategy may set them: over 0 input bytes
+   there is nothing to search, although a model keeps one (zero) slot. *)
 let relevant_bytes ~n_inputs cs =
-  List.filter (fun b -> b < max n_inputs 1)
+  List.filter (fun b -> b < n_inputs)
     (Expr.input_bytes (List.map (fun c -> c.cond) cs))
+
+(* [s] with every byte at or past [n_inputs] zeroed; [s] itself when it
+   holds none.  A caller's seed goes through here before any strategy or
+   probe reads it. *)
+let in_window ~n_inputs (s : model) : model =
+  if Array.length s <= n_inputs then s
+  else Array.init (Array.length s) (fun i -> if i < n_inputs then s.(i) else 0)
 
 type step_result =
   | Sr_found of model
@@ -739,9 +748,10 @@ let strat_interval ~stats ~deadline ~n_inputs ~bytes ?seed q =
 (* Multi-restart stochastic local search guided by the query's penalty, a
    structural distance function (SAGE-style fitness): mutate one relevant
    byte, keep the move if the penalty drops, restart from a random model
-   after 400 moves without progress. *)
+   after 400 moves without progress.  A query that mentions no input byte
+   still searches byte 0; over 0 input bytes there is no byte to move. *)
 let strat_local_search ~stats ~deadline ~rng ~n_inputs ~bytes ?seed q =
-  let bytes = if bytes = [] then [ 0 ] else bytes in
+  let bytes = if bytes = [] && n_inputs > 0 then [ 0 ] else bytes in
   let m = Array.make (max n_inputs 1) 0 in
   (match seed with
    | Some s -> Array.blit s 0 m 0 (min (Array.length s) (Array.length m))
@@ -750,6 +760,7 @@ let strat_local_search ~stats ~deadline ~rng ~n_inputs ~bytes ?seed q =
   let stagnation = ref 0 in
   let started = ref false in
   let step k =
+    if bytes = [] then Sr_exhausted false else
     let result = ref None in
     let eval_penalty () =
       let sat, p = eval_query ~stats q m in
@@ -765,29 +776,27 @@ let strat_local_search ~stats ~deadline ~rng ~n_inputs ~bytes ?seed q =
       decr budget;
       check_deadline deadline;
       let b = List.nth bytes (Util.Rng.int rng (List.length bytes)) in
-      if b < Array.length m then begin
-        let old = m.(b) in
-        (match Util.Rng.int rng 4 with
-         | 0 -> m.(b) <- Util.Rng.int rng 256
-         | 1 -> m.(b) <- old lxor (1 lsl Util.Rng.int rng 8)
-         | 2 -> m.(b) <- (old + 1) land 0xff
-         | _ -> m.(b) <- (old - 1) land 0xff);
-        let p = eval_penalty () in
-        if p < !best then begin
-          best := p;
+      let old = m.(b) in
+      (match Util.Rng.int rng 4 with
+       | 0 -> m.(b) <- Util.Rng.int rng 256
+       | 1 -> m.(b) <- old lxor (1 lsl Util.Rng.int rng 8)
+       | 2 -> m.(b) <- (old + 1) land 0xff
+       | _ -> m.(b) <- (old - 1) land 0xff);
+      let p = eval_penalty () in
+      if p < !best then begin
+        best := p;
+        stagnation := 0
+      end else begin
+        m.(b) <- old;
+        incr stagnation;
+        if !stagnation > 400 then begin
+          (* a restart is a full re-evaluation too: without this check a
+             search thrashing through restarts only polls the deadline
+             every stride *)
+          check_deadline deadline;
+          Array.iteri (fun i _ -> m.(i) <- Util.Rng.int rng 256) m;
+          best := eval_penalty ();
           stagnation := 0
-        end else begin
-          m.(b) <- old;
-          incr stagnation;
-          if !stagnation > 400 then begin
-            (* a restart is a full re-evaluation too: without this check a
-               search thrashing through restarts only polls the deadline
-               every stride *)
-            check_deadline deadline;
-            Array.iteri (fun i _ -> m.(i) <- Util.Rng.int rng 256) m;
-            best := eval_penalty ();
-            stagnation := 0
-          end
         end
       end
     done;
@@ -933,6 +942,7 @@ let solve_verdict ?(rng = Util.Rng.create 42) ?stats ?(deadline = 0.0)
     ?(mode = Pipeline) ?memo ?seed ~n_inputs ~max_evals cs =
   let stats = match stats with Some s -> s | None -> make_stats () in
   let memo = match memo with Some m -> Some m | None -> !global_memo in
+  let seed = Option.map (in_window ~n_inputs) seed in
   let evals0 = stats.evals in
   let record r =
     if Obs.Metrics.enabled () then begin

@@ -18,7 +18,10 @@
      data page and a code page) and the flat direct-mapped front (a cached
      one-slot gadget patched between two dispatches),
    - the unchecked-access guard of [Exec.make] and a whole-dispatch
-     allocation fence. *)
+     allocation fence,
+   - the lazily mapped stack: pops and rets from untouched pages,
+     [Image.load]'s allocation fence and the pages one Fig. 5 run
+     touches. *)
 
 open X86.Isa
 module R = Util.Rng
@@ -725,6 +728,83 @@ let test_flat_front_patch () =
   run_patched Machine.Exec.Fast;
   run_patched Machine.Exec.Ref
 
+(* --- the lazily mapped stack ---------------------------------------------- *)
+
+(* Pops and rets from a stack page nothing has touched read 0 on both
+   engines: a [pop rax] from the last slot of an untouched page whose [ret]
+   finds the hlt stub on the next page, and a [pop rax; ret] (fused on the
+   fast engine) and a bare [ret] from the interior of an untouched page,
+   which return to 0 and fault there alike. *)
+let test_untouched_stack_page () =
+  let edge = Int64.sub stack_top 16384L in          (* a page start *)
+  let popret = [ Pop (Reg RAX); Ret ] in
+  let hlt_at =
+    Int64.add code_base
+      (Int64.of_int (Bytes.length (X86.Encode.encode_list popret)))
+  in
+  let mk instrs sp ~ret_at () =
+    let cpu = machine_of ~regs:[ (RAX, 0x55L); (RSP, sp) ] instrs () in
+    Option.iter
+      (fun a -> Machine.Memory.write_u64 cpu.Machine.Cpu.mem a hlt_at)
+      ret_at;
+    cpu
+  in
+  let cf, st =
+    compare_engines "pop from an untouched page"
+      (mk (popret @ [ Hlt ]) (Int64.sub edge 8L) ~ret_at:(Some edge))
+  in
+  Alcotest.(check bool) "halted" true (st = Machine.Exec.Halted);
+  Alcotest.(check int64) "popped 0" 0L (Machine.Cpu.get cf RAX);
+  let interior = Int64.sub edge 2048L in
+  let cf, st =
+    compare_engines "pop; ret from an untouched page"
+      (mk popret interior ~ret_at:None)
+  in
+  Alcotest.(check bool) "returned to 0" true (st <> Machine.Exec.Halted);
+  Alcotest.(check int64) "popped 0 (fused)" 0L (Machine.Cpu.get cf RAX);
+  Alcotest.(check int64) "ret read 0" 0L (Machine.Cpu.rip cf);
+  ignore
+    (compare_engines "ret from an untouched page"
+       (mk [ Ret ] interior ~ret_at:None))
+
+(* The fannkuch Fig. 5 run under rop0.25: config seed 1, argument 20, as
+   perfbench's fig5-run builds and runs it. *)
+let fannkuch_rop025 () =
+  let _, prog, fns, _ = List.nth Minic.Clbg.all 1 in
+  let config = Result.get_ok (Serve.Oneshot.config_of_name ~seed:1 "rop0.25") in
+  (Ropc.Rewriter.rewrite (Minic.Codegen.compile prog) ~functions:fns ~config)
+    .Ropc.Rewriter.image
+
+(* Allocation fence: [Image.load] maps the 1 MiB stack by its range alone,
+   so it allocates at most the sections' bytes plus 64 KiB.  With the stack
+   mapped eagerly, loading this image's 14615 section bytes allocated
+   1104609 bytes. *)
+let test_image_load_alloc () =
+  let img = fannkuch_rop025 () in
+  let sections =
+    List.fold_left (fun a s -> a + Bytes.length s.Image.sec_data) 0
+      img.Image.sections
+  in
+  ignore (Image.load img);
+  let a0 = Gc.allocated_bytes () in
+  let mem = Image.load img in
+  let bytes = Gc.allocated_bytes () -. a0 in
+  ignore (Sys.opaque_identity mem);
+  if bytes > float_of_int (sections + 65536) then
+    Alcotest.failf "Image.load allocated %.0f bytes for %d section bytes" bytes
+      sections
+
+(* The pages one Fig. 5 run touches, pinned exactly: loaded sections, the
+   exit stub and the stack pages the run reaches.  With the stack mapped
+   eagerly the same run held 261 pages. *)
+let test_fig5_pages () =
+  let t = Runner.setup (fannkuch_rop025 ()) ~func:"bench" ~args:[ 20L ] in
+  let st = Machine.Exec.run ~fuel:100_000_000 t in
+  let cpu = t.Machine.Exec.cpu in
+  Alcotest.(check bool) "halted" true (st = Machine.Exec.Halted);
+  Alcotest.(check int) "steps" 678793 cpu.Machine.Cpu.steps;
+  Alcotest.(check int) "pages" 6 (Machine.Memory.page_count cpu.Machine.Cpu.mem)
+
 (* Raw byte soup spanning a page boundary: decode behavior, invalid
    instructions and faults must classify identically. *)
 let test_random_bytes () =
@@ -770,6 +850,12 @@ let () =
        [ Alcotest.test_case "in-block patch" `Quick test_selfmod_in_block;
          Alcotest.test_case "patch between runs" `Quick test_patch_between_runs;
          Alcotest.test_case "flat front patch" `Quick test_flat_front_patch ]);
+      ("lazy stack",
+       [ Alcotest.test_case "untouched stack page" `Quick
+           test_untouched_stack_page;
+         Alcotest.test_case "Image.load allocation fence" `Quick
+           test_image_load_alloc;
+         Alcotest.test_case "fig5 run pages" `Quick test_fig5_pages ]);
       ("fuel", [ Alcotest.test_case "parity" `Quick test_fuel_parity ]);
       ("random",
        [ Alcotest.test_case "instruction programs" `Quick test_random_programs;

@@ -150,6 +150,107 @@ let test_unmapped_faults () =
   | Machine.Exec.Fault _ -> ()
   | st -> Alcotest.failf "expected fault, got %a" Machine.Exec.pp_exit st
 
+(* --- lazy maps ------------------------------------------------------------ *)
+
+module Mem = Machine.Memory
+
+(* [map] records its range only; a page joins the memory on first touch, as
+   a private zero page.  Three pages at [lazy_base], page-aligned, so one
+   byte past the range is the first byte of an unmapped page. *)
+let lazy_base = 0x600000L
+let lazy_len = 3 * 4096
+let lazy_at k = Int64.add lazy_base (Int64.of_int k)
+
+let lazy_mem () =
+  let m = Mem.create () in
+  Mem.map m lazy_base lazy_len;
+  Alcotest.(check int) "map touches no page" 0 (Mem.page_count m);
+  m
+
+(* Every read path sees 0 in an untouched page of a mapped range, each on a
+   fresh memory so the path under test is the one that meets the page. *)
+let test_lazy_map_reads () =
+  let page = 4096 in
+  let last = lazy_len - 1 in
+  List.iter
+    (fun (name, off, read) ->
+       let m = lazy_mem () in
+       check64 name 0L (read m (lazy_at off));
+       Alcotest.(check int) (name ^ ": one page touched") 1 (Mem.page_count m))
+    [ ("read_u8", 5, fun m a -> Int64.of_int (Mem.read_u8 m a));
+      ("read_u8_opt", page + 7,
+       fun m a -> Int64.of_int (Option.get (Mem.read_u8_opt m a)));
+      ("read 1", 2 * page, fun m a -> Mem.read m a 1);
+      ("read 2", 100, fun m a -> Mem.read m a 2);
+      ("read 4", page + 12, fun m a -> Mem.read m a 4);
+      ("read 8", last - 7, fun m a -> Mem.read m a 8);
+      ("read_u64", page + 16, fun m a -> Mem.read_u64 m a);
+      ("read_u64 at the range end", last - 7, fun m a -> Mem.read_u64 m a);
+      ("read_bytes_avail", 40,
+       fun m a ->
+         let b = Mem.read_bytes_avail m a 16 in
+         Alcotest.(check int) "read_bytes_avail: length" 16 (Bytes.length b);
+         if Bytes.exists (fun c -> c <> '\000') b then 1L else 0L);
+      ("is_mapped", 2 * page + 1,
+       fun m a -> if Mem.is_mapped m a then 0L else 1L) ];
+  (* a fetch window that runs past the range stops at its end *)
+  let m = lazy_mem () in
+  Alcotest.(check int) "read_bytes_avail stops at the range end" 4
+    (Bytes.length (Mem.read_bytes_avail m (lazy_at (lazy_len - 4)) 16))
+
+(* One byte past the range faults as an unmapped read always did: the same
+   address and message, through the byte, sized and 8-byte paths. *)
+let test_lazy_map_fault () =
+  let past = lazy_at lazy_len in
+  List.iter
+    (fun (name, read) ->
+       let m = lazy_mem () in
+       match read m past with
+       | _ -> Alcotest.failf "%s: one byte past the range read" name
+       | exception Mem.Fault (a, msg) ->
+         check64 (name ^ ": address") past a;
+         Alcotest.(check string) (name ^ ": message")
+           "read of unmapped address" msg)
+    [ ("read_u8", fun m a -> ignore (Mem.read_u8 m a));
+      ("read 4", fun m a -> ignore (Mem.read m a 4));
+      ("read_u64", fun m a -> ignore (Mem.read_u64 m a)) ];
+  let m = lazy_mem () in
+  Alcotest.(check bool) "is_mapped past the range" false (Mem.is_mapped m past);
+  Alcotest.(check bool) "read_u8_opt past the range" true
+    (Mem.read_u8_opt m past = None);
+  Alcotest.(check int) "nothing touched past the range" 0 (Mem.page_count m)
+
+(* A copy shares no page: its untouched pages read 0, and writes to it, on
+   pages the original has touched or not, do not show in the original.
+   [Cpu.copy] copies memory the same way. *)
+let test_lazy_map_copy () =
+  let m = lazy_mem () in
+  Mem.write_u64 m (lazy_at 8) 0x1122334455667788L;
+  let check_copy name c =
+    check64 (name ^ ": untouched page reads 0") 0L
+      (Mem.read_u64 c (lazy_at 4096));
+    check64 (name ^ ": touched page copied") 0x1122334455667788L
+      (Mem.read_u64 c (lazy_at 8));
+    Mem.write_u64 c (lazy_at 8) 1L;
+    Mem.write_u64 c (lazy_at 4096) 2L;
+    Mem.write_u8 c (lazy_at (2 * 4096)) 3;
+    check64 (name ^ ": original's touched page") 0x1122334455667788L
+      (Mem.read_u64 m (lazy_at 8));
+    check64 (name ^ ": original's page the copy read") 0L
+      (Mem.read_u64 m (lazy_at 4096));
+    check64 (name ^ ": original's page the copy wrote first") 0L
+      (Mem.read m (lazy_at (2 * 4096)) 1)
+  in
+  check_copy "Memory.copy" (Mem.copy m);
+  let cpu = Machine.Cpu.create (lazy_mem ()) in
+  Mem.write_u64 cpu.Machine.Cpu.mem (lazy_at 8) 0x1122334455667788L;
+  let m = cpu.Machine.Cpu.mem in
+  let c = (Machine.Cpu.copy cpu).Machine.Cpu.mem in
+  check64 "Cpu.copy: untouched page reads 0" 0L (Mem.read_u64 c (lazy_at 4096));
+  Mem.write_u64 c (lazy_at 4096) 2L;
+  check64 "Cpu.copy: original untouched by the copy's write" 0L
+    (Mem.read_u64 m (lazy_at 4096))
+
 (* --- a real ROP chain (paper Figure 1 analog) ---------------------------- *)
 
 (* Build: if RAX==0 then RDI:=1 else RDI:=2, encoded as a ROP chain with the
@@ -304,5 +405,11 @@ let () =
            test_divmod_overflow_exception;
          Alcotest.test_case "jcc loop" `Quick test_jcc_loop;
          Alcotest.test_case "unmapped fault" `Quick test_unmapped_faults;
+         Alcotest.test_case "lazy map: untouched bytes read 0" `Quick
+           test_lazy_map_reads;
+         Alcotest.test_case "lazy map: past the range faults" `Quick
+           test_lazy_map_fault;
+         Alcotest.test_case "lazy map: copies share no page" `Quick
+           test_lazy_map_copy;
          Alcotest.test_case "figure-1 ROP chain" `Quick test_figure1_chain ]);
       ("flags", qt) ]

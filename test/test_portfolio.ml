@@ -248,8 +248,8 @@ let test_enumerate_deadline () =
 
    Pipeline's (verdict, model, evals, runs) on a fixed query set: any change
    to its schedule, its budgets or the order of its rng draws moves a row.
-   Rows cover 0..3 input bytes (0 leaves one phantom byte the search may
-   still set), budgets of 0, 1 and 4000 evaluations, and runs with and
+   Rows cover 0..3 input bytes (over 0 a model keeps one slot, which no
+   strategy sets), budgets of 0, 1 and 4000 evaluations, and runs with and
    without a caller seed. *)
 
 let eq_in i v =
@@ -308,7 +308,7 @@ let pipeline_rows solve =
 
 let pipeline_pinned =
   [ "true/0: sat:0 evals=1 runs=1";
-    "in0=5/0: unknown evals=2 runs=1";
+    "in0=5/0: unknown evals=1 runs=1";
     "in0=77/0: unknown evals=2 runs=1";
     "in0=77 seed 77/0: sat:77 evals=2 runs=2";
     "in0=77 seed 76/0: unknown evals=3 runs=2";
@@ -321,7 +321,7 @@ let pipeline_pinned =
     "in2=9/0: unknown evals=2 runs=1";
     "in2=9 seed/0: sat:0,0,9 evals=2 runs=2";
     "true/1: sat:0 evals=1 runs=1";
-    "in0=5/1: unsat evals=3 runs=1";
+    "in0=5/1: unsat evals=2 runs=1";
     "in0=77/1: unknown evals=3 runs=1";
     "in0=77 seed 77/1: sat:77 evals=2 runs=2";
     "in0=77 seed 76/1: unknown evals=4 runs=2";
@@ -334,7 +334,7 @@ let pipeline_pinned =
     "in2=9/1: unknown evals=3 runs=2";
     "in2=9 seed/1: sat:0,0,9 evals=2 runs=2";
     "true/4000: sat:0 evals=1 runs=1";
-    "in0=5/4000: sat:5 evals=7 runs=6";
+    "in0=5/4000: unsat evals=2 runs=1";
     "in0=77/4000: sat:77 evals=104 runs=40";
     "in0=77 seed 77/4000: sat:77 evals=2 runs=2";
     "in0=77 seed 76/4000: sat:77 evals=7 runs=6";
@@ -385,6 +385,35 @@ let test_pipeline_pin_catches_ls_budget () =
     (pipeline_rows (pipeline_schedule ~ls_extra:0));
   if pipeline_rows (pipeline_schedule ~ls_extra:1) = pipeline_pinned then
     Alcotest.fail "local search one evaluation over budget went unnoticed"
+
+(* --- the input window ----------------------------------------------------------
+
+   Bytes at or past [n_inputs] read as 0, as in the engine and in
+   [canonicalize]: no probe, seed or strategy may set one.  [in0 = 5] over
+   0 input bytes and [in1 = 5] over 1 have no model at any budget, with or
+   without a seed that sets the byte, and are unsat once the budget covers
+   the window.  Before the window was enforced, Pipeline answered
+   [in0 = 5] over 0 bytes [sat:5] at 4000 evaluations but [unsat] at 1. *)
+let test_no_phantom_byte mode () =
+  List.iter
+    (fun (n_inputs, b, seed) ->
+       List.iter
+         (fun max_evals ->
+            let v =
+              S.solve_verdict ~rng:(Util.Rng.create 7) ~mode ?seed ~n_inputs
+                ~max_evals [ eq_in b 5 ]
+            in
+            let name =
+              Printf.sprintf "in%d=5 over %d bytes, budget %d%s" b n_inputs
+                max_evals (if seed = None then "" else ", seeded")
+            in
+            match v with
+            | S.V_sat _ -> Alcotest.failf "%s: %s" name (model_str v)
+            | _ when max_evals >= 4000 ->
+              Alcotest.(check string) name "unsat" (model_str v)
+            | _ -> ())
+         [ 1; 4000; 50_000 ])
+    [ (0, 0, None); (0, 0, Some [| 5 |]); (1, 1, None); (1, 1, Some [| 0; 5 |]) ]
 
 (* --- strategy ledger ---------------------------------------------------------
 
@@ -440,6 +469,11 @@ let () =
            test_pipeline_pinned;
          Alcotest.test_case "pins catch a local-search budget off by one"
            `Quick test_pipeline_pin_catches_ls_budget ]);
+      ("input window",
+       [ Alcotest.test_case "no phantom byte: Portfolio" `Quick
+           (test_no_phantom_byte S.Portfolio);
+         Alcotest.test_case "no phantom byte: Pipeline" `Quick
+           (test_no_phantom_byte S.Pipeline) ]);
       ("ledger",
        [ Alcotest.test_case "wins on the bench corpus" `Quick
            test_bench_corpus_ledger ]) ]

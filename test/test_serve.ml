@@ -228,6 +228,200 @@ let test_deframer_incremental () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "deframer must reject an oversized length"
 
+(* --- protocol: the frame writer and the deframer, by property ------------- *)
+
+(* Arbitrary bytes: images, names and messages hold 0x00, '\n' and every
+   other byte value. *)
+let gen_bytes max = QCheck.Gen.(string_size ~gen:char (0 -- max))
+
+let gen_response : P.response QCheck.Gen.t =
+  let open QCheck.Gen in
+  let image =
+    frequency
+      [ (1, return None); (3, map Option.some (gen_bytes 600));
+        (1, return (Some (String.init 256 Char.chr ^ "\000\n"))) ]
+  in
+  let ms = oneofl [ 0.0; 0.25; 1.0 /. 3.0; 3.0; 1e-9; 12345.678 ] in
+  let rewrite =
+    let+ image = image
+    and+ cache = oneofl [ P.Hit; P.Miss; P.Coalesced ]
+    and+ prog = gen_bytes 12
+    and+ funcs = list_size (0 -- 3) (pair (gen_bytes 8) (gen_bytes 24))
+    and+ uses = 0 -- 1_000_000
+    and+ queue_ms = ms
+    and+ rewrite_ms = ms in
+    P.R_rewrite
+      { (sample_reply ~image) with
+        P.rr_prog = prog; rr_cache = cache; rr_funcs = funcs;
+        rr_gadget_uses = uses; rr_queue_ms = queue_ms;
+        rr_rewrite_ms = rewrite_ms }
+  in
+  let error =
+    let+ code = oneofl [ 400; 404; 429; 500; 503; 504 ]
+    and+ msg = gen_bytes 40 in
+    P.R_error { code; msg }
+  in
+  let+ rs_id = 0 -- 1_000_000
+  and+ rs_body =
+    frequency
+      [ (4, rewrite); (1, return (P.R_stats sample_stats)); (1, return P.R_pong);
+        (1, return P.R_bye); (1, error) ]
+  in
+  { P.rs_id; rs_body }
+
+let arb_response =
+  QCheck.make ~print:(fun r -> String.escaped (P.encode_response r)) gen_response
+
+let prop_frame_writer =
+  QCheck.Test.make ~name:"frame writer = frame (encode_response r)" ~count:300
+    arb_response
+    (fun r -> P.frame_response r = Ok (P.frame (P.encode_response r)))
+
+let prop_response_inverse =
+  QCheck.Test.make ~name:"decode_response inverts encode_response" ~count:300
+    arb_response
+    (fun r -> P.decode_response (P.encode_response r) = Ok r)
+
+(* The writer refuses a payload past [max_frame], reporting its length, and
+   frames one of exactly [max_frame] bytes. *)
+let test_frame_writer_oversized () =
+  let reply n =
+    { P.rs_id = 1;
+      rs_body = P.R_rewrite (sample_reply ~image:(Some (String.make n 'x'))) }
+  in
+  let probe = P.max_frame - 1000 in
+  let overhead = String.length (P.encode_response (reply probe)) - probe in
+  let fits = P.max_frame - overhead in
+  (match P.frame_response (reply fits) with
+   | Ok fr -> Alcotest.(check int) "a max_frame payload is framed"
+                (4 + P.max_frame) (String.length fr)
+   | Error n -> Alcotest.failf "a %d-byte payload was refused" n);
+  match P.frame_response (reply (fits + 1)) with
+  | Error n -> Alcotest.(check int) "refused payload length" (P.max_frame + 1) n
+  | Ok _ -> Alcotest.fail "the writer must refuse a payload past max_frame"
+
+(* Allocation fence: the frame writer copies the image once.  For a 1 MiB
+   image it may allocate the image's bytes plus 4 KiB (header, length,
+   list cells).  Before the writer, [encode_response] and [frame] built the
+   same frame through two buffers, one of which regrew, and allocated
+   6310267 bytes, 6.0 times the image. *)
+let test_frame_writer_alloc () =
+  let n = 1 lsl 20 in
+  let r =
+    { P.rs_id = 9;
+      rs_body = P.R_rewrite (sample_reply ~image:(Some (String.make n 'x'))) }
+  in
+  ignore (P.frame_response r);
+  let a0 = Gc.allocated_bytes () in
+  let fr = P.frame_response r in
+  let bytes = Gc.allocated_bytes () -. a0 in
+  ignore (Sys.opaque_identity fr);
+  if bytes > float_of_int (n + 4096) then
+    Alcotest.failf "%.0f bytes allocated to frame a %d-byte image" bytes n
+
+(* [feed] over [stream] cut at the offsets [cuts] (ascending, each in
+   [0, length]); fails on a deframer error. *)
+let feed_cut stream cuts =
+  let d = P.deframer () in
+  let bounds = (0 :: cuts) @ [ String.length stream ] in
+  let rec go acc = function
+    | a :: (b :: _ as rest) ->
+      (match P.feed d (String.sub stream a (b - a)) with
+       | Ok fs -> go (List.rev_append fs acc) rest
+       | Error m -> Alcotest.failf "deframer error: %s" m)
+    | _ -> List.rev acc
+  in
+  go [] bounds
+
+let prop_feed_chunkings =
+  let gen =
+    QCheck.Gen.(
+      let* payloads = list_size (0 -- 6) (gen_bytes 300) in
+      let len =
+        List.fold_left (fun a p -> a + 4 + String.length p) 0 payloads
+      in
+      let+ cuts = list_size (0 -- 12) (0 -- len) in
+      (payloads, List.sort compare cuts))
+  in
+  QCheck.Test.make ~name:"random chunkings = byte-by-byte feeding" ~count:300
+    (QCheck.make gen)
+    (fun (payloads, cuts) ->
+       let stream = String.concat "" (List.map P.frame payloads) in
+       let bytewise =
+         feed_cut stream (List.init (String.length stream) Fun.id)
+       in
+       bytewise = payloads && feed_cut stream cuts = payloads)
+
+(* Every chunking of a three-frame stream into at most three chunks.  It
+   holds, among others, splits inside each 4-byte length (cut at 2), several
+   frames in one chunk (no cut), and a chunk that completes a pending frame
+   and carries the next one whole (cut at 5: the second chunk ends the
+   first body, then holds the empty frame and the third).  A length past
+   [max_frame] is refused however its four bytes arrive. *)
+let test_feed_every_split () =
+  let payloads = [ "ab"; ""; "cdefgh" ] in
+  let stream = String.concat "" (List.map P.frame payloads) in
+  let n = String.length stream in
+  for i = 0 to n do
+    for j = i to n do
+      Alcotest.(check (list string))
+        (Printf.sprintf "cut at %d and %d" i j) payloads
+        (feed_cut stream [ i; j ])
+    done
+  done;
+  let len = P.max_frame + 1 in
+  let hdr =
+    String.init 4 (fun i -> Char.chr ((len lsr (8 * (3 - i))) land 0xff))
+  in
+  for k = 1 to 3 do
+    let d = P.deframer () in
+    (match P.feed d (String.sub hdr 0 k) with
+     | Ok [] -> ()
+     | _ -> Alcotest.failf "a %d-byte partial length must stay pending" k);
+    match P.feed d (String.sub hdr k (4 - k)) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "oversized length split at %d accepted" k
+  done
+
+(* A frame longer than the exact-size room arrives whole under every
+   chunking.  A peer that announces a long frame and sends ten bytes makes
+   the deframer allocate its 64 KiB room, not the announced 3 MiB. *)
+let test_feed_long_frames () =
+  let rng = Util.Rng.create 77 in
+  let payload = String.init 200_000 (fun _ -> Char.chr (Util.Rng.int rng 256)) in
+  let stream = P.frame payload ^ P.frame "tail" in
+  let n = String.length stream in
+  List.iter
+    (fun (name, cuts) ->
+       Alcotest.(check bool) name true
+         (feed_cut stream cuts = [ payload; "tail" ]))
+    [ ("one byte, then the rest", [ 1 ]);
+      ("inside the length", [ 2 ]);
+      ("ten body bytes first", [ 14 ]);
+      ("64 KiB reads", List.init (n / 65536) (fun i -> (i + 1) * 65536));
+      ("7000-byte reads", List.init (n / 7000) (fun i -> (i + 1) * 7000));
+      ("all but the last byte", [ n - 9 ]) ];
+  let len = 3 * 1024 * 1024 in
+  let long = String.make len 'q' in
+  let fr = P.frame long in
+  let d = P.deframer () in
+  let a0 = Gc.allocated_bytes () in
+  (match P.feed d (String.sub fr 0 14) with
+   | Ok [] -> ()
+   | _ -> Alcotest.fail "a stalled long frame must stay pending");
+  let bytes = Gc.allocated_bytes () -. a0 in
+  if bytes > float_of_int (65536 + 4096) then
+    Alcotest.failf "%.0f bytes held for 10 bytes of a %d-byte frame" bytes len;
+  let rec rest pos acc =
+    if pos >= String.length fr then acc
+    else
+      let k = min 65536 (String.length fr - pos) in
+      match P.feed d (String.sub fr pos k) with
+      | Ok fs -> rest (pos + k) (acc @ fs)
+      | Error m -> Alcotest.failf "deframer error: %s" m
+  in
+  Alcotest.(check bool) "the long frame completes" true (rest 14 [] = [ long ])
+
 (* --- protocol: decoder fuzz -------------------------------------------------- *)
 
 (* Decoders face the network: whatever bytes arrive, they must return
@@ -730,7 +924,18 @@ let () =
          Alcotest.test_case "oversized frames" `Quick test_frame_oversized;
          Alcotest.test_case "incremental deframer" `Quick
            test_deframer_incremental;
-         Alcotest.test_case "decoder fuzz" `Quick test_decode_fuzz ]);
+         Alcotest.test_case "decoder fuzz" `Quick test_decode_fuzz;
+         QCheck_alcotest.to_alcotest prop_frame_writer;
+         QCheck_alcotest.to_alcotest prop_response_inverse;
+         Alcotest.test_case "frame writer refuses past max_frame" `Quick
+           test_frame_writer_oversized;
+         Alcotest.test_case "frame writer allocation fence" `Quick
+           test_frame_writer_alloc;
+         QCheck_alcotest.to_alcotest prop_feed_chunkings;
+         Alcotest.test_case "deframer: every split" `Quick
+           test_feed_every_split;
+         Alcotest.test_case "deframer: long frames" `Quick
+           test_feed_long_frames ]);
       ("oneshot",
        [ Alcotest.test_case "config naming" `Quick test_config_names;
          Alcotest.test_case "deterministic rewrites" `Quick

@@ -469,7 +469,7 @@ let () =
            test_pipeline_pinned;
          Alcotest.test_case "pins catch a local-search budget off by one"
            `Quick test_pipeline_pin_catches_ls_budget ]);
-      ("input window",
+      ("window",
        [ Alcotest.test_case "no phantom byte: Portfolio" `Quick
            (test_no_phantom_byte S.Portfolio);
          Alcotest.test_case "no phantom byte: Pipeline" `Quick

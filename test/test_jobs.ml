@@ -212,6 +212,129 @@ let test_timeout_kill () =
   Alcotest.(check bool) "pool did not wait for the sleeper" true
     (elapsed < 10.0)
 
+(* Every forked worker is gone and reaped: waitpid finds no child at all. *)
+let check_no_children () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | (pid, _) -> Alcotest.failf "a worker outlived its pool (waitpid -> %d)" pid
+
+let test_no_worker_outlives_map () =
+  (* one map with every way a worker goes away: job 0 dies on both of its
+     attempts, job 1 dies once and succeeds on the retry, job 2 is
+     SIGKILLed at its deadline *)
+  let dir = tmpdir () in
+  let marker = Filename.concat dir "first-attempt-done" in
+  let f i =
+    match i with
+    | 0 -> Unix._exit 9
+    | 1 when not (Sys.file_exists marker) ->
+      close_out (open_out marker);
+      Unix._exit 3
+    | 2 -> Unix.sleepf 30.0; 2
+    | i -> i
+  in
+  let rs =
+    Jobs.Pool.map
+      { Jobs.Pool.default with
+        Jobs.Pool.jobs = 3; timeout_s = Some 0.3; retries = 1 }
+      ~key:string_of_int ~f (List.init 5 Fun.id)
+  in
+  (match List.map (fun (r : _ Jobs.Pool.result) -> r.Jobs.Pool.outcome) rs with
+   | [ Jobs.Pool.Failed _; Jobs.Pool.Done 1; Jobs.Pool.Timed_out _;
+       Jobs.Pool.Done 3; Jobs.Pool.Done 4 ] -> ()
+   | _ -> Alcotest.fail "expected died, retried, timed out, done, done");
+  check_no_children ()
+
+(* --- persist --------------------------------------------------------------- *)
+
+let ticket_of (t, _, _) = t
+let outcome_of (_, o, _) = o
+
+(* Poll [p] until [n] completions have arrived. *)
+let collect p n =
+  let t_end = Unix.gettimeofday () +. 20.0 in
+  let rec go acc =
+    if List.length acc >= n then acc
+    else if Unix.gettimeofday () > t_end then
+      Alcotest.failf "persist: %d of %d results arrived" (List.length acc) n
+    else go (acc @ Jobs.Persist.poll p ~timeout_s:0.5)
+  in
+  go []
+
+let submit p task =
+  match Jobs.Persist.try_submit p task with
+  | Some ticket -> ticket
+  | None -> Alcotest.fail "persist: no idle worker"
+
+let run_one p task =
+  let ticket = submit p task in
+  match collect p 1 with
+  | [ c ] when ticket_of c = ticket -> outcome_of c
+  | _ -> Alcotest.fail "persist: expected exactly this ticket back"
+
+let test_persist_worker_death () =
+  let p =
+    Jobs.Persist.create ~jobs:2 (fun i -> if i < 0 then Unix._exit 9 else 2 * i)
+  in
+  (match run_one p (-1) with
+   | Jobs.Persist.Failed m ->
+     Alcotest.(check bool) "reported as a death" true
+       (String.starts_with ~prefix:"worker died" m)
+   | _ -> Alcotest.fail "the dying job should have failed");
+  Alcotest.(check int) "the dead worker is replaced" (Jobs.Persist.size p)
+    (Jobs.Persist.idle p);
+  (match run_one p 4 with
+   | Jobs.Persist.Done 8 -> ()
+   | _ -> Alcotest.fail "the next task should succeed");
+  Jobs.Persist.shutdown p;
+  check_no_children ()
+
+let test_persist_timeout () =
+  let p =
+    Jobs.Persist.create ~timeout_s:0.2 ~jobs:1
+      (fun i -> if i = 0 then (Unix.sleepf 30.0; 0) else i)
+  in
+  let ticket = submit p 0 in
+  Unix.sleepf 0.3;
+  (match Jobs.Persist.expire p ~now:(Unix.gettimeofday ()) with
+   | [ c ] when ticket_of c = ticket ->
+     (match outcome_of c with
+      | Jobs.Persist.Timed_out s ->
+        Alcotest.(check bool) "ran at least the budget" true (s >= 0.2)
+      | _ -> Alcotest.fail "expected Timed_out")
+   | _ -> Alcotest.fail "expire should return the sleeper's ticket alone");
+  Alcotest.(check int) "the killed worker is replaced" 1 (Jobs.Persist.idle p);
+  (match run_one p 5 with
+   | Jobs.Persist.Done 5 -> ()
+   | _ -> Alcotest.fail "the replacement should serve the next task");
+  Jobs.Persist.shutdown p;
+  check_no_children ()
+
+let test_persist_tickets () =
+  let p = Jobs.Persist.create ~jobs:3 (fun i -> i + 1) in
+  let t1 = submit p 10 in
+  let t2 = submit p 20 in
+  let t3 = submit p 30 in
+  Alcotest.(check bool) "every worker busy" true
+    (Jobs.Persist.try_submit p 40 = None);
+  let cs = collect p 3 in
+  Alcotest.(check (list int)) "each ticket resolves once" [ t1; t2; t3 ]
+    (List.sort compare (List.map ticket_of cs));
+  let t4 = submit p 40 in
+  Alcotest.(check bool) "tickets increase" true (t1 < t2 && t2 < t3 && t3 < t4);
+  ignore (collect p 1);
+  Jobs.Persist.shutdown p;
+  check_no_children ()
+
+let test_persist_shutdown () =
+  let p =
+    Jobs.Persist.create ~jobs:3
+      (fun i -> if i = 0 then (Unix.sleepf 30.0; 0) else i)
+  in
+  ignore (submit p 0);
+  Jobs.Persist.shutdown p;
+  check_no_children ()
+
 (* --- cache + pool + manifest ----------------------------------------------- *)
 
 let test_cache_skips_recompute () =
@@ -287,7 +410,14 @@ let () =
          Alcotest.test_case "worker death isolation" `Quick
            test_worker_death_isolation;
          Alcotest.test_case "retry after death" `Quick test_retry_after_death;
-         Alcotest.test_case "timeout SIGKILL" `Quick test_timeout_kill ]);
+         Alcotest.test_case "timeout SIGKILL" `Quick test_timeout_kill;
+         Alcotest.test_case "no worker outlives map" `Quick
+           test_no_worker_outlives_map ]);
+      ("persist",
+       [ Alcotest.test_case "worker death" `Quick test_persist_worker_death;
+         Alcotest.test_case "timeout" `Quick test_persist_timeout;
+         Alcotest.test_case "tickets increase" `Quick test_persist_tickets;
+         Alcotest.test_case "shutdown reaps" `Quick test_persist_shutdown ]);
       ("cache+pool",
        [ Alcotest.test_case "cache skips recompute" `Quick
            test_cache_skips_recompute ]) ]

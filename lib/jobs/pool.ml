@@ -1,24 +1,21 @@
-(* Forked worker pool with marshalled task/result channels.
+(* Batch policy over forked workers.
 
-   [map opts ~key ~f tasks] evaluates [f] over [tasks] on [opts.jobs] worker
-   processes and returns the outcomes in input order.  Each worker is a
-   [Unix.fork] of the parent: it inherits [f] (and everything [f] closes
-   over) through the fork, so only task and result *values* ever cross a
-   pipe, each as one marshalled message.  The scheme buys three properties
-   a thread pool cannot give this codebase:
+   [map opts ~key ~f tasks] evaluates [f] over [tasks] on [opts.jobs]
+   [Persist] workers and returns the outcomes in input order.  [Persist]
+   owns the processes and the pipe protocol (fork, marshalled task and
+   report, SIGKILL past a deadline, reaping); this module owns what a
+   batch adds on top:
 
-   - crash isolation: a worker that raises returns a structured [Failed];
-     a worker that dies outright (segfault, OOM kill, [Unix._exit] deep in
-     a consumer) is detected by EOF on its result pipe, the job is
-     re-dispatched up to [opts.retries] times, and the pool keeps going;
-   - per-job wall-clock timeouts: a worker past its deadline is SIGKILLed,
-     the job is marked [Timed_out], and a fresh worker is forked in its
-     place — one pathological DSE query no longer hangs a whole matrix;
+   - retries: a job whose worker died outright (segfault, OOM kill,
+     [Unix._exit] deep in a consumer) is re-dispatched up to
+     [opts.retries] times; a clean exception is deterministic and is
+     never retried, and a timed-out job is not retried either;
    - determinism: jobs are dispatched in input order to whichever worker is
      idle, but results are keyed by input position, so the returned list —
      and anything printed from it — is byte-identical to a serial run.
      Per-job randomness should come from [Util.Rng.of_key] on the job key,
-     which is schedule-independent by construction.
+     which is schedule-independent by construction;
+   - the result cache, the run manifest and the live progress line.
 
    Serial mode ([opts.jobs <= 1]) runs [f] in-process: exceptions are still
    isolated per job, but timeouts are not enforced (there is no worker to
@@ -26,21 +23,22 @@
    result cache and manifest bookkeeping, so a serial and a parallel run of
    the same matrix are interchangeable.
 
-   SIGINT: during [map], a handler records the signal; the pool SIGKILLs
-   and reaps every worker (no orphans), files a partial run record in the
-   manifest (marked interrupted), restores the previous handler, and raises
-   [Interrupted] for the CLI to turn into a nonzero exit. *)
+   SIGINT: during [map], a handler records the signal; the pool files a
+   partial run record in the manifest (marked interrupted), SIGKILLs and
+   reaps every worker (no orphans), restores the previous handler, and
+   raises [Interrupted] for the CLI to turn into a nonzero exit. *)
 
 exception Interrupted
 
-type 'r outcome =
+type 'r outcome = 'r Persist.outcome =
   | Done of 'r
   | Failed of string       (* worker exception or worker death *)
   | Timed_out of float     (* seconds the job ran before SIGKILL *)
 
 type 'r result = {
   outcome : 'r outcome;
-  time_s : float;          (* worker-side wall time; parent-side on timeout *)
+  time_s : float;          (* worker-side wall time; parent-side on a
+                              worker death or timeout *)
   utime_s : float;         (* user CPU spent in [f] (Unix.times delta) *)
   stime_s : float;         (* system CPU spent in [f] *)
   attempts : int;          (* dispatches consumed; 0 for a cache hit *)
@@ -61,98 +59,6 @@ type opts = {
 let default =
   { jobs = 1; timeout_s = None; retries = 1; cache = None; manifest = None;
     progress = false }
-
-(* --- worker side ----------------------------------------------------------- *)
-
-(* The worker marshals its result to a string itself, so an unmarshallable
-   result (a closure smuggled into a result type) degrades to a [Failed]
-   instead of desynchronizing the pipe protocol. *)
-type reply = R_ok of string | R_exn of string
-
-(* Everything the worker reports per job: the reply plus its own wall and
-   CPU clocks ([Unix.times] deltas — wall time alone cannot distinguish a
-   recompute from a job that sat in a page-cache stall) and the delta of
-   the metrics registry across [f], so the parent can [Obs.Metrics.absorb]
-   per-worker instrumentation into its own registry.  The snapshot is plain
-   data and the diff of two identical snapshots is [], so with metrics
-   disabled the extra pipe traffic is an empty list. *)
-type job_report = {
-  jr_idx : int;
-  jr_reply : reply;
-  jr_wall_s : float;
-  jr_utime_s : float;
-  jr_stime_s : float;
-  jr_metrics : Obs.Metrics.snapshot;
-}
-
-let worker_loop (f : 'a -> 'b) ic oc =
-  let rec loop () =
-    let (idx, task) = (Marshal.from_channel ic : int * 'a) in
-    let t0 = Unix.gettimeofday () in
-    let tm0 = Unix.times () in
-    let m0 = Obs.Metrics.snapshot () in
-    let reply =
-      match f task with
-      | r ->
-        (try R_ok (Marshal.to_string r [])
-         with Invalid_argument m -> R_exn ("unmarshallable result: " ^ m))
-      | exception e -> R_exn (Printexc.to_string e)
-    in
-    let tm1 = Unix.times () in
-    Marshal.to_channel oc
-      { jr_idx = idx;
-        jr_reply = reply;
-        jr_wall_s = Unix.gettimeofday () -. t0;
-        jr_utime_s = tm1.Unix.tms_utime -. tm0.Unix.tms_utime;
-        jr_stime_s = tm1.Unix.tms_stime -. tm0.Unix.tms_stime;
-        jr_metrics = Obs.Metrics.diff m0 (Obs.Metrics.snapshot ()) }
-      [];
-    flush oc;
-    loop ()
-  in
-  (try loop () with End_of_file | Sys_error _ -> ());
-  Unix._exit 0
-
-type worker = {
-  w_pid : int;
-  w_oc : out_channel;      (* parent -> worker: (index, task) *)
-  w_ic : in_channel;       (* worker -> parent: job_report *)
-  w_recv : Unix.file_descr;
-  (* job index, attempt, dispatch time, deadline (infinity if no timeout) *)
-  mutable w_job : (int * int * float * float) option;
-}
-
-let spawn ~inherited f =
-  (* anything buffered now would be flushed a second time by the child's
-     stdio if it ever wrote; keep the child's buffers empty *)
-  flush stdout;
-  flush stderr;
-  let task_r, task_w = Unix.pipe () in
-  let res_r, res_w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    (* Drop every parent-side descriptor, including the pipes of sibling
-       workers forked earlier: a sibling can only see the parent's EOF if
-       no other process still holds the write end. *)
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      inherited;
-    Unix.close task_w;
-    Unix.close res_r;
-    (* the parent owns shutdown: it SIGKILLs workers deterministically *)
-    Sys.set_signal Sys.sigint Sys.Signal_ignore;
-    worker_loop f
-      (Unix.in_channel_of_descr task_r)
-      (Unix.out_channel_of_descr res_w)
-  | pid ->
-    Unix.close task_r;
-    Unix.close res_w;
-    { w_pid = pid;
-      w_oc = Unix.out_channel_of_descr task_w;
-      w_ic = Unix.in_channel_of_descr res_r;
-      w_recv = res_r;
-      w_job = None }
-
-(* --- parent side ----------------------------------------------------------- *)
 
 let interrupted = ref false
 
@@ -289,208 +195,67 @@ let map ?(label = "jobs") (o : opts) ~(key : 'a -> string) ~(f : 'a -> 'b)
           | None -> Queue.add (i, 1) pending)
        | None -> Queue.add (i, 1) pending)
     tasks;
-  let finish_job i reply ~wall ~ut ~st attempts =
-    let outcome =
-      match reply with
-      | R_ok s ->
-        let v : 'b = Marshal.from_string s 0 in
-        (match o.cache with
-         | Some cache -> Cache.store cache keys.(i) v
-         | None -> ());
-        Done v
-      | R_exn m -> Failed m
-    in
+  let complete i outcome (k : Persist.clock) attempts =
+    (match (outcome, o.cache) with
+     | (Done v, Some cache) -> Cache.store cache keys.(i) v
+     | _ -> ());
     resolve i
-      { outcome; time_s = wall; utime_s = ut; stime_s = st; attempts;
-        cached = false }
+      { outcome; time_s = k.Persist.wall_s; utime_s = k.Persist.utime_s;
+        stime_s = k.Persist.stime_s; attempts; cached = false }
   in
 
   let run_serial () =
     while not (Queue.is_empty pending) do
       if !interrupted then interrupted_exit ();
       let (i, attempt) = Queue.pop pending in
-      let t0 = Unix.gettimeofday () in
-      let tm0 = Unix.times () in
-      let outcome =
-        match f tasks.(i) with
-        | v ->
-          (match o.cache with
-           | Some cache -> Cache.store cache keys.(i) v
-           | None -> ());
-          Done v
-        | exception e -> Failed (Printexc.to_string e)
-      in
-      let tm1 = Unix.times () in
-      let dt = Unix.gettimeofday () -. t0 in
-      c.busy_s <- c.busy_s +. dt;
-      resolve i
-        { outcome; time_s = dt;
-          utime_s = tm1.Unix.tms_utime -. tm0.Unix.tms_utime;
-          stime_s = tm1.Unix.tms_stime -. tm0.Unix.tms_stime;
-          attempts = attempt; cached = false }
+      let (r, k) = Persist.timed f tasks.(i) in
+      c.busy_s <- c.busy_s +. k.Persist.wall_s;
+      complete i
+        (match r with Ok v -> Done v | Error m -> Failed m)
+        k attempt
     done;
     if !interrupted then interrupted_exit ()
   in
 
   let run_parallel () =
-    let workers = ref [] in
-    let spawn_one () =
-      let inherited =
-        List.concat_map
-          (fun w ->
-             [ Unix.descr_of_out_channel w.w_oc; w.w_recv ])
-          !workers
-      in
-      let w = spawn ~inherited f in
-      workers := !workers @ [ w ];
-      max_workers := max !max_workers (List.length !workers)
-    in
-    let reap w =
-      match Unix.waitpid [] w.w_pid with
-      | (_, Unix.WEXITED code) -> Printf.sprintf "exit %d" code
-      | (_, Unix.WSIGNALED s) -> Printf.sprintf "signal %d" s
-      | (_, Unix.WSTOPPED s) -> Printf.sprintf "stopped %d" s
-      | exception Unix.Unix_error _ -> "unknown"
-    in
-    let retire w =
-      close_out_noerr w.w_oc;
-      close_in_noerr w.w_ic;
-      workers := List.filter (fun x -> x != w) !workers
-    in
-    let kill_all () =
-      List.iter
-        (fun w -> try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ())
-        !workers;
-      List.iter (fun w -> ignore (reap w)) !workers;
-      List.iter
-        (fun w -> close_out_noerr w.w_oc; close_in_noerr w.w_ic)
-        !workers;
-      workers := []
-    in
-    let requeue_or_fail i attempt msg dt =
-      if attempt <= o.retries then Queue.add (i, attempt + 1) pending
-      else
-        resolve i
-          { outcome = Failed msg; time_s = dt; utime_s = 0.0; stime_s = 0.0;
-            attempts = attempt; cached = false }
-    in
-    let dispatch () =
-      List.iter
-        (fun w ->
-           if not (Queue.is_empty pending) then begin
-             let (i, attempt) = Queue.pop pending in
-             match
-               Marshal.to_channel w.w_oc (i, tasks.(i)) [ Marshal.Closures ];
-               flush w.w_oc
-             with
-             | () ->
-               let now = Unix.gettimeofday () in
-               let deadline =
-                 match o.timeout_s with
-                 | Some t -> now +. t
-                 | None -> infinity
-               in
-               w.w_job <- Some (i, attempt, now, deadline)
-             | exception _ ->
-               (* the worker died before accepting the task *)
-               (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-               let st = reap w in
-               retire w;
-               requeue_or_fail i attempt
-                 (Printf.sprintf "worker died before accepting task (%s)" st)
-                 0.0
-           end)
-        (List.filter (fun w -> w.w_job = None) !workers)
-    in
-    let handle_reply w =
-      match w.w_job with
-      | None -> ()
-      | Some (i, attempt, started, _) ->
-        (match (Marshal.from_channel w.w_ic : job_report) with
-         | jr ->
-           w.w_job <- None;
-           c.busy_s <- c.busy_s +. (Unix.gettimeofday () -. started);
-           (* fold the worker's per-job metric delta into our registry so
-              parallel totals match a serial run's *)
-           Obs.Metrics.absorb jr.jr_metrics;
-           finish_job i jr.jr_reply ~wall:jr.jr_wall_s ~ut:jr.jr_utime_s
-             ~st:jr.jr_stime_s attempt
-         | exception (End_of_file | Sys_error _ | Failure _) ->
-           c.busy_s <- c.busy_s +. (Unix.gettimeofday () -. started);
-           let st = reap w in
-           retire w;
-           requeue_or_fail i attempt
-             (Printf.sprintf "worker died (%s)" st)
-             (Unix.gettimeofday () -. started))
-    in
-    let rec loop () =
-      if c.ok + c.failed + c.timed_out < n then begin
-        if !interrupted then begin
-          kill_all ();
-          interrupted_exit ()
-        end;
-        (* keep the pool sized to the outstanding work, respawning after
-           deaths and timeouts *)
-        let busy_count =
-          List.length (List.filter (fun w -> w.w_job <> None) !workers)
-        in
-        let want = min o.jobs (Queue.length pending + busy_count) in
-        for _ = List.length !workers + 1 to want do spawn_one () done;
-        dispatch ();
-        let busy = List.filter (fun w -> w.w_job <> None) !workers in
-        (match busy with
-         | [] -> ()   (* every worker died pre-dispatch; loop respawns *)
-         | busy ->
-           let now = Unix.gettimeofday () in
-           let next_deadline =
-             List.fold_left
-               (fun acc w ->
-                  match w.w_job with
-                  | Some (_, _, _, dl) -> Float.min acc dl
-                  | None -> acc)
-               infinity busy
-           in
-           (* cap the tick so the SIGINT flag is polled even when idle *)
-           let select_t =
-             if next_deadline = infinity then 0.5
-             else Float.max 0.0 (Float.min 0.5 (next_deadline -. now))
-           in
-           let ready, _, _ =
-             try Unix.select (List.map (fun w -> w.w_recv) busy) [] [] select_t
-             with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-           in
-           List.iter
-             (fun fd ->
-                match List.find_opt (fun w -> w.w_recv = fd) busy with
-                | Some w -> handle_reply w
-                | None -> ())
-             ready;
-           let now = Unix.gettimeofday () in
-           List.iter
-             (fun w ->
-                match w.w_job with
-                | Some (i, attempt, started, dl)
-                  when now >= dl && List.memq w !workers ->
-                  (try Unix.kill w.w_pid Sys.sigkill
-                   with Unix.Unix_error _ -> ());
-                  ignore (reap w);
-                  retire w;
-                  c.busy_s <- c.busy_s +. (now -. started);
-                  resolve i
-                    { outcome = Timed_out (now -. started);
-                      time_s = now -. started; utime_s = 0.0; stime_s = 0.0;
-                      attempts = attempt; cached = false }
-                | _ -> ())
-             busy;
-           progress ());
-        loop ()
+    let p = Persist.create ?timeout_s:o.timeout_s ~jobs:!max_workers f in
+    (* ticket -> job index, attempt, dispatch time *)
+    let inflight = Hashtbl.create 16 in
+    let rec dispatch () =
+      if not (Queue.is_empty pending) then begin
+        let (i, attempt) = Queue.peek pending in
+        match Persist.try_submit p tasks.(i) with
+        | None -> ()
+        | Some ticket ->
+          ignore (Queue.pop pending);
+          Hashtbl.replace inflight ticket (i, attempt, Unix.gettimeofday ());
+          dispatch ()
+        | exception Invalid_argument m ->
+          ignore (Queue.pop pending);
+          complete i (Failed ("unmarshallable task: " ^ m))
+            (Persist.parent_clock 0.0) attempt;
+          dispatch ()
       end
     in
-    loop ();
-    (* closing the task pipe is the idle workers' EOF; then reap them all *)
-    List.iter (fun w -> close_out_noerr w.w_oc) !workers;
-    List.iter (fun w -> ignore (reap w); close_in_noerr w.w_ic) !workers;
-    workers := []
+    let handle (cp : _ Persist.completion) =
+      let (i, attempt, started) = Hashtbl.find inflight cp.Persist.ticket in
+      Hashtbl.remove inflight cp.Persist.ticket;
+      c.busy_s <- c.busy_s +. (Unix.gettimeofday () -. started);
+      (* only a death is retried: a clean exception is deterministic *)
+      if cp.Persist.died && attempt <= o.retries then
+        Queue.add (i, attempt + 1) pending
+      else complete i cp.Persist.outcome cp.Persist.clock attempt
+    in
+    Fun.protect
+      ~finally:(fun () -> Persist.shutdown p)
+      (fun () ->
+         while c.ok + c.failed + c.timed_out < n do
+           if !interrupted then interrupted_exit ();
+           dispatch ();
+           (* the tick bounds how long a SIGINT waits to be noticed *)
+           List.iter handle (Persist.poll p ~timeout_s:0.5);
+           progress ()
+         done)
   in
 
   with_signals (fun () ->

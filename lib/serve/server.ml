@@ -439,13 +439,13 @@ let rec dispatch st =
            Hashtbl.replace st.st_inflight ticket pd;
            dispatch st))
 
-let handle_pool_result st (ticket, outcome, wall_s) =
-  match Hashtbl.find_opt st.st_inflight ticket with
+let handle_pool_result st (c : _ Jobs.Persist.completion) =
+  match Hashtbl.find_opt st.st_inflight c.ticket with
   | None -> ()
   | Some pd ->
-    Hashtbl.remove st.st_inflight ticket;
-    let rewrite_ms = wall_s *. 1000.0 in
-    (match outcome with
+    Hashtbl.remove st.st_inflight c.ticket;
+    let rewrite_ms = c.clock.wall_s *. 1000.0 in
+    (match c.outcome with
      | Jobs.Persist.Done r -> finish st pd (`Res r) ~rewrite_ms
      | Jobs.Persist.Failed m -> finish st pd (`Fail m) ~rewrite_ms
      | Jobs.Persist.Timed_out s -> finish st pd (`Timeout s) ~rewrite_ms)

@@ -245,10 +245,30 @@ let test_no_worker_outlives_map () =
    | _ -> Alcotest.fail "expected died, retried, timed out, done, done");
   check_no_children ()
 
+let test_unmarshallable_task () =
+  (* a channel cannot be marshalled: the dispatch fails before a byte is
+     written, so only that task fails, once, and no worker is killed *)
+  let f (i, ch) = if ch = None then i else -1 in
+  let rs =
+    Jobs.Pool.map
+      { Jobs.Pool.default with Jobs.Pool.jobs = 2; retries = 1 }
+      ~key:(fun (i, _) -> string_of_int i)
+      ~f [ (0, None); (1, Some stdin); (2, None) ]
+  in
+  (match List.nth rs 1 with
+   | { Jobs.Pool.outcome = Jobs.Pool.Failed m; attempts; _ } ->
+     Alcotest.(check bool) "reported as unmarshallable" true
+       (String.starts_with ~prefix:"unmarshallable task: " m);
+     Alcotest.(check int) "not retried" 1 attempts
+   | _ -> Alcotest.fail "the channel task should have failed");
+  Alcotest.(check (list int)) "the others complete" [ 0; 2 ]
+    (List.map get [ List.nth rs 0; List.nth rs 2 ]);
+  check_no_children ()
+
 (* --- persist --------------------------------------------------------------- *)
 
-let ticket_of (t, _, _) = t
-let outcome_of (_, o, _) = o
+let ticket_of (c : _ Jobs.Persist.completion) = c.Jobs.Persist.ticket
+let outcome_of (c : _ Jobs.Persist.completion) = c.Jobs.Persist.outcome
 
 (* Poll [p] until [n] completions have arrived. *)
 let collect p n =
@@ -335,6 +355,25 @@ let test_persist_shutdown () =
   Jobs.Persist.shutdown p;
   check_no_children ()
 
+let test_persist_unmarshallable () =
+  (* the same worker serves before and after the refused task *)
+  let p = Jobs.Persist.create ~jobs:2 (fun (_, _) -> Unix.getpid ()) in
+  let pid =
+    match run_one p (0, None) with
+    | Jobs.Persist.Done pid -> pid
+    | _ -> Alcotest.fail "the first task should succeed"
+  in
+  (match Jobs.Persist.try_submit p (1, Some stdin) with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "try_submit should raise Invalid_argument");
+  Alcotest.(check int) "no worker busy" (Jobs.Persist.size p)
+    (Jobs.Persist.idle p);
+  (match run_one p (2, None) with
+   | Jobs.Persist.Done pid' -> Alcotest.(check int) "worker kept" pid pid'
+   | _ -> Alcotest.fail "the next task should succeed");
+  Jobs.Persist.shutdown p;
+  check_no_children ()
+
 (* --- cache + pool + manifest ----------------------------------------------- *)
 
 let test_cache_skips_recompute () =
@@ -412,12 +451,16 @@ let () =
          Alcotest.test_case "retry after death" `Quick test_retry_after_death;
          Alcotest.test_case "timeout SIGKILL" `Quick test_timeout_kill;
          Alcotest.test_case "no worker outlives map" `Quick
-           test_no_worker_outlives_map ]);
+           test_no_worker_outlives_map;
+         Alcotest.test_case "unmarshallable task" `Quick
+           test_unmarshallable_task ]);
       ("persist",
        [ Alcotest.test_case "worker death" `Quick test_persist_worker_death;
          Alcotest.test_case "timeout" `Quick test_persist_timeout;
          Alcotest.test_case "tickets increase" `Quick test_persist_tickets;
-         Alcotest.test_case "shutdown reaps" `Quick test_persist_shutdown ]);
+         Alcotest.test_case "shutdown reaps" `Quick test_persist_shutdown;
+         Alcotest.test_case "unmarshallable task" `Quick
+           test_persist_unmarshallable ]);
       ("cache+pool",
        [ Alcotest.test_case "cache skips recompute" `Quick
            test_cache_skips_recompute ]) ]

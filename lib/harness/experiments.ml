@@ -375,18 +375,32 @@ let table4 () =
 
 (* --- §VII-A: efficacy of the strengthening transformations ------------------- *)
 
+(* The 1-byte-input target of §VII-A.1. *)
+let efficacy_target () =
+  Minic.Randomfuns.generate
+    (Minic.Randomfuns.default_params ~loop_size:4 ~seed:1 ~input_size:1
+       ~control_index:1 ())
+
+(* The TDS rows: one input-7 trace of [t] per encoding. *)
+let efficacy_tds (t : Minic.Randomfuns.t) =
+  List.map
+    (fun (name, obf) ->
+       let img = Configs.apply obf t.prog ~funcs:[ "target" ] in
+       (name,
+        Taint.Tds.run ~fuel:400_000 img ~func:"target" ~n_inputs:1
+          ~input:[| 7 |]))
+    [ ("native", Configs.Native);
+      ("ROP plain", Configs.Rop_full (Ropc.Config.plain ()));
+      ("ROP_0 (P1)", Configs.Rop 0.0);
+      ("ROP_1.0 (P1+P3)", Configs.Rop 1.0) ]
+
 let efficacy ?(budget_s = 6.0) () =
-  let mk ~input_size ~control_index =
-    Minic.Randomfuns.generate
-      (Minic.Randomfuns.default_params ~loop_size:4 ~seed:1 ~input_size
-         ~control_index ())
-  in
   let budget = { E.default_budget with wall_seconds = budget_s } in
   let run_se img n =
     let tgt = { E.img; func = "target"; n_inputs = n } in
     E.se ~goal:E.G_secret ~budget tgt
   in
-  let t = mk ~input_size:1 ~control_index:1 in
+  let t = efficacy_target () in
   let rows = ref [] in
   let add name (r : E.result) =
     rows :=
@@ -404,22 +418,13 @@ let efficacy ?(budget_s = 6.0) () =
   Report.table ~title:"§VII-A.1: SE vs P1/P3 (secret finding)"
     ~headers:[ "TARGET"; "OUTCOME"; "TIME"; "STATES" ]
     (List.rev !rows);
-  (* TDS *)
-  let tds_of obf =
-    let img = Configs.apply obf t.prog ~funcs:[ "target" ] in
-    Taint.Tds.run ~fuel:400_000 img ~func:"target" ~n_inputs:1 ~input:[| 7 |]
-  in
   let tds_rows =
     List.map
-      (fun (name, obf) ->
-         let s = tds_of obf in
+      (fun (name, (s : Taint.Tds.result)) ->
          [ name; string_of_int s.Taint.Tds.total;
            string_of_int s.Taint.Tds.n_kept;
            string_of_int s.Taint.Tds.tainted_branches ])
-      [ ("native", Configs.Native);
-        ("ROP plain", Configs.Rop_full (Ropc.Config.plain ()));
-        ("ROP_0 (P1)", Configs.Rop 0.0);
-        ("ROP_1.0 (P1+P3)", Configs.Rop 1.0) ]
+      (efficacy_tds t)
   in
   Report.table
     ~title:"§VII-A.1: TDS simplification (implicit control deps survive P1/P3)"

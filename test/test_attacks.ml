@@ -70,6 +70,27 @@ let test_tds_p3_survives () =
     true
     (s_p3.Taint.Tds.tainted_branches > 2 * s_plain.Taint.Tds.tainted_branches)
 
+(* The four TDS rows of §VII-A.1 (experiments efficacy), pinned exactly:
+   trace length, kept entries and kept input-tainted control decisions. *)
+let test_tds_efficacy_pin () =
+  let rows =
+    Harness.Experiments.efficacy_tds (Harness.Experiments.efficacy_target ())
+  in
+  let got =
+    List.map
+      (fun (name, (s : Taint.Tds.result)) ->
+         (name, s.Taint.Tds.total, s.Taint.Tds.n_kept,
+          s.Taint.Tds.tainted_branches))
+      rows
+  in
+  let row = Alcotest.(list (pair string (triple int int int))) in
+  Alcotest.check row "total/kept/tainted_branches"
+    [ ("native", (589, 497, 5));
+      ("ROP plain", (3007, 6, 5));
+      ("ROP_0 (P1)", (3360, 6, 5));
+      ("ROP_1.0 (P1+P3)", (69620, 1554, 1553)) ]
+    (List.map (fun (n, a, b, c) -> (n, (a, b, c))) got)
+
 (* --- ROPMEMU ---------------------------------------------------------------- *)
 
 let test_ropmemu_explores_plain () =
@@ -173,7 +194,8 @@ let () =
     [ ("tds",
        [ Alcotest.test_case "native trace" `Quick test_tds_native;
          Alcotest.test_case "rop dispatch removed" `Quick test_tds_rop_dispatch_removed;
-         Alcotest.test_case "p3 survives tds" `Quick test_tds_p3_survives ]);
+         Alcotest.test_case "p3 survives tds" `Quick test_tds_p3_survives;
+         Alcotest.test_case "efficacy rows pinned" `Quick test_tds_efficacy_pin ]);
       ("ropmemu",
        [ Alcotest.test_case "explores plain rop" `Quick test_ropmemu_explores_plain;
          Alcotest.test_case "blocked by p2" `Quick test_ropmemu_blocked_by_p2 ]);

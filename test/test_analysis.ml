@@ -379,6 +379,264 @@ let test_cfg_randomfuns () =
        Alcotest.(check bool) "cfg ok" false cfg.Analysis.Cfg.failed)
     corpus
 
+(* --- def/use against the reference stepper ------------------------------ *)
+
+(* Non-interference: two states that agree on an instruction's uses must,
+   after one reference step, agree on its defs (the flags included when
+   they are a def), on rip, on whether the step faults and on the data
+   pages, and each must leave every register outside the defs as it was.
+   Memory starts equal; registers often point into the data pages, so
+   memory operands resolve as well as fault. *)
+
+module R = Analysis.Regset
+
+let ni_data = 0x10000L
+let ni_data_len = 0x4000
+
+type ni_case = {
+  ni_instr : X86.Isa.instr;
+  ni_regs : int64 array;        (* state A, by Isa.reg_index *)
+  ni_flags : bool array;        (* cf zf sf of pf *)
+  ni_other : int64 array;       (* state B's registers outside the uses *)
+  ni_other_flags : bool array;  (* state B's flags unless they are a use *)
+}
+
+(* Every instruction form, at every width and operand kind. *)
+let gen_ni_instr =
+  let open QCheck.Gen in
+  let open X86.Isa in
+  let reg = map reg_of_index (int_bound 15) in
+  let width = oneofl [ W8; W16; W32; W64 ] in
+  let cc = map cc_of_index (int_bound 15) in
+  let mem =
+    let* base = opt ~ratio:0.9 reg in
+    let* index = opt ~ratio:0.4 (pair reg (oneofl [ 1; 2; 4; 8 ])) in
+    let* disp = map Int64.of_int (int_range (-64) 64) in
+    return { base; index; disp }
+  in
+  let imm =
+    oneof [ map Int64.of_int (int_range (-300) 300); map Int64.of_int int ]
+  in
+  let dst = oneof [ map (fun r -> Reg r) reg; map (fun m -> Mem m) mem ] in
+  let src = frequency [ (2, dst); (1, map (fun v -> Imm v) imm) ] in
+  let dst_src =
+    let* d = dst in
+    let* s = src in
+    return (match d, s with Mem _, Mem _ -> (d, Reg RAX) | _ -> (d, s))
+  in
+  let rel = int_range (-64) 64 in
+  oneof
+    [ oneofl [ Nop; Hlt; Lahf; Sahf; Ret; Leave ];
+      (let* w = width in
+       let* d, s = dst_src in
+       return (Mov (w, d, s)));
+      (let* dw, sw = oneofl ext_combos in
+       let* r = reg in
+       let* s = dst in
+       let* zx = bool in
+       return (if zx then Movzx (dw, sw, r, s) else Movsx (dw, sw, r, s)));
+      (let* r = reg in
+       let* m = mem in
+       return (Lea (r, m)));
+      map (fun s -> Push s) src;
+      map (fun d -> Pop d) dst;
+      (let* o = oneofl [ Add; Sub; And; Or; Xor; Adc; Sbb; Cmp; Test ] in
+       let* w = width in
+       let* d, s = dst_src in
+       return (Alu (o, w, d, s)));
+      (let* o = oneofl [ Neg; Not; Inc; Dec ] in
+       let* w = width in
+       let* d = dst in
+       return (Unary (o, w, d)));
+      (let* w = width in
+       let* r = reg in
+       let* s = src in
+       return (Imul2 (w, r, s)));
+      (let* o = oneofl [ Mul; Imul1; Div; Idiv ] in
+       let* s = dst in
+       return (MulDiv (o, s)));
+      (let* o = oneofl [ Shl; Shr; Sar; Rol; Ror ] in
+       let* w = width in
+       let* d = dst in
+       let* c = oneof [ return S_cl; map (fun n -> S_imm n) (int_bound 70) ] in
+       return (Shift (o, w, d, c)));
+      (let* c = cc in
+       let* r = reg in
+       let* s = dst in
+       return (Cmov (c, r, s)));
+      (let* c = cc in
+       let* d = dst in
+       return (Setcc (c, d)));
+      map (fun d -> Jmp (J_rel d)) rel;
+      map (fun o -> Jmp (J_op o)) dst;
+      (let* c = cc in
+       let* d = rel in
+       return (Jcc (c, d)));
+      map (fun d -> Call (J_rel d)) rel;
+      map (fun o -> Call (J_op o)) dst;
+      (let* w = width in
+       let* a = dst in
+       let* b = map (fun r -> Reg r) reg in
+       let* swap = bool in
+       return (if swap then Xchg (w, b, a) else Xchg (w, a, b))) ]
+
+(* pointers into the data pages, small counts and indices, edge values *)
+let gen_ni_value =
+  let open QCheck.Gen in
+  frequency
+    [ (3, map (fun k -> Int64.add 0x12000L (Int64.of_int k))
+         (int_range (-0x800) 0x800));
+      (2, map Int64.of_int (int_bound 15));
+      (2, map Int64.of_int int);
+      (1, oneofl [ 0L; 1L; -1L; 0x80L; 0xFFFFL; Int64.min_int; Int64.max_int ]) ]
+
+let gen_ni_case =
+  let open QCheck.Gen in
+  let* ni_instr = gen_ni_instr in
+  let* ni_regs = array_repeat 16 gen_ni_value in
+  let* ni_flags = array_repeat 5 bool in
+  let* ni_other = array_repeat 16 gen_ni_value in
+  let* ni_other_flags = array_repeat 5 bool in
+  return { ni_instr; ni_regs; ni_flags; ni_other; ni_other_flags }
+
+let print_ni_case def_use c =
+  let hex a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%Lx") a)) in
+  let bits a = String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") a)) in
+  Printf.sprintf "%s (%s) A=[%s] flags %s; B outside uses=[%s] flags %s"
+    (X86.Pp.instr_str c.ni_instr)
+    (let uses, defs = def_use c.ni_instr in
+     Format.asprintf "uses %a, defs %a" R.pp uses R.pp defs)
+    (hex c.ni_regs) (bits c.ni_flags) (hex c.ni_other) (bits c.ni_other_flags)
+
+let ni_memory =
+  let m = Machine.Memory.create () in
+  Machine.Memory.map m ni_data ni_data_len;
+  for k = 0 to (ni_data_len / 8) - 1 do
+    Machine.Memory.write m
+      (Int64.add ni_data (Int64.of_int (8 * k))) 8
+      (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (k + 1)))
+  done;
+  m
+
+(* One reference step from the given registers and flags, rip already
+   past the instruction. *)
+let ni_step instr regs flags =
+  let cpu = Machine.Cpu.create (Machine.Memory.copy ni_memory) in
+  Array.iteri (fun k v -> Machine.Cpu.set cpu (X86.Isa.reg_of_index k) v) regs;
+  (match flags with
+   | [| cf; zf; sf; o_f; pf |] ->
+     cpu.Machine.Cpu.cf <- cf; cpu.Machine.Cpu.zf <- zf;
+     cpu.Machine.Cpu.sf <- sf; cpu.Machine.Cpu.o_f <- o_f;
+     cpu.Machine.Cpu.pf <- pf
+   | _ -> assert false);
+  Machine.Cpu.set_rip cpu 0x400000L;
+  let outcome =
+    match Machine.Exec.exec_instr cpu instr with
+    | () -> Ok cpu.Machine.Cpu.halted
+    | exception Machine.Exec.Exec_fault m -> Error m
+    | exception Machine.Memory.Fault (a, m) -> Error (Printf.sprintf "%s 0x%Lx" m a)
+  in
+  let f = Machine.Cpu.flags cpu in
+  ( outcome,
+    Machine.Cpu.rip cpu,
+    Array.init 16 (fun k -> Machine.Cpu.get cpu (X86.Isa.reg_of_index k)),
+    [| f.cf; f.zf; f.sf; f.o_f; f.pf |],
+    List.init (ni_data_len / Machine.Memory.page_size) (fun k ->
+        Machine.Memory.read_string cpu.Machine.Cpu.mem
+          (Int64.add ni_data (Int64.of_int (k * Machine.Memory.page_size)))
+          Machine.Memory.page_size) )
+
+let non_interference def_use c =
+  let uses, defs = def_use c.ni_instr in
+  let regs_b =
+    Array.init 16 (fun k ->
+        if R.mem_reg uses (X86.Isa.reg_of_index k) then c.ni_regs.(k)
+        else c.ni_other.(k))
+  in
+  let flags_b = if R.mem_flags uses then c.ni_flags else c.ni_other_flags in
+  let out_a, rip_a, regs_a', flags_a', mem_a = ni_step c.ni_instr c.ni_regs c.ni_flags in
+  let out_b, rip_b, regs_b', flags_b', mem_b = ni_step c.ni_instr regs_b flags_b in
+  (* a faulting step stops part-way: its defs need not have been written *)
+  let completed = Result.is_ok out_a in
+  out_a = out_b && rip_a = rip_b && mem_a = mem_b
+  && ((not (completed && R.mem_flags defs)) || flags_a' = flags_b')
+  && List.for_all
+       (fun r ->
+          let k = X86.Isa.reg_index r in
+          if R.mem_reg defs r then (not completed) || regs_a'.(k) = regs_b'.(k)
+          else regs_a'.(k) = c.ni_regs.(k) && regs_b'.(k) = regs_b.(k))
+       X86.Isa.all_regs
+
+(* Calls and returns are checked without their calling-convention entries,
+   which the step itself cannot honour. *)
+let machine_def_use i =
+  let e = Analysis.Reguse.machine_effects i in
+  (e.Analysis.Reguse.uses, e.Analysis.Reguse.defs)
+
+let prop_non_interference ?(count = 20000) def_use =
+  QCheck.Test.make ~name:"def/use non-interference" ~count
+    (QCheck.make ~print:(print_ni_case def_use) gen_ni_case)
+    (non_interference def_use)
+
+(* A copy of the hand-written def/use table the derived one replaced.  It
+   treats 8/16-bit register writes as whole-register kills and mul, div
+   and shifts by cl as writing every flag, so the property must refute
+   it. *)
+let old_def_use (i : X86.Isa.instr) =
+  let open X86.Isa in
+  let use_mem (m : mem) =
+    let s = match m.base with Some r -> R.of_reg r | None -> R.empty in
+    match m.index with Some (r, _) -> R.add s r | None -> s
+  in
+  let use_op = function Reg r -> R.of_reg r | Imm _ -> R.empty | Mem m -> use_mem m in
+  let use_addr = function Reg _ | Imm _ -> R.empty | Mem m -> use_mem m in
+  let def_op = function Reg r -> R.of_reg r | Imm _ | Mem _ -> R.empty in
+  match i with
+  | Nop | Hlt -> (R.empty, R.empty)
+  | Lahf -> (R.add_flags (R.of_reg RAX), R.of_reg RAX)
+  | Sahf -> (R.of_reg RAX, R.flags_bit)
+  | Mov (_, d, s) -> (R.union (use_op s) (use_addr d), def_op d)
+  | Movzx (_, _, r, s) | Movsx (_, _, r, s) -> (use_op s, R.of_reg r)
+  | Lea (r, m) -> (use_mem m, R.of_reg r)
+  | Push s -> (R.add (use_op s) RSP, R.of_reg RSP)
+  | Pop d -> (R.add (use_addr d) RSP, R.union (def_op d) (R.of_reg RSP))
+  | Alu ((Cmp | Test), _, a, b) -> (R.union (use_op a) (use_op b), R.flags_bit)
+  | Alu ((Adc | Sbb), _, d, s) ->
+    (R.add_flags (R.union (use_op d) (use_op s)), R.union (def_op d) R.flags_bit)
+  | Alu (_, _, d, s) ->
+    (R.union (use_op d) (use_op s), R.union (def_op d) R.flags_bit)
+  | Unary (Not, _, d) -> (use_op d, def_op d)
+  | Unary (_, _, d) -> (use_op d, R.union (def_op d) R.flags_bit)
+  | Imul2 (_, r, s) -> (R.add (use_op s) r, R.union (R.of_reg r) R.flags_bit)
+  | MulDiv (_, s) ->
+    (R.add (R.add (use_op s) RAX) RDX,
+     R.union (R.of_list [ RAX; RDX ]) R.flags_bit)
+  | Shift (_, _, d, c) ->
+    let u = use_op d in
+    let u = match c with S_cl -> R.add u RCX | S_imm _ -> u in
+    (u, R.union (def_op d) R.flags_bit)
+  | Cmov (_, r, s) -> (R.add_flags (R.add (use_op s) r), R.of_reg r)
+  | Setcc (_, d) -> (R.add_flags (use_addr d), def_op d)
+  | Jmp (J_rel _) -> (R.empty, R.empty)
+  | Jmp (J_op o) -> (use_op o, R.empty)
+  | Jcc _ -> (R.flags_bit, R.empty)
+  | Call (J_rel _) ->
+    (R.add R.arg_regs RSP, R.union (R.add R.caller_saved RSP) R.flags_bit)
+  | Call (J_op o) ->
+    (R.add (R.union (use_op o) R.arg_regs) RSP,
+     R.union (R.add R.caller_saved RSP) R.flags_bit)
+  | Ret -> (R.of_list [ RSP; RAX ], R.of_reg RSP)
+  | Leave -> (R.of_list [ RBP; RSP ], R.of_list [ RBP; RSP ])
+  | Xchg (_, a, b) -> (R.union (use_op a) (use_op b), R.union (def_op a) (def_op b))
+
+let test_old_table_refuted () =
+  match
+    QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |])
+      (prop_non_interference old_def_use)
+  with
+  | () -> Alcotest.fail "the hand-written table passed non-interference"
+  | exception QCheck.Test.Test_fail _ -> ()
+
 let () =
   Alcotest.run "analysis"
     [ ("cfg",
@@ -400,4 +658,9 @@ let () =
          Alcotest.test_case "overlapping unaligned blocks" `Quick
            test_fixture_overlapping_blocks;
          Alcotest.test_case "ret-less infinite loop widens" `Quick
-           test_fixture_retless_loop ]) ]
+           test_fixture_retless_loop ]);
+      ("def-use",
+       [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+           (prop_non_interference machine_def_use);
+         Alcotest.test_case "hand-written table refuted" `Quick
+           test_old_table_refuted ]) ]

@@ -16,7 +16,15 @@
 
 open X86.Isa
 
-type binstr = { addr : int64; instr : instr; len : int }
+(* [uses]/[defs] are the instruction's def/use sets (Reguse.def_use),
+   computed once when the CFG is built. *)
+type binstr = {
+  addr : int64;
+  instr : instr;
+  len : int;
+  uses : Regset.t;
+  defs : Regset.t;
+}
 
 let next_addr bi = Int64.add bi.addr (Int64.of_int bi.len)
 
@@ -123,7 +131,8 @@ let decode_function ~fetch ~read64 ~entry ~bounds =
           match fetch addr with
           | None -> raise (Analysis_error (Printf.sprintf "undecodable at 0x%Lx" addr))
           | Some (instr, len) ->
-            let bi = { addr; instr; len } in
+            let uses, defs = Reguse.def_use instr in
+            let bi = { addr; instr; len; uses; defs } in
             Hashtbl.replace instrs addr bi;
             let next = next_addr bi in
             (match instr with

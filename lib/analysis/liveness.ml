@@ -30,8 +30,7 @@ let term_use (t : Cfg.terminator) =
   | Cfg.T_jmp_unresolved op -> Reguse.use_operand op
 
 let transfer_instr live_out (bi : Cfg.binstr) =
-  let uses, defs = Reguse.def_use bi.Cfg.instr in
-  R.union uses (R.diff live_out defs)
+  R.union bi.Cfg.uses (R.diff live_out bi.Cfg.defs)
 
 (* live-in of a block given its live-out *)
 let transfer_block (b : Cfg.block) live_out =

@@ -1,4 +1,5 @@
-(* Def/use sets per instruction, including the flags pseudo-register.
+(* Def/use sets per instruction, including the flags pseudo-register,
+   derived from the one x64-lite semantics ([Machine.Semantics.Make]).
 
    [defs] of a memory-destination instruction is empty (the store does not
    define a register), but address registers appear in [uses]. *)
@@ -14,65 +15,6 @@ let use_operand = function
   | Reg r -> R.of_reg r
   | Imm _ -> R.empty
   | Mem m -> use_mem m
-
-(* registers read to *evaluate* a destination (address computation only) *)
-let use_dst_addr = function
-  | Reg _ | Imm _ -> R.empty
-  | Mem m -> use_mem m
-
-let def_operand = function
-  | Reg r -> R.of_reg r
-  | Imm _ | Mem _ -> R.empty
-
-(* (uses, defs) where both may include the flags bit *)
-let def_use (i : instr) : R.t * R.t =
-  match i with
-  | Nop | Hlt -> (R.empty, R.empty)
-  | Lahf -> (R.add_flags (R.of_reg X86.Isa.RAX), R.of_reg X86.Isa.RAX)
-  | Sahf -> (R.of_reg X86.Isa.RAX, R.flags_bit)
-  | Mov (_, d, s) -> (R.union (use_operand s) (use_dst_addr d), def_operand d)
-  | Movzx (_, _, r, s) | Movsx (_, _, r, s) -> (use_operand s, R.of_reg r)
-  | Lea (r, m) -> (use_mem m, R.of_reg r)
-  | Push s -> (R.add (use_operand s) RSP, R.of_reg RSP)
-  | Pop d ->
-    (R.add (use_dst_addr d) RSP, R.union (def_operand d) (R.of_reg RSP))
-  | Alu ((Cmp | Test), _, a, b) ->
-    (R.union (use_operand a) (use_operand b), R.flags_bit)
-  | Alu ((Adc | Sbb), _, d, s) ->
-    (R.add_flags (R.union (use_operand d) (use_operand s)),
-     R.union (def_operand d) R.flags_bit)
-  | Alu (_, _, d, s) ->
-    (R.union (use_operand d) (use_operand s),
-     R.union (def_operand d) R.flags_bit)
-  | Unary (Not, _, d) -> (use_operand d, def_operand d)
-  | Unary (_, _, d) -> (use_operand d, R.union (def_operand d) R.flags_bit)
-  | Imul2 (_, r, s) ->
-    (R.add (use_operand s) r, R.union (R.of_reg r) R.flags_bit)
-  | MulDiv (_, s) ->
-    (R.add (R.add (use_operand s) RAX) RDX,
-     R.union (R.of_list [ RAX; RDX ]) R.flags_bit)
-  | Shift (_, _, d, c) ->
-    let u = use_operand d in
-    let u = match c with S_cl -> R.add u RCX | S_imm _ -> u in
-    (u, R.union (def_operand d) R.flags_bit)
-  | Cmov (_, r, s) -> (R.add_flags (R.add (use_operand s) r), R.of_reg r)
-  | Setcc (_, d) -> (R.add_flags (use_dst_addr d), def_operand d)
-  | Jmp (J_rel _) -> (R.empty, R.empty)
-  | Jmp (J_op o) -> (use_operand o, R.empty)
-  | Jcc _ -> (R.flags_bit, R.empty)
-  | Call (J_rel _) ->
-    (* conservative: all argument registers may be read; caller-saved and
-       flags are clobbered *)
-    (R.add R.arg_regs RSP,
-     R.union (R.add R.caller_saved RSP) R.flags_bit)
-  | Call (J_op o) ->
-    (R.add (R.union (use_operand o) R.arg_regs) RSP,
-     R.union (R.add R.caller_saved RSP) R.flags_bit)
-  | Ret -> (R.of_list [ RSP; RAX ], R.of_reg RSP)
-  | Leave -> (R.of_list [ RBP; RSP ], R.of_list [ RBP; RSP ])
-  | Xchg (_, a, b) ->
-    (R.union (use_operand a) (use_operand b),
-     R.union (def_operand a) (def_operand b))
 
 (* --- def/use derived from the one semantics ----------------------------- *)
 
@@ -161,6 +103,18 @@ module Masks = struct
   let f_xor = dep
   let f_select = select
 
+  let fresh () =
+    { regs = Array.make 16 0; flags = Array.make 5 0;
+      uses = R.empty; defs = R.empty; written = 0 }
+
+  (* every location holds its own old value *)
+  let reset st =
+    for k = 0 to 15 do st.regs.(k) <- 1 lsl k done;
+    Array.fill st.flags 0 5 R.flags_bit;
+    st.uses <- R.empty;
+    st.defs <- R.empty;
+    st.written <- 0
+
   let sink st v = st.uses <- st.uses lor (v land sink_bits)
 
   let get st r = st.regs.(reg_index r)
@@ -196,13 +150,14 @@ end
 
 module Derive = Machine.Semantics.Make (Masks)
 
+(* One state per domain, reset for each instruction, so a derivation
+   allocates little more than its result. *)
+let scratch = Domain.DLS.new_key Masks.fresh
+
 (* The instance alone: what the machine's step reads and writes. *)
 let machine_effects (i : instr) : effects =
-  let st =
-    { Masks.regs = Array.init 16 (fun k -> 1 lsl k);
-      flags = Array.make 5 R.flags_bit;
-      uses = R.empty; defs = R.empty; written = 0 }
-  in
+  let st = Domain.DLS.get scratch in
+  Masks.reset st;
   (match Derive.exec st i with () -> () | exception Invalid_instr -> ());
   let kill =
     st.Masks.written = all_flags_written
@@ -225,8 +180,13 @@ let effects (i : instr) : effects =
   | Ret -> { e with uses = R.add e.uses RAX }
   | _ -> e
 
-(* Does executing [i] destroy the status flags? *)
-let clobbers_flags i = R.mem_flags (snd (def_use i))
+(* (uses, defs) where both may include the flags bit *)
+let def_use i =
+  let e = effects i in
+  (e.uses, e.defs)
+
+(* May executing [i] change the status flags? *)
+let clobbers_flags i = (effects i).flags_written
 
 (* Does [i] read the status flags? *)
-let reads_flags i = R.mem_flags (fst (def_use i))
+let reads_flags i = R.mem_flags (effects i).uses

@@ -82,14 +82,15 @@ let mentions_rsp_op = function
    clobber the status flags, so directly-lowered gadgets only declare
    clobberable registers when the flags neither survive the roplet nor feed
    the instruction itself. *)
-let translate_instr b ~live ~flags_live (i : instr) =
+let translate_instr b ~live ~flags_live (bi : Cfg.binstr) =
+  let i = bi.Cfg.instr in
   let direct () =
     let clobber =
       if flags_live then []
       else begin
-        let uses, defs = Analysis.Reguse.def_use i in
         let keep =
-          R.union (R.union live (R.union uses defs)) Builder.reserved
+          R.union (R.union live (R.union bi.Cfg.uses bi.Cfg.defs))
+            Builder.reserved
         in
         List.filter (fun r -> not (R.mem_reg keep r)) all_regs
       end
@@ -283,8 +284,7 @@ let make_p1_array s (p1 : Config.p1_params) =
    clobbered caller-saved registers are exactly the scratch the chain wants
    (they are what the paper's allocator picks first). *)
 let live_for live_info (bi : Cfg.binstr) =
-  let uses, _defs = Analysis.Reguse.def_use bi.Cfg.instr in
-  R.union (Analysis.Liveness.live_out_at live_info bi.Cfg.addr) uses
+  R.union (Analysis.Liveness.live_out_at live_info bi.Cfg.addr) bi.Cfg.uses
 
 let rewrite_function (s : session) fname
   : (func_stats * Audit.func Lazy.t, failure) Stdlib.result =
@@ -338,10 +338,10 @@ let rewrite_function (s : session) fname
              let live = live_for live_info bi in
              let flags_live =
                Analysis.Liveness.flags_live_after live_info bi.Cfg.addr
-               || Analysis.Reguse.reads_flags bi.Cfg.instr
+               || R.mem_flags bi.Cfg.uses
              in
              b.Builder.program_points <- b.Builder.program_points + 1;
-             let uses, defs = Analysis.Reguse.def_use bi.Cfg.instr in
+             let uses = bi.Cfg.uses and defs = bi.Cfg.defs in
              Builder.begin_point b ~addr:bi.Cfg.addr
                ~desc:(lazy (X86.Pp.instr_str bi.Cfg.instr)) ~live
                ~flags_live:
@@ -368,7 +368,7 @@ let rewrite_function (s : session) fname
                        (fun ~extra_live ->
                           let lo = Chain.length b.Builder.chain in
                           translate_instr b ~live:(R.union live extra_live)
-                            ~flags_live bi.Cfg.instr;
+                            ~flags_live bi;
                           (* seeded fault: a stray increment of a defined
                              register.  The clobber check excuses writes to
                              p_defs, so only a semantic validation of the
@@ -411,7 +411,7 @@ let rewrite_function (s : session) fname
                             "Rewriter.emit_block_body (call [mem], 1 scratch)"
                             regs)
                 | Call (J_op _) -> raise (Unsupported "call through rsp memory")
-                | i -> translate_instr b ~live ~flags_live i);
+                | _ -> translate_instr b ~live ~flags_live bi);
              if not flags_live then Builder.maybe_skew b;
              Builder.end_point b)
           block.Cfg.b_instrs

@@ -1,16 +1,15 @@
 (* Gadget transfer summaries (verification pass 1).
 
    Each gadget body is abstract-interpreted once into a summary: which
-   registers it reads and writes, how it moves RSP through the chain (the
-   ordered stack events), what it does to memory and to the status flags, and
-   how control leaves it.  The chain walk (pass 2) replays these summaries
+   registers it writes, how it moves RSP through the chain (the ordered
+   stack events), what it does to the status flags, and how control leaves
+   it.  Register writes and flag effects come from Analysis.Reguse, which
+   derives them from the machine's semantics.  The chain walk (pass 2) replays these summaries
    against the materialized slot layout; the clobber pass (pass 3) intersects
    the writes with liveness. *)
 
 open X86.Isa
 module R = Analysis.Regset
-
-type mem_effect = M_none | M_read | M_write | M_rw
 
 (* How one body instruction moves RSP relative to the chain, in execution
    order.  The final ret/jop is the [ending], not an event. *)
@@ -31,43 +30,13 @@ type ending =
   | End_fall          (* no terminal instruction: control falls off the body *)
 
 type t = {
-  reads : R.t;
   writes : R.t;           (* GPR writes; RSP tracked via events instead *)
   flags_written : bool;
   flags_dirty : bool;     (* flags differ from entry once the gadget ends
                              (a trailing sahf counts as a restore) *)
-  mem : mem_effect;
   events : stack_ev list; (* execution order *)
   ending : ending;
 }
-
-let join_mem a b =
-  match a, b with
-  | M_none, x | x, M_none -> x
-  | M_read, M_read -> M_read
-  | M_write, M_write -> M_write
-  | _ -> M_rw
-
-(* Memory effect of one instruction (stack traffic is tracked separately as
-   events, so push/pop count only their explicit memory operands). *)
-let mem_effect_of = function
-  | Mov (_, Mem _, _) -> M_write
-  | Mov (_, _, Mem _) -> M_read
-  | Movzx (_, _, _, Mem _) | Movsx (_, _, _, Mem _) -> M_read
-  | Lea _ -> M_none                       (* address-only *)
-  | Push (Mem _) -> M_read
-  | Pop (Mem _) -> M_write
-  | Alu ((Cmp | Test), _, Mem _, _) -> M_read
-  | Alu (_, _, Mem _, _) -> M_rw
-  | Alu (_, _, _, Mem _) -> M_read
-  | Unary (_, _, Mem _) -> M_rw
-  | Shift (_, _, Mem _, _) -> M_rw
-  | Imul2 (_, _, Mem _) -> M_read
-  | MulDiv (_, Mem _) -> M_read
-  | Cmov (_, _, Mem _) -> M_read
-  | Setcc (_, Mem _) -> M_write
-  | Xchg (_, Mem _, _) | Xchg (_, _, Mem _) -> M_rw
-  | _ -> M_none
 
 let stack_ev_of = function
   | Pop _ -> Some Ev_pop
@@ -82,47 +51,37 @@ let stack_ev_of = function
   | Jmp (J_rel _) | Jcc _ | Call _ -> Some Ev_stop  (* native transfer *)
   | _ -> None
 
+(* RSP moves are events; the flags have their own fields *)
+let not_writes = R.add_flags (R.of_reg RSP)
+
 let of_instrs (instrs : instr list) : t =
-  let reads = ref R.empty and writes = ref R.empty in
+  let writes = ref R.empty in
   let flags_written = ref false and flags_dirty = ref false in
-  let mem = ref M_none in
   let events = ref [] in
   let ending = ref End_fall in
   let rec go = function
     | [] -> ()
-    | [ (Xchg (_, Reg RSP, Mem _) | Xchg (_, Mem _, Reg RSP)) as x;
-        Jmp (J_op op) ] ->
-      let uses, _ = Analysis.Reguse.def_use x in
-      reads := R.union !reads (R.union uses (Analysis.Reguse.use_operand op));
-      mem := join_mem !mem M_rw;
+    | [ (Xchg (_, Reg RSP, Mem _) | Xchg (_, Mem _, Reg RSP)); Jmp (J_op _) ] ->
       ending := End_switch_call
     | [ Ret ] -> ending := End_ret
-    | [ Jmp (J_op op) ] ->
-      reads := R.union !reads (Analysis.Reguse.use_operand op);
-      ending := End_jop
+    | [ Jmp (J_op _) ] -> ending := End_jop
     | [ Hlt ] -> ending := End_halt
     | i :: rest ->
-      let uses, defs = Analysis.Reguse.def_use i in
-      reads := R.union !reads uses;
-      writes :=
-        R.union !writes (R.diff defs (R.add_flags (R.of_reg RSP)));
-      if Analysis.Reguse.clobbers_flags i then begin
+      let e = Analysis.Reguse.effects i in
+      writes := R.union !writes (R.diff e.Analysis.Reguse.defs not_writes);
+      if e.Analysis.Reguse.flags_written then begin
         flags_written := true;
         (* sahf restores the spilled flag state; anything else pollutes it *)
         flags_dirty := i <> Sahf
       end;
-      mem := join_mem !mem (mem_effect_of i);
       (match stack_ev_of i with
        | Some ev -> events := ev :: !events
        | None -> ());
       go rest
   in
   go instrs;
-  { reads = !reads; writes = !writes;
-    flags_written = !flags_written; flags_dirty = !flags_dirty;
-    mem = !mem; events = List.rev !events; ending = !ending }
-
-let of_gadget (g : Gadget.t) : t = of_instrs (Gadget.instrs g)
+  { writes = !writes; flags_written = !flags_written;
+    flags_dirty = !flags_dirty; events = List.rev !events; ending = !ending }
 
 let ending_str = function
   | End_ret -> "ret"
@@ -130,19 +89,3 @@ let ending_str = function
   | End_switch_call -> "switch-call"
   | End_halt -> "hlt"
   | End_fall -> "fallthrough"
-
-let mem_str = function
-  | M_none -> "none"
-  | M_read -> "read"
-  | M_write -> "write"
-  | M_rw -> "read-write"
-
-let to_string s =
-  Printf.sprintf "reads{%s} writes{%s} mem:%s flags:%s ending:%s pops:%d"
-    (Format.asprintf "%a" R.pp s.reads)
-    (Format.asprintf "%a" R.pp s.writes)
-    (mem_str s.mem)
-    (if s.flags_dirty then "dirty" else if s.flags_written then "restored"
-     else "preserved")
-    (ending_str s.ending)
-    (List.length (List.filter (fun e -> e = Ev_pop) s.events))

@@ -29,14 +29,6 @@ type result = {
   flag_sites : int;            (* distinct flag-reading sites seen *)
 }
 
-let reads_flags (i : instr) =
-  match i with
-  | Jcc _ | Cmov _ | Setcc _ | Alu (Adc, _, _, _) | Alu (Sbb, _, _, _)
-  | Lahf -> true
-  | Jmp _ | Ret | Call _ | Hlt | Mov _ | Movzx _ | Movsx _ | Lea _ | Push _
-  | Pop _ | Alu _ | Unary _ | Imul2 _ | MulDiv _ | Shift _ | Leave | Xchg _
-  | Nop | Sahf -> false
-
 (* Invert all condition flags so any cc-dependent decision flips. *)
 let flip_flags (cpu : Machine.Cpu.t) =
   cpu.Machine.Cpu.cf <- not cpu.Machine.Cpu.cf;
@@ -52,6 +44,16 @@ let run_trace ~config ~chain_range ~cov_range img ~func ~args ~flips =
   let flag_reads = ref 0 in
   let sites = Hashtbl.create 64 in
   let slots = ref [] in
+  (* flag readers by address, derived again when the code there changes *)
+  let readers = Hashtbl.create 256 in
+  let reads_flags rip i =
+    match Hashtbl.find_opt readers rip with
+    | Some (i', r) when i' == i -> r
+    | Some _ | None ->
+      let r = Analysis.Reguse.reads_flags i in
+      Hashtbl.replace readers rip (i, r);
+      r
+  in
   t.Machine.Exec.on_step <-
     Some
       (fun cpu rip i ->
@@ -63,7 +65,7 @@ let run_trace ~config ~chain_range ~cov_range img ~func ~args ~flips =
             if Int64.compare lo slot <= 0 && Int64.compare slot hi < 0 then
               slots := slot :: !slots
           | None -> ());
-         if reads_flags i then begin
+         if reads_flags rip i then begin
            Hashtbl.replace sites rip ();
            if List.mem !flag_reads flips then flip_flags cpu;
            incr flag_reads

@@ -30,16 +30,6 @@ module Locs = struct
   let remove (t : t) l = Hashtbl.remove t l
 end
 
-let is_control (i : X86.Isa.instr) =
-  match i with
-  | X86.Isa.Jmp _ | X86.Isa.Jcc _ | X86.Isa.Ret | X86.Isa.Call _
-  | X86.Isa.Hlt -> true
-  | X86.Isa.Mov _ | X86.Isa.Movzx _ | X86.Isa.Movsx _ | X86.Isa.Lea _
-  | X86.Isa.Push _ | X86.Isa.Pop _ | X86.Isa.Alu _ | X86.Isa.Unary _
-  | X86.Isa.Imul2 _ | X86.Isa.MulDiv _ | X86.Isa.Shift _ | X86.Isa.Cmov _
-  | X86.Isa.Setcc _ | X86.Isa.Leave | X86.Isa.Xchg _ | X86.Isa.Nop
-  | X86.Isa.Lahf | X86.Isa.Sahf -> false
-
 (* The stack pointer is the ROP dispatching register: TDS reconstructs
    control flow separately and strips RSP bookkeeping from the semantic
    slice (like the original removes "the ret sequences"). *)
@@ -63,7 +53,9 @@ let simplify (trace : Tracer.trace) : result =
         (fun l -> semantic_loc l && Locs.mem live l)
         e.Tracer.e_writes
     in
-    let control_kept = is_control e.Tracer.e_instr && e.Tracer.e_branch_tainted in
+    let control_kept =
+      Tracer.is_control_instr e.Tracer.e_instr && e.Tracer.e_branch_tainted
+    in
     if control_kept then incr tainted_branches;
     if defines_live || control_kept then begin
       keep.(i) <- true;

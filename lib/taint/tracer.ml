@@ -1,9 +1,12 @@
 (* Tainted trace recorder.
 
    Runs one concrete path (concolically, under a fixed input) and records,
-   per executed instruction: the concrete read/written locations (registers,
-   flags, memory bytes) and whether any source value is input-tainted.
-   This is the input format of the TDS simplifier. *)
+   per executed instruction, the concrete locations it read and wrote
+   (registers, flags, memory bytes) and whether its control decision
+   depends on the input.  The locations come from stepping the instruction
+   through [Machine.Semantics.Make] over a recording wrapper of the
+   symbolic machine, so they are exactly the ones the step touched.  This
+   is the input format of the TDS simplifier. *)
 
 open X86.Isa
 module E = Symex.Expr
@@ -19,7 +22,6 @@ type entry = {
   e_instr : instr;
   e_reads : loc list;
   e_writes : loc list;
-  e_tainted : bool;           (* some source depends on the input *)
   e_branch_tainted : bool;    (* control decision depends on the input *)
 }
 
@@ -36,99 +38,44 @@ type trace = {
   halted : bool;
 }
 
-let mem_locs st ev (m : mem) n =
-  let base = match m.base with Some r -> ev (SS.get st r) | None -> 0L in
-  let idx =
-    match m.index with
-    | Some (r, sc) -> Int64.mul (ev (SS.get st r)) (Int64.of_int sc)
-    | None -> 0L
-  in
-  let a = Int64.add (Int64.add base idx) m.disp in
-  List.init n (fun i -> L_mem (Int64.add a (Int64.of_int i)))
+(* The symbolic machine, noting every location one step touches.  Memory
+   bytes are placed by the address's value under the trace's input.  A
+   read of a location the step already wrote sees the step's own value,
+   so it is not a read of the state before it and is not noted. *)
+module Recording = struct
+  include (SS.Symbolic : module type of SS.Symbolic with type t := SS.Symbolic.t)
 
-let operand_read_locs st ev w = function
-  | Reg r -> [ L_reg r ]
-  | Imm _ -> []
-  | Mem m ->
-    (match m.base with Some r -> [ L_reg r ] | None -> [])
-    @ (match m.index with Some (r, _) -> [ L_reg r ] | None -> [])
-    @ mem_locs st ev m (width_bytes w)
+  type t = {
+    sym : SS.Symbolic.t;
+    ev : E.t -> int64;
+    mutable reads : loc list;
+    mutable writes : loc list;
+  }
 
-let operand_write_locs st ev w = function
-  | Reg r -> [ L_reg r ]
-  | Imm _ -> []
-  | Mem m -> mem_locs st ev m (width_bytes w)
+  let note_read s l =
+    if not (List.mem l s.writes || List.mem l s.reads) then
+      s.reads <- l :: s.reads
 
-(* locations read / written by [i] in state [st] (before execution) *)
-let locs_of st ev (i : instr) =
-  let rd w o = operand_read_locs st ev w o in
-  let wr w o = operand_write_locs st ev w o in
-  let addr_regs o =
-    match o with
-    | Mem m ->
-      (match m.base with Some r -> [ L_reg r ] | None -> [])
-      @ (match m.index with Some (r, _) -> [ L_reg r ] | None -> [])
-    | Reg _ | Imm _ -> []
-  in
-  match i with
-  | Nop | Hlt -> ([], [])
-  | Lahf -> ([ L_flags ], [ L_reg RAX ])
-  | Sahf -> ([ L_reg RAX ], [ L_flags ])
-  | Mov (w, d, s) -> (rd w s @ addr_regs d, wr w d)
-  | Movzx (dw, sw, r, s) | Movsx (dw, sw, r, s) ->
-    ignore dw; (rd sw s, [ L_reg r ])
-  | Lea (r, m) -> (operand_read_locs st ev W64 (Mem m) |> List.filter (function L_mem _ -> false | _ -> true), [ L_reg r ])
-  | Push s ->
-    let sp = ev (SS.get st RSP) in
-    (L_reg RSP :: rd W64 s,
-     L_reg RSP :: List.init 8 (fun k -> L_mem (Int64.add (Int64.sub sp 8L) (Int64.of_int k))))
-  | Pop d ->
-    let sp = ev (SS.get st RSP) in
-    (L_reg RSP :: List.init 8 (fun k -> L_mem (Int64.add sp (Int64.of_int k))),
-     L_reg RSP :: wr W64 d)
-  | Alu ((Cmp | Test), w, a, b) -> (rd w a @ rd w b, [ L_flags ])
-  | Alu ((Adc | Sbb), w, d, s) -> (L_flags :: rd w d @ rd w s, L_flags :: wr w d)
-  | Alu (_, w, d, s) -> (rd w d @ rd w s, L_flags :: wr w d)
-  | Unary (Not, w, d) -> (rd w d, wr w d)
-  | Unary (_, w, d) -> (rd w d, L_flags :: wr w d)
-  | Imul2 (w, r, s) -> (L_reg r :: rd w s, [ L_reg r; L_flags ])
-  | MulDiv (_, s) ->
-    (L_reg RAX :: L_reg RDX :: rd W64 s, [ L_reg RAX; L_reg RDX; L_flags ])
-  | Shift (_, w, d, c) ->
-    let cl = match c with S_cl -> [ L_reg RCX ] | S_imm _ -> [] in
-    (cl @ rd w d, L_flags :: wr w d)
-  | Cmov (_, r, s) -> (L_flags :: L_reg r :: rd W64 s, [ L_reg r ])
-  | Setcc (_, d) -> ([ L_flags ], wr W8 d)
-  | Jmp (J_rel _) -> ([], [])
-  | Jmp (J_op o) -> (rd W64 o, [])
-  | Jcc _ -> ([ L_flags ], [])
-  | Call (J_rel _) ->
-    let sp = ev (SS.get st RSP) in
-    ([ L_reg RSP ],
-     L_reg RSP :: List.init 8 (fun k -> L_mem (Int64.add (Int64.sub sp 8L) (Int64.of_int k))))
-  | Call (J_op o) ->
-    let sp = ev (SS.get st RSP) in
-    (L_reg RSP :: rd W64 o,
-     L_reg RSP :: List.init 8 (fun k -> L_mem (Int64.add (Int64.sub sp 8L) (Int64.of_int k))))
-  | Ret ->
-    let sp = ev (SS.get st RSP) in
-    (L_reg RSP :: List.init 8 (fun k -> L_mem (Int64.add sp (Int64.of_int k))),
-     [ L_reg RSP ])
-  | Leave ->
-    let bp = ev (SS.get st RBP) in
-    ([ L_reg RBP ] @ List.init 8 (fun k -> L_mem (Int64.add bp (Int64.of_int k))),
-     [ L_reg RSP; L_reg RBP ])
-  | Xchg (w, a, b) -> (rd w a @ rd w b, wr w a @ wr w b)
+  let note_write s l = if not (List.mem l s.writes) then s.writes <- l :: s.writes
 
-(* is a source location's current value input-tainted? *)
-let loc_tainted st (l : loc) =
-  match l with
-  | L_reg r -> E.depends_on_input (SS.get st r)
-  | L_flags ->
-    E.depends_on_input st.SS.f_cf || E.depends_on_input st.SS.f_zf
-    || E.depends_on_input st.SS.f_sf || E.depends_on_input st.SS.f_of
-    || E.depends_on_input st.SS.f_pf
-  | L_mem _ -> false   (* refined below via a symbolic read *)
+  let bytes s note a n =
+    let a = s.ev a in
+    for k = 0 to n - 1 do note s (L_mem (Int64.add a (Int64.of_int k))) done
+
+  let get s r = note_read s (L_reg r); SS.Symbolic.get s.sym r
+  let set s r v = note_write s (L_reg r); SS.Symbolic.set s.sym r v
+  let get_flag s fl = note_read s L_flags; SS.Symbolic.get_flag s.sym fl
+  let set_flag s fl v = note_write s L_flags; SS.Symbolic.set_flag s.sym fl v
+  let load s a n = bytes s note_read a n; SS.Symbolic.load s.sym a n
+  let store s a n v = bytes s note_write a n; SS.Symbolic.store s.sym a n v
+  let divide s = SS.Symbolic.divide s.sym
+  let rip s = SS.Symbolic.rip s.sym
+  let halt s = SS.Symbolic.halt s.sym
+  let jump s = SS.Symbolic.jump s.sym
+  let branch s = SS.Symbolic.branch s.sym
+end
+
+module Step = Machine.Semantics.Make (Recording)
 
 (* Record the trace of [func] on concrete [input] bytes, with RDI symbolic so
    taint is tracked exactly like the concolic engine does. *)
@@ -146,31 +93,37 @@ let record ?(fuel = 2_000_000) (img : Image.t) ~func ~n_inputs ~(input : int arr
   let halted = ref false in
   let decode_cache = Hashtbl.create 512 in
   let fetch rip =
-    let window = Machine.Memory.read_bytes_avail st.SS.mem.SS.base rip X86.Encode.max_instr_len in
-    X86.Decode.decode window 0
+    match Hashtbl.find_opt decode_cache rip with
+    | Some r -> r
+    | None ->
+      let window =
+        Machine.Memory.read_bytes_avail st.SS.mem.SS.base rip
+          X86.Encode.max_instr_len
+      in
+      let r = X86.Decode.decode window 0 in
+      Hashtbl.replace decode_cache rip r;
+      r
   in
   let rec go n =
     if n <= 0 then ()
     else
       match fetch st.SS.rip with
       | None -> ()
-      | Some (i, _len) ->
+      | Some (i, len) ->
         let rip = st.SS.rip in
-        let reads, writes = locs_of st ev i in
-        (* taint of memory reads: consult the symbolic memory *)
-        let tainted =
-          List.exists
-            (fun l ->
-               match l with
-               | L_mem a ->
-                 (match SS.read_concrete st a 1 with
-                  | e -> E.depends_on_input e
-                  | exception SS.Sym_fault _ -> false)
-               | L_reg _ | L_flags -> loc_tainted st l)
-            reads
+        let r =
+          { Recording.sym = { SS.Symbolic.model; st }; ev; reads = [];
+            writes = [] }
         in
         st.SS.concretizations <- [];
-        (match Symex.Sym_state.step ~model ~decode_cache st with
+        st.SS.rip <- Int64.add rip (Int64.of_int len);
+        st.SS.steps <- st.SS.steps + 1;
+        let entry bt =
+          { e_rip = rip; e_instr = i; e_reads = List.rev r.Recording.reads;
+            e_writes = List.rev r.Recording.writes; e_branch_tainted = bt }
+        in
+        (match Step.exec r i with
+         | exception SS.Sym_fault _ -> ()
          | SS.O_ok ->
            (* a control transfer through an input-tainted pointer is an
               implicit control dependency the simplifier must keep; tainted
@@ -180,27 +133,18 @@ let record ?(fuel = 2_000_000) (img : Image.t) ~func ~n_inputs ~(input : int arr
              && List.exists (fun (e, _) -> E.depends_on_input e)
                   st.SS.concretizations
            in
-           entries :=
-             { e_rip = rip; e_instr = i; e_reads = reads; e_writes = writes;
-               e_tainted = tainted || bt; e_branch_tainted = bt }
-             :: !entries;
+           entries := entry bt :: !entries;
            go (n - 1)
          | SS.O_halt ->
            halted := true;
-           entries :=
-             { e_rip = rip; e_instr = i; e_reads = reads; e_writes = writes;
-               e_tainted = tainted; e_branch_tainted = false }
-             :: !entries
+           entries := entry false :: !entries
          | SS.O_fault _ -> ()
          | SS.O_branch (cond, taken, fall) ->
            let v = ev cond <> 0L in
            let bt = E.depends_on_input cond in
            SS.constrain st cond v;
            st.SS.rip <- (if v then taken else fall);
-           entries :=
-             { e_rip = rip; e_instr = i; e_reads = reads; e_writes = writes;
-               e_tainted = tainted || bt; e_branch_tainted = bt }
-             :: !entries;
+           entries := entry bt :: !entries;
            go (n - 1)
          | SS.O_indirect target ->
            (* an indirect target is a per-trace constant: foldable dispatch,
@@ -214,10 +158,7 @@ let record ?(fuel = 2_000_000) (img : Image.t) ~func ~n_inputs ~(input : int arr
            in
            SS.constrain st (E.bin E.Eq target (E.Const v)) true;
            st.SS.rip <- v;
-           entries :=
-             { e_rip = rip; e_instr = i; e_reads = reads; e_writes = writes;
-               e_tainted = tainted || bt; e_branch_tainted = bt }
-             :: !entries;
+           entries := entry bt :: !entries;
            go (n - 1))
   in
   go fuel;

@@ -70,6 +70,37 @@ let test_tds_p3_survives () =
     true
     (s_p3.Taint.Tds.tainted_branches > 2 * s_plain.Taint.Tds.tainted_branches)
 
+(* A memory destination's address registers are reads: the tracer lists
+   rbx for [setcc [rbx]] and [pop [rbx]]. *)
+let test_tracer_dst_address_reads () =
+  let open X86.Isa in
+  let at_rbx = Mem (mem_b RBX 0) in
+  let img =
+    Asm.link
+      { Asm.u_functions =
+          [ ("target",
+             [ Asm.Ins (Lea (RBX, mem_b RSP (-64)));
+               Asm.Ins (Setcc (E, at_rbx));
+               Asm.Ins (Push (Reg RAX));
+               Asm.Ins (Pop at_rbx);
+               Asm.Ins Ret ]) ];
+        Asm.u_data = [] }
+  in
+  let tr = Taint.Tracer.record img ~func:"target" ~n_inputs:1 ~input:[| 7 |] in
+  let reads_of p =
+    match
+      List.find_opt (fun e -> p e.Taint.Tracer.e_instr) tr.Taint.Tracer.entries
+    with
+    | Some e -> e.Taint.Tracer.e_reads
+    | None -> Alcotest.fail "instruction not traced"
+  in
+  List.iter
+    (fun (name, p) ->
+       Alcotest.(check bool) (name ^ " reads rbx") true
+         (List.mem (Taint.Tracer.L_reg RBX) (reads_of p)))
+    [ ("setcc [rbx]", (function Setcc _ -> true | _ -> false));
+      ("pop [rbx]", (function Pop (Mem _) -> true | _ -> false)) ]
+
 (* The four TDS rows of §VII-A.1 (experiments efficacy), pinned exactly:
    trace length, kept entries and kept input-tainted control decisions. *)
 let test_tds_efficacy_pin () =
@@ -195,7 +226,9 @@ let () =
        [ Alcotest.test_case "native trace" `Quick test_tds_native;
          Alcotest.test_case "rop dispatch removed" `Quick test_tds_rop_dispatch_removed;
          Alcotest.test_case "p3 survives tds" `Quick test_tds_p3_survives;
-         Alcotest.test_case "efficacy rows pinned" `Quick test_tds_efficacy_pin ]);
+         Alcotest.test_case "efficacy rows pinned" `Quick test_tds_efficacy_pin;
+         Alcotest.test_case "destination address reads" `Quick
+           test_tracer_dst_address_reads ]);
       ("ropmemu",
        [ Alcotest.test_case "explores plain rop" `Quick test_ropmemu_explores_plain;
          Alcotest.test_case "blocked by p2" `Quick test_ropmemu_blocked_by_p2 ]);

@@ -74,33 +74,19 @@ module Masks = struct
   let const_value v =
     if v lsr 18 = 0 then None else Some (Int64.of_int ((v lsr 18) - 1))
 
+  (* every operation's result depends on all of its operands *)
   let dep a b = (a lor b) land loc_bits
   let dep1 a = a land loc_bits
-  let add = dep
-  let sub = dep
-  let mul = dep
-  let mulhi_u = dep
-  let mulhi_s = dep
-  let logand = dep
-  let logor = dep
-  let logxor = dep
-  let lognot = dep1
-  let neg = dep1
-  let shl = dep
-  let shr = dep
-  let sar = dep
-  let trunc _ = dep1
-  let sext _ = dep1
+  let add = dep and sub = dep and mul = dep and mulhi_u = dep and mulhi_s = dep
+  let logand = dep and logor = dep and logxor = dep
+  let shl = dep and shr = dep and sar = dep
+  let lognot = dep1 and neg = dep1
+  let trunc _ = dep1 and sext _ = dep1
   let select c a b = dep c (dep a b)
 
-  let eq = dep
-  let bit0 = dep1
-  let parity = dep1
-  let of_flag = dep1
+  let eq = dep and f_or = dep and f_xor = dep
+  let bit0 = dep1 and parity = dep1 and of_flag = dep1 and fnot = dep1
   let flag_const _ = 0
-  let fnot = dep1
-  let f_or = dep
-  let f_xor = dep
   let f_select = select
 
   let fresh () =

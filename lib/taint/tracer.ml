@@ -43,7 +43,8 @@ type trace = {
    read of a location the step already wrote sees the step's own value,
    so it is not a read of the state before it and is not noted. *)
 module Recording = struct
-  include (SS.Symbolic : module type of SS.Symbolic with type t := SS.Symbolic.t)
+  include (
+    SS.Symbolic : module type of SS.Symbolic with type t := SS.Symbolic.t)
 
   type t = {
     sym : SS.Symbolic.t;
@@ -56,7 +57,8 @@ module Recording = struct
     if not (List.mem l s.writes || List.mem l s.reads) then
       s.reads <- l :: s.reads
 
-  let note_write s l = if not (List.mem l s.writes) then s.writes <- l :: s.writes
+  let note_write s l =
+    if not (List.mem l s.writes) then s.writes <- l :: s.writes
 
   let bytes s note a n =
     let a = s.ev a in

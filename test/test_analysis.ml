@@ -488,7 +488,8 @@ let gen_ni_value =
          (int_range (-0x800) 0x800));
       (2, map Int64.of_int (int_bound 15));
       (2, map Int64.of_int int);
-      (1, oneofl [ 0L; 1L; -1L; 0x80L; 0xFFFFL; Int64.min_int; Int64.max_int ]) ]
+      (1, oneofl
+            [ 0L; 1L; -1L; 0x80L; 0xFFFFL; Int64.min_int; Int64.max_int ]) ]
 
 let gen_ni_case =
   let open QCheck.Gen in
@@ -500,8 +501,13 @@ let gen_ni_case =
   return { ni_instr; ni_regs; ni_flags; ni_other; ni_other_flags }
 
 let print_ni_case def_use c =
-  let hex a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%Lx") a)) in
-  let bits a = String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") a)) in
+  let hex a =
+    String.concat " " (Array.to_list (Array.map (Printf.sprintf "%Lx") a))
+  in
+  let bits a =
+    String.concat ""
+      (Array.to_list (Array.map (fun b -> if b then "1" else "0") a))
+  in
   Printf.sprintf "%s (%s) A=[%s] flags %s; B outside uses=[%s] flags %s"
     (X86.Pp.instr_str c.ni_instr)
     (let uses, defs = def_use c.ni_instr in
@@ -534,7 +540,8 @@ let ni_step instr regs flags =
     match Machine.Exec.exec_instr cpu instr with
     | () -> Ok cpu.Machine.Cpu.halted
     | exception Machine.Exec.Exec_fault m -> Error m
-    | exception Machine.Memory.Fault (a, m) -> Error (Printf.sprintf "%s 0x%Lx" m a)
+    | exception Machine.Memory.Fault (a, m) ->
+      Error (Printf.sprintf "%s 0x%Lx" m a)
   in
   let f = Machine.Cpu.flags cpu in
   ( outcome,
@@ -554,8 +561,12 @@ let non_interference def_use c =
         else c.ni_other.(k))
   in
   let flags_b = if R.mem_flags uses then c.ni_flags else c.ni_other_flags in
-  let out_a, rip_a, regs_a', flags_a', mem_a = ni_step c.ni_instr c.ni_regs c.ni_flags in
-  let out_b, rip_b, regs_b', flags_b', mem_b = ni_step c.ni_instr regs_b flags_b in
+  let out_a, rip_a, regs_a', flags_a', mem_a =
+    ni_step c.ni_instr c.ni_regs c.ni_flags
+  in
+  let out_b, rip_b, regs_b', flags_b', mem_b =
+    ni_step c.ni_instr regs_b flags_b
+  in
   (* a faulting step stops part-way: its defs need not have been written *)
   let completed = Result.is_ok out_a in
   out_a = out_b && rip_a = rip_b && mem_a = mem_b
@@ -588,7 +599,9 @@ let old_def_use (i : X86.Isa.instr) =
     let s = match m.base with Some r -> R.of_reg r | None -> R.empty in
     match m.index with Some (r, _) -> R.add s r | None -> s
   in
-  let use_op = function Reg r -> R.of_reg r | Imm _ -> R.empty | Mem m -> use_mem m in
+  let use_op = function
+    | Reg r -> R.of_reg r | Imm _ -> R.empty | Mem m -> use_mem m
+  in
   let use_addr = function Reg _ | Imm _ -> R.empty | Mem m -> use_mem m in
   let def_op = function Reg r -> R.of_reg r | Imm _ | Mem _ -> R.empty in
   match i with
@@ -602,7 +615,8 @@ let old_def_use (i : X86.Isa.instr) =
   | Pop d -> (R.add (use_addr d) RSP, R.union (def_op d) (R.of_reg RSP))
   | Alu ((Cmp | Test), _, a, b) -> (R.union (use_op a) (use_op b), R.flags_bit)
   | Alu ((Adc | Sbb), _, d, s) ->
-    (R.add_flags (R.union (use_op d) (use_op s)), R.union (def_op d) R.flags_bit)
+    (R.add_flags (R.union (use_op d) (use_op s)),
+     R.union (def_op d) R.flags_bit)
   | Alu (_, _, d, s) ->
     (R.union (use_op d) (use_op s), R.union (def_op d) R.flags_bit)
   | Unary (Not, _, d) -> (use_op d, def_op d)
@@ -627,7 +641,8 @@ let old_def_use (i : X86.Isa.instr) =
      R.union (R.add R.caller_saved RSP) R.flags_bit)
   | Ret -> (R.of_list [ RSP; RAX ], R.of_reg RSP)
   | Leave -> (R.of_list [ RBP; RSP ], R.of_list [ RBP; RSP ])
-  | Xchg (_, a, b) -> (R.union (use_op a) (use_op b), R.union (def_op a) (def_op b))
+  | Xchg (_, a, b) ->
+    (R.union (use_op a) (use_op b), R.union (def_op a) (def_op b))
 
 let test_old_table_refuted () =
   match

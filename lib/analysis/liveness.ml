@@ -19,22 +19,24 @@ let exit_live = R.union (R.of_list [ X86.Isa.RAX; X86.Isa.RSP ]) R.callee_saved
 (* A tail jump additionally passes arguments. *)
 let tail_live = R.union exit_live R.arg_regs
 
-let term_use (t : Cfg.terminator) =
-  match t with
+(* What a block's terminator reads: the calling convention's set when
+   control leaves the function, else the branch instruction's own uses. *)
+let term_use (b : Cfg.block) =
+  match b.Cfg.b_term with
   | Cfg.T_ret -> exit_live
-  | Cfg.T_hlt -> R.empty
   | Cfg.T_tail _ -> tail_live
-  | Cfg.T_jmp _ | Cfg.T_fall _ -> R.empty
-  | Cfg.T_jcc _ -> R.flags_bit
-  | Cfg.T_jmp_table { jump_reg; _ } -> R.of_reg jump_reg
-  | Cfg.T_jmp_unresolved op -> Reguse.use_operand op
+  | Cfg.T_hlt | Cfg.T_jmp _ | Cfg.T_fall _ | Cfg.T_jcc _ | Cfg.T_jmp_table _
+  | Cfg.T_jmp_unresolved _ ->
+    (match b.Cfg.b_term_instr with
+     | Some ti -> ti.Cfg.uses
+     | None -> R.empty)
 
 let transfer_instr live_out (bi : Cfg.binstr) =
   R.union bi.Cfg.uses (R.diff live_out bi.Cfg.defs)
 
 (* live-in of a block given its live-out *)
 let transfer_block (b : Cfg.block) live_out =
-  let live = R.union live_out (term_use b.Cfg.b_term) in
+  let live = R.union live_out (term_use b) in
   List.fold_left transfer_instr live (List.rev b.Cfg.b_instrs)
 
 let compute (cfg : Cfg.t) : t =
@@ -78,7 +80,7 @@ let compute (cfg : Cfg.t) : t =
        (match b.Cfg.b_term_instr with
         | Some ti -> Hashtbl.replace instr_live_out ti.Cfg.addr out
         | None -> ());
-       let live = R.union out (term_use b.Cfg.b_term) in
+       let live = R.union out (term_use b) in
        let _ =
          List.fold_left
            (fun live bi ->

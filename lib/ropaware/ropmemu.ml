@@ -44,16 +44,6 @@ let run_trace ~config ~chain_range ~cov_range img ~func ~args ~flips =
   let flag_reads = ref 0 in
   let sites = Hashtbl.create 64 in
   let slots = ref [] in
-  (* flag readers by address, derived again when the code there changes *)
-  let readers = Hashtbl.create 256 in
-  let reads_flags rip i =
-    match Hashtbl.find_opt readers rip with
-    | Some (i', r) when i' == i -> r
-    | Some _ | None ->
-      let r = Analysis.Reguse.reads_flags i in
-      Hashtbl.replace readers rip (i, r);
-      r
-  in
   t.Machine.Exec.on_step <-
     Some
       (fun cpu rip i ->
@@ -65,7 +55,7 @@ let run_trace ~config ~chain_range ~cov_range img ~func ~args ~flips =
             if Int64.compare lo slot <= 0 && Int64.compare slot hi < 0 then
               slots := slot :: !slots
           | None -> ());
-         if reads_flags rip i then begin
+         if Analysis.Reguse.reads_flags i then begin
            Hashtbl.replace sites rip ();
            if List.mem !flag_reads flips then flip_flags cpu;
            incr flag_reads

@@ -4,9 +4,9 @@
    registers it writes, how it moves RSP through the chain (the ordered
    stack events), what it does to the status flags, and how control leaves
    it.  Register writes and flag effects come from Analysis.Reguse, which
-   derives them from the machine's semantics.  The chain walk (pass 2) replays these summaries
-   against the materialized slot layout; the clobber pass (pass 3) intersects
-   the writes with liveness. *)
+   derives them from the machine's semantics.  The chain walk (pass 2)
+   replays these summaries against the materialized slot layout; the
+   clobber pass (pass 3) intersects the writes with liveness. *)
 
 open X86.Isa
 module R = Analysis.Regset

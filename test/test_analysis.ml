@@ -384,9 +384,10 @@ let test_cfg_randomfuns () =
 (* Non-interference: two states that agree on an instruction's uses must,
    after one reference step, agree on its defs (the flags included when
    they are a def), on rip, on whether the step faults and on the data
-   pages, and each must leave every register outside the defs as it was.
-   Memory starts equal; registers often point into the data pages, so
-   memory operands resolve as well as fault. *)
+   pages, and each must leave every register outside the defs as it was,
+   and the flags too when the instruction may write none.  Memory starts
+   equal; registers often point into the data pages, so memory operands
+   resolve as well as fault. *)
 
 module R = Analysis.Regset
 
@@ -500,7 +501,7 @@ let gen_ni_case =
   let* ni_other_flags = array_repeat 5 bool in
   return { ni_instr; ni_regs; ni_flags; ni_other; ni_other_flags }
 
-let print_ni_case def_use c =
+let print_ni_case effects c =
   let hex a =
     String.concat " " (Array.to_list (Array.map (Printf.sprintf "%Lx") a))
   in
@@ -510,8 +511,9 @@ let print_ni_case def_use c =
   in
   Printf.sprintf "%s (%s) A=[%s] flags %s; B outside uses=[%s] flags %s"
     (X86.Pp.instr_str c.ni_instr)
-    (let uses, defs = def_use c.ni_instr in
-     Format.asprintf "uses %a, defs %a" R.pp uses R.pp defs)
+    (let uses, defs, flags_written = effects c.ni_instr in
+     Format.asprintf "uses %a, defs %a%s" R.pp uses R.pp defs
+       (if flags_written then ", may write flags" else ""))
     (hex c.ni_regs) (bits c.ni_flags) (hex c.ni_other) (bits c.ni_other_flags)
 
 let ni_memory =
@@ -553,8 +555,8 @@ let ni_step instr regs flags =
           (Int64.add ni_data (Int64.of_int (k * Machine.Memory.page_size)))
           Machine.Memory.page_size) )
 
-let non_interference def_use c =
-  let uses, defs = def_use c.ni_instr in
+let non_interference effects c =
+  let uses, defs, flags_written = effects c.ni_instr in
   let regs_b =
     Array.init 16 (fun k ->
         if R.mem_reg uses (X86.Isa.reg_of_index k) then c.ni_regs.(k)
@@ -571,6 +573,7 @@ let non_interference def_use c =
   let completed = Result.is_ok out_a in
   out_a = out_b && rip_a = rip_b && mem_a = mem_b
   && ((not (completed && R.mem_flags defs)) || flags_a' = flags_b')
+  && (flags_written || (flags_a' = c.ni_flags && flags_b' = flags_b))
   && List.for_all
        (fun r ->
           let k = X86.Isa.reg_index r in
@@ -580,14 +583,15 @@ let non_interference def_use c =
 
 (* Calls and returns are checked without their calling-convention entries,
    which the step itself cannot honour. *)
-let machine_def_use i =
+let machine_effects i =
   let e = Analysis.Reguse.machine_effects i in
-  (e.Analysis.Reguse.uses, e.Analysis.Reguse.defs)
+  (e.Analysis.Reguse.uses, e.Analysis.Reguse.defs,
+   e.Analysis.Reguse.flags_written)
 
-let prop_non_interference ?(count = 20000) def_use =
+let prop_non_interference ?(count = 20000) effects =
   QCheck.Test.make ~name:"def/use non-interference" ~count
-    (QCheck.make ~print:(print_ni_case def_use) gen_ni_case)
-    (non_interference def_use)
+    (QCheck.make ~print:(print_ni_case effects) gen_ni_case)
+    (non_interference effects)
 
 (* A copy of the hand-written def/use table the derived one replaced.  It
    treats 8/16-bit register writes as whole-register kills and mul, div
@@ -647,7 +651,9 @@ let old_def_use (i : X86.Isa.instr) =
 let test_old_table_refuted () =
   match
     QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |])
-      (prop_non_interference old_def_use)
+      (prop_non_interference (fun i ->
+           let uses, defs = old_def_use i in
+           (uses, defs, R.mem_flags defs)))
   with
   | () -> Alcotest.fail "the hand-written table passed non-interference"
   | exception QCheck.Test.Test_fail _ -> ()
@@ -676,6 +682,6 @@ let () =
            test_fixture_retless_loop ]);
       ("def-use",
        [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
-           (prop_non_interference machine_def_use);
+           (prop_non_interference machine_effects);
          Alcotest.test_case "hand-written table refuted" `Quick
            test_old_table_refuted ]) ]

@@ -88,6 +88,7 @@ module Masks = struct
   let bit0 = dep1 and parity = dep1 and of_flag = dep1 and fnot = dep1
   let flag_const _ = 0
   let f_select = select
+  let defer th = th ()
 
   let fresh () =
     { regs = Array.make 16 0; flags = Array.make 5 0;

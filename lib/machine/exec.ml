@@ -70,6 +70,7 @@ module Concrete = struct
   let f_or a b = a || b
   let f_xor a b = a <> b
   let f_select c a b = if c then a else b
+  let defer th = th ()
 
   let get = Cpu.get
   let set = Cpu.set

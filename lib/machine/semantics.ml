@@ -11,7 +11,8 @@
    engine does not specialize; [Symex.Sym_state] instantiates it
    over [Expr.t] values.  The attacker's model and the machine it attacks
    therefore share every formula.  test/test_symex.ml runs both instances
-   on random single instructions and requires them to agree. *)
+   on random single instructions, and on flag writers followed by flag
+   readers, and requires them to agree. *)
 
 open X86.Isa
 
@@ -154,6 +155,11 @@ module type MACHINE = sig
   val f_or : f -> f -> f
   val f_xor : f -> f -> f
   val f_select : f -> f -> f -> f
+  (* A flag formula, handed over unevaluated.  The thunk reads only the
+     values it captured, never the state, so it may run at any later time
+     and give the same flag.  An eager instance runs it at once; a lazy one
+     may run it only when the flag is read. *)
+  val defer : (unit -> f) -> f
 
   val get : t -> reg -> v
   val set : t -> reg -> v -> unit
@@ -196,19 +202,21 @@ module Make (M : MACHINE) = struct
   let overflow_sub w a b r =
     sign_bit w (M.logand (M.logxor a b) (M.logxor a r))
 
+  (* The flag formulas below go through [M.defer]: most flags an
+     instruction writes are overwritten before anything reads them. *)
   let set_zsp st w r =
-    M.set_flag st ZF (M.eq (M.trunc w r) zero);
-    M.set_flag st SF (sign_bit w r);
-    M.set_flag st PF (M.parity r)
+    M.set_flag st ZF (M.defer (fun () -> M.eq (M.trunc w r) zero));
+    M.set_flag st SF (M.defer (fun () -> sign_bit w r));
+    M.set_flag st PF (M.defer (fun () -> M.parity r))
 
   let flags_add st w a b r =
-    M.set_flag st CF (carry_out w a b r);
-    M.set_flag st OF (overflow_add w a b r);
+    M.set_flag st CF (M.defer (fun () -> carry_out w a b r));
+    M.set_flag st OF (M.defer (fun () -> overflow_add w a b r));
     set_zsp st w r
 
   let flags_sub st w a b r =
-    M.set_flag st CF (borrow_out w a b r);
-    M.set_flag st OF (overflow_sub w a b r);
+    M.set_flag st CF (M.defer (fun () -> borrow_out w a b r));
+    M.set_flag st OF (M.defer (fun () -> overflow_sub w a b r));
     set_zsp st w r
 
   let flags_logic st w r =
@@ -310,11 +318,11 @@ module Make (M : MACHINE) = struct
     | Not -> write st w d (M.trunc w (M.lognot a))   (* no flag update *)
     | Inc ->
       let r = M.trunc w (M.add a one) in
-      M.set_flag st OF (overflow_add w a one r);
+      M.set_flag st OF (M.defer (fun () -> overflow_add w a one r));
       set_zsp st w r; write st w d r
     | Dec ->
       let r = M.trunc w (M.sub a one) in
-      M.set_flag st OF (overflow_sub w a one r);
+      M.set_flag st OF (M.defer (fun () -> overflow_sub w a one r));
       set_zsp st w r; write st w d r
 
   (* Result and flags of a shift or rotate of [a] by [n], where [n] is
@@ -403,7 +411,7 @@ module Make (M : MACHINE) = struct
       let hi = M.mulhi_s rax v in
       M.set st RAX lo;
       M.set st RDX hi;
-      let c = M.fnot (M.eq hi (M.sar lo (M.const 63L))) in
+      let c = M.defer (fun () -> M.fnot (M.eq hi (M.sar lo (M.const 63L)))) in
       M.set_flag st CF c; M.set_flag st OF c
     | Div | Idiv ->
       let q, r =
@@ -459,8 +467,10 @@ module Make (M : MACHINE) = struct
       (* below 64 bits [full] is the exact product; at 64 it is the product
          mod 2^64, and the high half decides overflow as for Imul1 *)
       let c =
-        if w = W64 then M.fnot (M.eq (M.mulhi_s a b) (M.sar full (M.const 63L)))
-        else M.fnot (M.eq (M.sext w r64) full)
+        M.defer (fun () ->
+            if w = W64 then
+              M.fnot (M.eq (M.mulhi_s a b) (M.sar full (M.const 63L)))
+            else M.fnot (M.eq (M.sext w r64) full))
       in
       M.set_flag st CF c; M.set_flag st OF c;
       set_zsp st w r64;

@@ -78,11 +78,7 @@ let init_state mem rip rsp =
   for i = 0 to 15 do
     st.S.regs.(i) <- reg_expr i
   done;
-  st.S.f_cf <- flag_expr 0;
-  st.S.f_zf <- flag_expr 1;
-  st.S.f_sf <- flag_expr 2;
-  st.S.f_of <- flag_expr 3;
-  st.S.f_pf <- flag_expr 4;
+  List.iteri (fun j fl -> S.set_flag st fl (flag_expr j)) S.Step.all_flags;
   S.set st RSP (E.Const rsp);
   st
 
@@ -235,8 +231,9 @@ let compared_state ~(orig_img : Image.t) ~private_filter (p : A.point)
   in
   let flags =
     if p.A.p_flags_live then
-      [ ("cf", st.S.f_cf); ("zf", st.S.f_zf); ("sf", st.S.f_sf);
-        ("of", st.S.f_of); ("pf", st.S.f_pf) ]
+      List.map (fun (n, fl) -> (n, S.flag st fl))
+        Machine.Semantics.
+          [ ("cf", CF); ("zf", ZF); ("sf", SF); ("of", OF); ("pf", PF) ]
     else []
   in
   { c_regs = regs; c_flags = flags; c_writes = writes }
@@ -432,11 +429,11 @@ let validate_region ~orig_img ~orig_mem ~rw_mem ~decode_orig ~decode_rw
 let run ~(orig : Image.t) ~(rewritten : Image.t) (audit : A.t) : result =
   let orig_mem = Image.load orig in
   let rw_mem = Image.load rewritten in
-  let decode_orig = Hashtbl.create 256 in
+  let decode_orig = S.Rip_tbl.create 256 in
   let regions = ref [] and skipped = ref [] and findings = ref [] in
   List.iter
     (fun (f : A.func) ->
-       let decode_rw = Hashtbl.create 256 in
+       let decode_rw = S.Rip_tbl.create 256 in
        let record (p : A.point) ~desc verdict =
          (match verdict with
           | Unproven reason

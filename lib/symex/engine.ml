@@ -68,7 +68,7 @@ type ctx = {
   toa : bool;
   rng : Util.Rng.t;
   deadline : float;
-  decode_cache : (int64, (X86.Isa.instr * int) option) Hashtbl.t;
+  decode_cache : Sym_state.decode_cache;
   covered : (int, unit) Hashtbl.t;
   cov_range : (int64 * int64) option;  (* [lo, hi) of the __cov array *)
   stats : stats;
@@ -95,7 +95,7 @@ let make_ctx ?(toa = false) ?(seed = 99) ~goal ~budget tgt =
   { tgt; goal; budget; toa;
     rng = Util.Rng.create seed;
     deadline = Unix.gettimeofday () +. budget.wall_seconds;
-    decode_cache = Hashtbl.create 1024;
+    decode_cache = Sym_state.Rip_tbl.create 1024;
     covered = Hashtbl.create 64;
     cov_range;
     stats = { states = 0; instrs = 0; paths_completed = 0; timed_out = false;

@@ -359,13 +359,16 @@ let compile (exprs : t list) : compiled =
   done;
   { nodes; roots; live = Array.of_list !live; slots }
 
-(* Evaluate all roots under [input]; read the results with [slot] and the
-   helpers below (node ids via [c.roots]).  Comparisons are spelled with
+(* Evaluate the live nodes [live.(lo) .. live.(hi - 1)] under [input]; read
+   the results with [slot] and the helpers below (node ids via [c.roots]).
+   Nodes are numbered children first, so the nodes a root depends on are
+   the live ones numbered at most the root ([live_upto]): running a prefix
+   of [live] evaluates every root inside it.  Comparisons are spelled with
    [<] on int64 operands, which compiles to a machine compare, where
    [Int64.compare] would box both sides. *)
-let run (c : compiled) ~input =
+let run_range (c : compiled) ~input lo hi =
   let s = c.slots and nodes = c.nodes and live = c.live in
-  for k = 0 to Array.length live - 1 do
+  for k = lo to hi - 1 do
     let i = live.(k) in
     match nodes.(i) with
     | C_const _ -> ()                  (* never live *)
@@ -411,6 +414,20 @@ let run (c : compiled) ~input =
     | C_load (base, ia, size, log) ->
       set_slot s i (load_bytes (get_slot s) base log (get_slot s ia) size)
   done
+
+(* Evaluate all roots under [input]. *)
+let run c ~input = run_range c ~input 0 (Array.length c.live)
+
+(* How many live nodes are numbered at most [i]: [run_range c ~input 0
+   (live_upto c i)] evaluates node [i] and everything it depends on. *)
+let live_upto c i =
+  let live = c.live in
+  let lo = ref 0 and hi = ref (Array.length live) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if live.(mid) <= i then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let slot c i = get_slot c.slots i
 

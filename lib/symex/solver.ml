@@ -86,7 +86,13 @@ let input_of_model (m : model) i = if i < Array.length m then m.(i) else 0
    times over a 1-byte input space (local search, then the exhaustive sweep
    of the same 256 values), and a repeat is answered from the table without
    running the program.  A model's score is a function of its bytes alone,
-   so a hit returns exactly what a run would. *)
+   so a hit returns exactly what a run would.
+
+   Most callers only need the verdict.  [eval_verdict] runs the program one
+   constraint at a time and stops at the first violated one.  A rejected
+   model still takes its slot, marked [pen_unknown]; [eval_query] treats
+   the mark as a miss and scores the model afresh.  Either way each call
+   leaves the same key in each slot. *)
 
 type item_kind =
   | K_flat
@@ -96,11 +102,16 @@ type item_kind =
 type query = {
   comp : Expr.compiled;
   items : (int * bool * item_kind) array;   (* cond node id, want, kind *)
+  ends : int array;           (* per item: [Expr.live_upto] of its cond *)
   scored_keys : int array;    (* [model_key] per slot, -1 when empty *)
-  scored_pens : int array;    (* the penalty that model scored *)
+  scored_pens : int array;    (* the penalty that model scored, or
+                                 [pen_unknown] *)
 }
 
 let scored_slots = 256
+
+(* The slot's model violates some constraint; its penalty was not computed. *)
+let pen_unknown = -1
 
 (* The model's bytes as [Expr.run] reads them ([m.(i) land 0xff]; bytes past
    the model read as 0), byte [i] at bit [8 i].  Models of up to 7 bytes fit
@@ -183,6 +194,7 @@ let compile_query cs =
          cs)
   in
   { comp; items;
+    ends = Array.map (fun (ci, _, _) -> Expr.live_upto comp ci) items;
     scored_keys = Array.make scored_slots (-1);
     scored_pens = Array.make scored_slots 0 }
 
@@ -213,7 +225,8 @@ let eval_query ~stats q (m : model) =
   stats.evals <- stats.evals + 1;
   let k = model_key m in
   let s = key_slot k in
-  if k >= 0 && Array.unsafe_get q.scored_keys s = k then begin
+  if k >= 0 && Array.unsafe_get q.scored_keys s = k
+     && Array.unsafe_get q.scored_pens s <> pen_unknown then begin
     let pen = Array.unsafe_get q.scored_pens s in
     (pen = 0, pen)
   end else begin
@@ -224,6 +237,40 @@ let eval_query ~stats q (m : model) =
       Array.unsafe_set q.scored_pens s pen
     end;
     (pen = 0, pen)
+  end
+
+(* Does [m] satisfy every constraint?  Item [j]'s condition depends only
+   on the live nodes up to [q.ends.(j)], so the program runs in stretches,
+   one item at a time, and stops at the first violated item. *)
+let satisfies q (m : model) =
+  let c = q.comp and items = q.items and ends = q.ends in
+  let input = input_of_model m in
+  let n = Array.length items in
+  let rec go j ran =
+    j >= n
+    || (let e = Array.unsafe_get ends j in
+        if e > ran then Expr.run_range c ~input ran e;
+        let ci, want, _ = Array.unsafe_get items j in
+        Expr.slot_true c ci = want && go (j + 1) (max e ran))
+  in
+  go 0 0
+
+(* [fst (eval_query ~stats q m)] without computing the penalty.  A slot
+   marked [pen_unknown] answers as a rejection without a run. *)
+let eval_verdict ~stats q (m : model) =
+  stats.evals <- stats.evals + 1;
+  let k = model_key m in
+  let s = key_slot k in
+  if k >= 0 && Array.unsafe_get q.scored_keys s = k then
+    Array.unsafe_get q.scored_pens s = 0
+  else begin
+    stats.runs <- stats.runs + 1;
+    let sat = satisfies q m in
+    if k >= 0 then begin
+      Array.unsafe_set q.scored_keys s k;
+      Array.unsafe_set q.scored_pens s (if sat then 0 else pen_unknown)
+    end;
+    sat
   end
 
 let check (m : model) cs =
@@ -597,7 +644,7 @@ let strat_enumeration ~stats ~deadline ~n_inputs ~bytes q =
           m.(bytes.(b)) <- (!i lsr (8 * b)) land 0xff
         done;
         incr i;
-        if fst (eval_query ~stats q m) then Sr_found (Array.copy m) else go ()
+        if eval_verdict ~stats q m then Sr_found (Array.copy m) else go ()
       end
     in
     go ()
@@ -662,7 +709,7 @@ let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
                check_deadline deadline;
                m.(b) <- v;
                incr spent;
-               if fst (eval_query ~stats sq m) then dom := v :: !dom
+               if eval_verdict ~stats sq m then dom := v :: !dom
              done;
              m.(b) <- 0);
           domains.(!cursor) <- Array.of_list !dom;
@@ -683,7 +730,7 @@ let strat_inversion ~stats ~deadline ~n_inputs ~bytes q cs =
         done;
         incr prod_i;
         incr spent;
-        if fst (eval_query ~stats q m) then Sr_found (Array.copy m) else go ()
+        if eval_verdict ~stats q m then Sr_found (Array.copy m) else go ()
       end
     in
     go ()

@@ -29,13 +29,16 @@ type smem = {
   seq : int;
 }
 
+(* Flags are 0/1 expressions, each built the first time it is read: a step
+   stores the formula unevaluated ([Symbolic.defer]).  [flag] and
+   [set_flag] read and write them as expressions. *)
 type t = {
   mutable regs : E.t array;             (* 16 *)
-  mutable f_cf : E.t;
-  mutable f_zf : E.t;
-  mutable f_sf : E.t;
-  mutable f_of : E.t;
-  mutable f_pf : E.t;
+  mutable f_cf : E.t Lazy.t;
+  mutable f_zf : E.t Lazy.t;
+  mutable f_sf : E.t Lazy.t;
+  mutable f_of : E.t Lazy.t;
+  mutable f_pf : E.t Lazy.t;
   mutable mem : smem;
   mutable rip : int64;
   mutable constraints : Solver.constr list;   (* newest first *)
@@ -63,9 +66,12 @@ type mem_model = {
   on_write : E.t -> int -> unit;     (* observation hook (coverage probes) *)
 }
 
+let lazy_zero = Lazy.from_val E.zero
+
 let create mem rip =
   { regs = Array.make 16 (E.Const 0L);
-    f_cf = E.zero; f_zf = E.zero; f_sf = E.zero; f_of = E.zero; f_pf = E.zero;
+    f_cf = lazy_zero; f_zf = lazy_zero; f_sf = lazy_zero; f_of = lazy_zero;
+    f_pf = lazy_zero;
     mem = { base = mem; cmap = I64Map.empty; sym_writes = []; seq = 0 };
     rip;
     constraints = [];
@@ -83,6 +89,19 @@ let copy t =
 
 let get t r = t.regs.(reg_index r)
 let set t r v = t.regs.(reg_index r) <- v
+
+let flag_cell t = function
+  | Sem.CF -> t.f_cf | Sem.ZF -> t.f_zf | Sem.SF -> t.f_sf
+  | Sem.OF -> t.f_of | Sem.PF -> t.f_pf
+
+let set_flag_cell t fl v =
+  match fl with
+  | Sem.CF -> t.f_cf <- v | Sem.ZF -> t.f_zf <- v
+  | Sem.SF -> t.f_sf <- v | Sem.OF -> t.f_of <- v
+  | Sem.PF -> t.f_pf <- v
+
+let flag t fl = Lazy.force (flag_cell t fl)
+let set_flag t fl e = set_flag_cell t fl (Lazy.from_val e)
 
 let constrain t cond want = t.constraints <- { Solver.cond; want } :: t.constraints
 
@@ -226,11 +245,14 @@ let check_div_fault ~model t ~signed ~rdx ~rax ~v =
 (* --- instruction transfer ------------------------------------------------------ *)
 
 (* The functor's machine: the symbolic state paired with the engine's
-   memory model.  Flags are 0/1 expressions. *)
+   memory model.  A flag is a 0/1 expression, possibly not yet built: every
+   flag operation forces its operands, and [defer] alone leaves its formula
+   for the first reader.  A built expression is its own forced [Lazy.t]
+   ([Lazy.from_val] allocates nothing for it). *)
 module Symbolic = struct
   type nonrec t = { model : mem_model; st : t }
   type v = E.t
-  type f = E.t
+  type f = E.t Lazy.t
   type nonrec outcome = outcome
 
   let const c = E.Const c
@@ -256,37 +278,33 @@ module Symbolic = struct
   let sar a n = E.bin E.Sar a n
   let trunc w e = if w = W64 then e else E.un (E.Low (w, false)) e
   let sext w e = if w = W64 then e else E.un (E.Low (w, true)) e
-  let select c a b = E.ite c a b
+  let select c a b = E.ite (Lazy.force c) a b
 
-  let eq a b = E.bin E.Eq a b
-  let bit0 e = E.bin E.And e E.one
-  let fnot e = E.bin E.Xor e E.one
+  let built e = Lazy.from_val e
+  let eq a b = built (E.bin E.Eq a b)
+  let bit0 e = built (E.bin E.And e E.one)
+  let not01 e = E.bin E.Xor e E.one
+  let fnot f = built (not01 (Lazy.force f))
 
   let parity e =
     let b = E.bin E.And e (E.Const 0xFFL) in
     let p = E.bin E.Xor b (E.bin E.Shr b (E.Const 4L)) in
     let p = E.bin E.Xor p (E.bin E.Shr p (E.Const 2L)) in
     let p = E.bin E.Xor p (E.bin E.Shr p (E.Const 1L)) in
-    fnot (E.bin E.And p E.one)
+    built (not01 (E.bin E.And p E.one))
 
-  let of_flag f = f
-  let flag_const b = if b then E.one else E.zero
-  let f_or a b = E.bin E.Or a b
-  let f_xor a b = E.bin E.Xor a b
-  let f_select c a b = E.ite c a b
+  let of_flag f = Lazy.force f
+  let flag_const b = built (if b then E.one else E.zero)
+  let f_or a b = built (E.bin E.Or (Lazy.force a) (Lazy.force b))
+  let f_xor a b = built (E.bin E.Xor (Lazy.force a) (Lazy.force b))
+  let f_select c a b =
+    built (E.ite (Lazy.force c) (Lazy.force a) (Lazy.force b))
+  let defer th = lazy (Lazy.force (th ()))
 
   let get s r = get s.st r
   let set s r v = set s.st r v
-
-  let get_flag s = function
-    | Sem.CF -> s.st.f_cf | Sem.ZF -> s.st.f_zf | Sem.SF -> s.st.f_sf
-    | Sem.OF -> s.st.f_of | Sem.PF -> s.st.f_pf
-
-  let set_flag s fl v =
-    match fl with
-    | Sem.CF -> s.st.f_cf <- v | Sem.ZF -> s.st.f_zf <- v
-    | Sem.SF -> s.st.f_sf <- v | Sem.OF -> s.st.f_of <- v
-    | Sem.PF -> s.st.f_pf <- v
+  let get_flag s fl = flag_cell s.st fl
+  let set_flag s fl v = set_flag_cell s.st fl v
 
   let load s a n = mread ~model:s.model s.st a n
   let store s a n v = mwrite ~model:s.model s.st a n v
@@ -311,7 +329,7 @@ module Symbolic = struct
     | e -> O_indirect e
 
   let branch s c taken =
-    match c with
+    match Lazy.force c with
     | E.Const 0L -> O_ok
     | E.Const _ -> s.st.rip <- taken; O_ok
     | cond -> O_branch (cond, taken, s.st.rip)
@@ -326,20 +344,39 @@ let exec_instr ~model t i len =
   t.steps <- t.steps + 1;
   Step.exec { Symbolic.model; st = t } i
 
+(* Tables keyed by a full 64-bit address.  The hash folds the high half
+   into the low one and mixes the bits inline, where the polymorphic
+   [Hashtbl] calls out to the runtime's generic hash and compare.  A key
+   is never narrowed with [Int64.to_int], which drops bit 63: two pages
+   that differ only there are two keys. *)
+module Rip_tbl = Hashtbl.Make (struct
+    type t = int64
+    let equal = Int64.equal
+    let hash a =
+      let x = Int64.mul (Int64.logxor a (Int64.shift_right_logical a 32))
+          0x9E3779B97F4A7C15L in
+      Int64.to_int (Int64.shift_right_logical x 32) lxor Int64.to_int x
+  end)
+
+(* Decoded instructions by address, [None] where no instruction decodes. *)
+type decode_cache = (instr * int) option Rip_tbl.t
+
+(* Decode at [rip] from [mem] through [cache]. *)
+let fetch (cache : decode_cache) mem rip =
+  match Rip_tbl.find_opt cache rip with
+  | Some r -> r
+  | None ->
+    let window =
+      Machine.Memory.read_bytes_avail mem rip X86.Encode.max_instr_len
+    in
+    let r = X86.Decode.decode window 0 in
+    Rip_tbl.replace cache rip r;
+    r
+
 (* Fetch + decode at t.rip from the base image, with a shared cache. *)
 let step ~model ~decode_cache t =
   let rip = t.rip in
-  let fetched =
-    match Hashtbl.find_opt decode_cache rip with
-    | Some r -> r
-    | None ->
-      let window =
-        Machine.Memory.read_bytes_avail t.mem.base rip X86.Encode.max_instr_len
-      in
-      let r = X86.Decode.decode window 0 in
-      Hashtbl.replace decode_cache rip r;
-      r
-  in
+  let fetched = fetch decode_cache t.mem.base rip in
   match fetched with
   | None -> O_fault (Printf.sprintf "invalid instruction at 0x%Lx" rip)
   | Some (i, len) ->

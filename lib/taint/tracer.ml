@@ -93,23 +93,11 @@ let record ?(fuel = 2_000_000) (img : Image.t) ~func ~n_inputs ~(input : int arr
   let ev = E.evaluator ~input:(Symex.Solver.input_of_model input) in
   let entries = ref [] in
   let halted = ref false in
-  let decode_cache = Hashtbl.create 512 in
-  let fetch rip =
-    match Hashtbl.find_opt decode_cache rip with
-    | Some r -> r
-    | None ->
-      let window =
-        Machine.Memory.read_bytes_avail st.SS.mem.SS.base rip
-          X86.Encode.max_instr_len
-      in
-      let r = X86.Decode.decode window 0 in
-      Hashtbl.replace decode_cache rip r;
-      r
-  in
+  let decode_cache = SS.Rip_tbl.create 512 in
   let rec go n =
     if n <= 0 then ()
     else
-      match fetch st.SS.rip with
+      match SS.fetch decode_cache st.SS.mem.SS.base st.SS.rip with
       | None -> ()
       | Some (i, len) ->
         let rip = st.SS.rip in

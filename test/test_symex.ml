@@ -260,6 +260,50 @@ let test_table_property_catches_keyless_slot () =
   | () -> Alcotest.fail "a slot that ignores its key went unnoticed"
   | exception QCheck.Test.Test_fail _ -> ()
 
+(* The verdict-only evaluation against [eval_query] on a second compile of
+   the query, over a random mix of verdict-only and scoring calls: each
+   verdict equals [fst (eval_query ...)], each scoring call still returns a
+   table-less score (a slot marked "penalty unknown" is never answered
+   from), and after the same sequence both tables hold the same keys. *)
+let prop_verdict_table ?(count = 300) verdict =
+  QCheck.Test.make ~name:"verdict-only eval = fst eval_query" ~count
+    (QCheck.make
+       ~print:(fun (c, _) -> print_table_case c)
+       QCheck.Gen.(pair gen_table_case (list_repeat 48 bool)))
+    (fun ((_, cs, ms), only) ->
+       let module S = Symex.Solver in
+       let q = S.compile_query cs and r = S.compile_query cs in
+       let fresh = S.compile_query cs in
+       let stats = S.make_stats () and rstats = S.make_stats () in
+       List.for_all2
+         (fun m verdict_only ->
+            let want = S.eval_query ~stats:rstats r m in
+            if verdict_only then verdict ~stats q m = fst want
+            else
+              let pen = S.score fresh m in
+              S.eval_query ~stats q m = want && want = (pen = 0, pen))
+         ms only
+       && q.S.scored_keys = r.S.scored_keys
+       && stats.S.evals = rstats.S.evals)
+
+let prop_verdict_table_matches_eval_query =
+  prop_verdict_table Symex.Solver.eval_verdict
+
+(* Seeded fault: each item's end index one short, so item [j] is checked
+   before its own root has run and reads the slot the previous model left.
+   The property must find a counterexample. *)
+let test_verdict_property_catches_short_end () =
+  let module S = Symex.Solver in
+  let verdict ~stats q m =
+    S.eval_verdict ~stats { q with S.ends = Array.map pred q.S.ends } m
+  in
+  match
+    QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |])
+      (prop_verdict_table ~count:2000 verdict)
+  with
+  | () -> Alcotest.fail "an end index one short went unnoticed"
+  | exception QCheck.Test.Test_fail _ -> ()
+
 (* The serial pipeline spends a quarter of its budget on local search over
    a 1-byte space, then sweeps all 256 values: the table leaves the
    evaluation count as it was, but no input byte is run twice. *)
@@ -751,6 +795,19 @@ type one_case = {
   oc_flags : bool array;                 (* cf zf sf of pf *)
 }
 
+(* Small values too, so shifted-out bits and zero results are common, and
+   operands at the signed-range and overflow edges of each width, so
+   products land on both sides of overflowing. *)
+let gen_reg_value =
+  let open QCheck.Gen in
+  frequency
+    [ (2, map Int64.of_int int);
+      (2, map Int64.of_int (int_bound 300));
+      (1, oneofl
+            [ 0L; 1L; -1L; 11L; 12L; 0x7FL; -0x80L; 0xB5L; 0xB6L; 0x7FFFL;
+              -0x8000L; 0xB504L; 0xB505L; 0x7FFFFFFFL; -0x80000000L;
+              0xB504F333L; 0xB504F334L; Int64.max_int; Int64.min_int ]) ]
+
 let gen_one_case =
   let open QCheck.Gen in
   let open X86.Isa in
@@ -804,19 +861,7 @@ let gen_one_case =
          return (MulDiv (o, Reg s))) ]
   in
   let* oc_instr = frequency [ (1, shift); (1, other) ] in
-  (* small values too, so shifted-out bits and zero results are common, and
-     operands at the signed-range and overflow edges of each width, so
-     products land on both sides of overflowing *)
-  let value =
-    frequency
-      [ (2, map Int64.of_int int);
-        (2, map Int64.of_int (int_bound 300));
-        (1, oneofl
-              [ 0L; 1L; -1L; 11L; 12L; 0x7FL; -0x80L; 0xB5L; 0xB6L; 0x7FFFL;
-                -0x8000L; 0xB504L; 0xB505L; 0x7FFFFFFFL; -0x80000000L;
-                0xB504F333L; 0xB504F334L; Int64.max_int; Int64.min_int ]) ]
-  in
-  let* oc_regs = array_repeat 16 value in
+  let* oc_regs = array_repeat 16 gen_reg_value in
   let* oc_flags = array_repeat 5 bool in
   return { oc_instr; oc_regs; oc_flags }
 
@@ -836,55 +881,89 @@ let print_one_case c =
 
 let one_case_code = 0x400000L
 
-let one_case_memory c =
+let code_memory instrs =
   let mem = Machine.Memory.create () in
-  Machine.Memory.store_bytes mem one_case_code
-    (X86.Encode.encode_list [ c.oc_instr ]);
+  Machine.Memory.store_bytes mem one_case_code (X86.Encode.encode_list instrs);
   mem
 
-(* Registers and flags after one Ref-engine step. *)
-let one_concrete c =
-  let cpu = Machine.Cpu.create (one_case_memory c) in
+(* cf zf sf of pf, the order of the flag arrays below *)
+let all_flags = Symex.Sym_state.Step.all_flags
+
+(* Rip, registers and flags after [instrs], one Ref-engine step each. *)
+let concrete_steps instrs regs flags =
+  let cpu = Machine.Cpu.create (code_memory instrs) in
   Machine.Cpu.set_rip cpu one_case_code;
-  Array.iteri (fun i v -> Machine.Cpu.set cpu (X86.Isa.reg_of_index i) v) c.oc_regs;
-  (match c.oc_flags with
+  Array.iteri (fun i v -> Machine.Cpu.set cpu (X86.Isa.reg_of_index i) v) regs;
+  (match flags with
    | [| cf; zf; sf; o_f; pf |] ->
      cpu.Machine.Cpu.cf <- cf; cpu.Machine.Cpu.zf <- zf;
      cpu.Machine.Cpu.sf <- sf; cpu.Machine.Cpu.o_f <- o_f;
      cpu.Machine.Cpu.pf <- pf
    | _ -> assert false);
   let t = Machine.Exec.make ~engine:Machine.Exec.Ref cpu in
-  ignore (Machine.Exec.run ~fuel:1 t);
+  ignore (Machine.Exec.run ~fuel:(List.length instrs) t);
   let f = Machine.Cpu.flags cpu in
-  ( Array.init 16 (fun i -> Machine.Cpu.get cpu (X86.Isa.reg_of_index i)),
+  ( Machine.Cpu.rip cpu,
+    Array.init 16 (fun i -> Machine.Cpu.get cpu (X86.Isa.reg_of_index i)),
     [| f.cf; f.zf; f.sf; f.o_f; f.pf |] )
 
-(* The same step on the symbolic stepper.  With [sym_cl], cl is the input
-   byte (holding the concrete cl) instead of a constant, and every result
-   is evaluated under that input. *)
-let one_symbolic ~sym_cl c =
+(* The same steps on the symbolic stepper: [(all stepped, rip, registers,
+   flags)].  With [sym = Some r], the low byte of [r] is the input byte
+   (holding the concrete byte) instead of a constant, every result is
+   evaluated under that input, and a symbolic branch goes where its
+   condition evaluates.  [after k st] runs after the [k]-th step. *)
+let symbolic_steps ?(after = fun _ _ -> ()) ~sym instrs regs flags =
   let module S = Symex.Sym_state in
-  let st = S.create (one_case_memory c) one_case_code in
-  Array.iteri (fun i v -> S.set st (X86.Isa.reg_of_index i) (E.Const v)) c.oc_regs;
-  let b v = if v then E.one else E.zero in
-  (match c.oc_flags with
-   | [| cf; zf; sf; o_f; pf |] ->
-     st.S.f_cf <- b cf; st.S.f_zf <- b zf; st.S.f_sf <- b sf;
-     st.S.f_of <- b o_f; st.S.f_pf <- b pf
-   | _ -> assert false);
-  let rcx = c.oc_regs.(X86.Isa.reg_index X86.Isa.RCX) in
-  if sym_cl then
-    S.set st X86.Isa.RCX
-      (E.bin E.Or (E.Const (Int64.logand rcx (-256L))) (E.Input 0));
+  let st = S.create (code_memory instrs) one_case_code in
+  Array.iteri (fun i v -> S.set st (X86.Isa.reg_of_index i) (E.Const v)) regs;
+  List.iteri
+    (fun j fl -> S.set_flag st fl (if flags.(j) then E.one else E.zero))
+    all_flags;
+  let byte =
+    match sym with
+    | None -> 0
+    | Some r ->
+      let v = regs.(X86.Isa.reg_index r) in
+      S.set st r (E.bin E.Or (E.Const (Int64.logand v (-256L))) (E.Input 0));
+      Int64.to_int (Int64.logand v 0xFFL)
+  in
+  let ev = E.eval ~input:(fun _ -> byte) in
   let model =
     { S.toa = false; concretize = (fun _ _ -> None); on_write = (fun _ _ -> ()) }
   in
-  let outcome = S.step ~model ~decode_cache:(Hashtbl.create 1) st in
-  let ev = E.eval ~input:(fun _ -> Int64.to_int (Int64.logand rcx 0xFFL)) in
-  ( outcome = S.O_ok,
+  let decode_cache = S.Rip_tbl.create 4 in
+  let stepped =
+    List.for_all Fun.id
+      (List.mapi
+         (fun k _ ->
+            let outcome = S.step ~model ~decode_cache st in
+            after k st;
+            match outcome with
+            | S.O_ok -> true
+            | S.O_branch (cond, taken, fall) ->
+              st.S.rip <- (if ev cond <> 0L then taken else fall);
+              true
+            | S.O_indirect _ | S.O_halt | S.O_fault _ -> false)
+         instrs)
+  in
+  ( stepped,
+    st.S.rip,
     Array.init 16 (fun i -> ev (S.get st (X86.Isa.reg_of_index i))),
-    Array.map (fun e -> ev e = 1L)
-      [| st.S.f_cf; st.S.f_zf; st.S.f_sf; st.S.f_of; st.S.f_pf |] )
+    Array.of_list (List.map (fun fl -> ev (S.flag st fl) = 1L) all_flags) )
+
+(* Registers and flags after one Ref-engine step. *)
+let one_concrete c =
+  let _, regs, flags = concrete_steps [ c.oc_instr ] c.oc_regs c.oc_flags in
+  (regs, flags)
+
+(* The same step on the symbolic stepper.  With [sym_cl], cl is the input
+   byte (holding the concrete cl) instead of a constant. *)
+let one_symbolic ~sym_cl c =
+  let ok, _, regs, flags =
+    symbolic_steps ~sym:(if sym_cl then Some X86.Isa.RCX else None)
+      [ c.oc_instr ] c.oc_regs c.oc_flags
+  in
+  (ok, regs, flags)
 
 let prop_one_instruction =
   QCheck.Test.make ~name:"concrete = symbolic, one instruction" ~count:4000
@@ -899,6 +978,165 @@ let prop_one_instruction =
        && (match c.oc_instr with
            | X86.Isa.Shift (_, _, _, X86.Isa.S_cl) -> agrees true
            | _ -> true))
+
+(* Two code pages that differ only in bit 63 hold different instructions:
+   one decode cache must decode each address on its own, so neither page
+   runs the other's instruction. *)
+let test_decode_cache_full_width () =
+  let module S = Symex.Sym_state in
+  let open X86.Isa in
+  let lo = 0x400000L in
+  let hi = Int64.logor lo Int64.min_int in
+  let mem = Machine.Memory.create () in
+  Machine.Memory.store_bytes mem lo
+    (X86.Encode.encode_list [ Mov (W64, Reg RAX, Imm 1L) ]);
+  Machine.Memory.store_bytes mem hi
+    (X86.Encode.encode_list [ Mov (W64, Reg RAX, Imm 2L) ]);
+  let model =
+    { S.toa = false; concretize = (fun _ _ -> None); on_write = (fun _ _ -> ()) }
+  in
+  let decode_cache = S.Rip_tbl.create 8 in
+  let rax_after rip =
+    let st = S.create mem rip in
+    match S.step ~model ~decode_cache st with
+    | S.O_ok -> E.eval ~input:(fun _ -> 0) (S.get st RAX)
+    | _ -> Alcotest.fail (Printf.sprintf "no step at 0x%Lx" rip)
+  in
+  let got = List.map rax_after [ lo; hi; lo; hi ] in
+  Alcotest.(check (list int64)) "rax after each page's mov" [ 1L; 2L; 1L; 2L ]
+    got;
+  Alcotest.(check int) "cached decodes" 2 (S.Rip_tbl.length decode_cache)
+
+(* --- two instructions: a flag writer, then a flag reader -------------------- *)
+
+(* The symbolic stepper builds a flag's expression only when something
+   reads it.  A writer followed by a reader checks the deferred flags at
+   the reader, and the final state checks the ones nobody read, after the
+   reader has written its own destination.  Registers come mostly from a
+   pool of three, so the reader often overwrites the writer's
+   destination. *)
+
+type pair_case = {
+  pc_instrs : X86.Isa.instr list;         (* writer; reader *)
+  pc_regs : int64 array;
+  pc_flags : bool array;
+  pc_sym : X86.Isa.reg option;            (* its low byte is the input *)
+}
+
+let gen_pair_case =
+  let open QCheck.Gen in
+  let open X86.Isa in
+  let reg =
+    frequency
+      [ (3, oneofl [ RAX; RCX; RDX ]); (1, map reg_of_index (int_bound 15)) ]
+  in
+  let width = oneofl [ W8; W16; W32; W64 ] in
+  let cc = map cc_of_index (int_bound 15) in
+  let writer =
+    oneof
+      [ (let* o = oneofl [ Add; Adc; Sub; Sbb; Cmp; And; Or; Xor; Test ] in
+         let* w = width in
+         let* d = reg in
+         let* s = reg in
+         return (Alu (o, w, Reg d, Reg s)));
+        (let* o = oneofl [ Neg; Inc; Dec ] in
+         let* w = width in
+         let* d = reg in
+         return (Unary (o, w, Reg d)));
+        (let* w = width in
+         let* d = reg in
+         let* s = reg in
+         return (Imul2 (w, d, Reg s)));
+        (let* o = oneofl [ Mul; Imul1 ] in
+         let* s = reg in
+         return (MulDiv (o, Reg s))) ]
+  in
+  let reader =
+    oneof
+      [ (let* c = cc in
+         let* d = reg in
+         return (Setcc (c, Reg d)));
+        (let* c = cc in
+         let* d = reg in
+         let* s = reg in
+         return (Cmov (c, d, Reg s)));
+        (let* o = oneofl [ Adc; Sbb ] in
+         let* w = width in
+         let* d = reg in
+         let* s = reg in
+         return (Alu (o, w, Reg d, Reg s)));
+        (let* c = cc in
+         return (Jcc (c, 16)));
+        return Lahf ]
+  in
+  let* w = writer in
+  let* r = reader in
+  let* pc_regs = array_repeat 16 gen_reg_value in
+  let* pc_flags = array_repeat 5 bool in
+  let* pc_sym = frequency [ (1, return None); (1, map Option.some reg) ] in
+  return { pc_instrs = [ w; r ]; pc_regs; pc_flags; pc_sym }
+
+let print_pair_case c =
+  Printf.sprintf "%s; sym=%s regs=[%s] flags(cf zf sf of pf)=[%s]"
+    (String.concat "; "
+       (List.map
+          (fun i ->
+             match i with
+             | X86.Isa.Alu (_, w, _, _) | X86.Isa.Unary (_, w, _)
+             | X86.Isa.Imul2 (w, _, _) ->
+               X86.Pp.width_name w ^ " " ^ X86.Pp.instr_str i
+             | _ -> X86.Pp.instr_str i)
+          c.pc_instrs))
+    (match c.pc_sym with Some r -> X86.Pp.reg_name r | None -> "-")
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%Lx") c.pc_regs)))
+    (String.concat " " (Array.to_list (Array.map string_of_bool c.pc_flags)))
+
+let prop_flag_pairs ?(count = 3000) ?after () =
+  QCheck.Test.make ~name:"concrete = symbolic, flag writer then reader" ~count
+    (QCheck.make ~print:print_pair_case gen_pair_case)
+    (fun c ->
+       let rip, regs, flags = concrete_steps c.pc_instrs c.pc_regs c.pc_flags in
+       let ok, srip, sregs, sflags =
+         symbolic_steps ?after ~sym:c.pc_sym c.pc_instrs c.pc_regs c.pc_flags
+       in
+       ok && srip = rip && sregs = regs && sflags = flags)
+
+(* Seeded fault: flag formulas that re-read the destination register when
+   forced, instead of the result the writer captured.  After the writer
+   steps, its ZF, SF and PF are replaced by thunks that run the same
+   formulas over whatever the destination holds when they are read.  The
+   property must find a counterexample. *)
+let test_pair_property_catches_stale_flags () =
+  let module S = Symex.Sym_state in
+  let open X86.Isa in
+  let model =
+    { S.toa = false; concretize = (fun _ _ -> None); on_write = (fun _ _ -> ()) }
+  in
+  let after k st =
+    match
+      if k = 0 then S.fetch (S.Rip_tbl.create 1) st.S.mem.S.base one_case_code
+      else None
+    with
+    | Some ((Alu ((Add | Adc | Sub | Sbb | And | Or | Xor), w, Reg d, _)
+            | Unary ((Neg | Inc | Dec), w, Reg d)), _)
+    | Some (Imul2 (w, d, _), _) ->
+      let stale fl =
+        lazy
+          (let scratch = S.copy st in
+           S.Step.set_zsp { S.Symbolic.model; st = scratch } w
+             (S.Symbolic.trunc w (S.get st d));
+           S.flag scratch fl)
+      in
+      List.iter (fun fl -> S.set_flag_cell st fl (stale fl))
+        Machine.Semantics.[ ZF; SF; PF ]
+    | Some _ | None -> ()
+  in
+  match
+    QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |])
+      (prop_flag_pairs ~count:3000 ~after ())
+  with
+  | () -> Alcotest.fail "flags that re-read their destination went unnoticed"
+  | exception QCheck.Test.Test_fail _ -> ()
 
 (* Concrete-address reads against the byte-wise rule: each byte is the
    newest write covering it, shifted into place, else the base image's,
@@ -1215,13 +1453,21 @@ let () =
          QCheck_alcotest.to_alcotest prop_scored_table_matches_score;
          Alcotest.test_case "table property catches a keyless slot" `Quick
            test_table_property_catches_keyless_slot;
+         QCheck_alcotest.to_alcotest prop_verdict_table_matches_eval_query;
+         Alcotest.test_case "verdict property catches a short end index"
+           `Quick test_verdict_property_catches_short_end;
          Alcotest.test_case "1-byte unsat: one run per value" `Quick
            test_unsat_byte_runs_once_per_value ]);
       ("stepper",
        List.map QCheck_alcotest.to_alcotest
          [ prop_sym_concrete_native; prop_sym_concrete_rop;
-           prop_one_instruction; prop_read_concrete_matches_model ]
-       @ [ Alcotest.test_case "read property catches the exact-match arm" `Quick
+           prop_one_instruction; prop_flag_pairs ();
+           prop_read_concrete_matches_model ]
+       @ [ Alcotest.test_case "decode cache keys all 64 bits" `Quick
+             test_decode_cache_full_width;
+           Alcotest.test_case "pair property catches stale flags" `Quick
+             test_pair_property_catches_stale_flags;
+           Alcotest.test_case "read property catches the exact-match arm" `Quick
              test_read_property_catches_exact_arm ]);
       ("adversarial",
        [ Alcotest.test_case "contradictory constraints" `Quick

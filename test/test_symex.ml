@@ -1091,8 +1091,9 @@ let print_pair_case c =
     (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%Lx") c.pc_regs)))
     (String.concat " " (Array.to_list (Array.map string_of_bool c.pc_flags)))
 
-let prop_flag_pairs ?(count = 3000) ?after () =
-  QCheck.Test.make ~name:"concrete = symbolic, flag writer then reader" ~count
+let prop_flag_pairs ?after () =
+  QCheck.Test.make ~name:"concrete = symbolic, flag writer then reader"
+    ~count:3000
     (QCheck.make ~print:print_pair_case gen_pair_case)
     (fun c ->
        let rip, regs, flags = concrete_steps c.pc_instrs c.pc_regs c.pc_flags in
@@ -1133,7 +1134,7 @@ let test_pair_property_catches_stale_flags () =
   in
   match
     QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |])
-      (prop_flag_pairs ~count:3000 ~after ())
+      (prop_flag_pairs ~after ())
   with
   | () -> Alcotest.fail "flags that re-read their destination went unnoticed"
   | exception QCheck.Test.Test_fail _ -> ()
